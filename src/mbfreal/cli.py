@@ -152,34 +152,41 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------- enumerate
 
 def cmd_enumerate(args) -> int:
-    try:
-        if args.pairs:
-            pairs = enumerate_ordered_pairs(args.n)
-            print(len(pairs))
-            if not args.quiet:
-                for f, g in pairs:
-                    print(f.to_hex(), g.to_hex())
-        else:
-            funcs = enumerate_mbf_positive(args.n)
-            print(len(funcs))
-            if not args.quiet:
-                for f in funcs:
-                    print(f.to_hex())
-    except ArityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.pairs:
+        pairs = enumerate_ordered_pairs(args.n)
+        print(len(pairs))
+        if not args.quiet:
+            for f, g in pairs:
+                print(f.to_hex(), g.to_hex())
+    else:
+        funcs = enumerate_mbf_positive(args.n)
+        print(len(funcs))
+        if not args.quiet:
+            for f in funcs:
+                print(f.to_hex())
     return 0
 
 
 # ---------------------------------------------------------------- census
+
+def _cached_row(path: Path) -> "str | None":
+    """The CSV row a results file holds; None when the file is missing or
+    does not parse as {"row": str}, as a run cut off mid-write leaves it."""
+    try:
+        row = json.loads(path.read_text())["row"]
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
+        return None
+    return row if isinstance(row, str) else None
+
 
 def _census_task(task):
     """Decide one (class, pair) cell and write its files; returns the CSV row."""
     out_dir, n, class_tag, index, f_hex, g_hex = task
     out = Path(out_dir)
     result_path = out / "results" / f"{class_tag}_{index:05d}.json"
-    if result_path.exists():
-        return json.loads(result_path.read_text())["row"]
+    cached = _cached_row(result_path)
+    if cached is not None:
+        return cached
     tup = OrderedTuple((MbfFunction.from_hex(f_hex), MbfFunction.from_hex(g_hex)))
     verdict = check_class(tup, class_tag)
     witness_path = ""

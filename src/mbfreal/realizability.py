@@ -238,13 +238,6 @@ def realize_k(tup: OrderedTuple) -> KWitness:
 
 # ---------------------------------------------------------------- sums (exact)
 
-def _support_masks(n: int):
-    full = (1 << n) - 1
-    yield full
-    for mask in range(1, full):
-        yield mask
-
-
 def _sigma_system(tup: OrderedTuple, members: "tuple[int, ...]"):
     """LP deciding separation by a sum over the member variables.
 
@@ -300,32 +293,31 @@ def _sigma_system(tup: OrderedTuple, members: "tuple[int, ...]"):
 
 
 def check_sigma(tup: OrderedTuple) -> Verdict:
-    """Exact decision for the sum class; never Unknown.
+    """Exact decision for the sum class by one LP; never Unknown.
 
-    Every non-empty support subset is a sum structure and is tried (full
-    support first); the verdict is NotRealizable only when all fail, with one
-    Farkas certificate per subset.
+    The LP asks for a sum over all n variables.  Fixing the support loses
+    nothing: a sum over a subset of the variables separates the tuple exactly
+    when the full sum does, because each missing variable can be added with
+    low 1, a spread below every separation margin, and every threshold raised
+    by 1.  The verdict carries the LP's point as a witness, or its Farkas
+    certificate.
     """
     n = tup.n
     if n > 5:
         raise ValueError("sum decision guarded at arity 5")
-    dead = []
-    for mask in _support_masks(n):
-        members = tuple(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
-        columns, rows = _sigma_system(tup, members)
-        out = linear.solve(len(columns), rows)
-        s = sum_structure(members, n)
-        if isinstance(out, linear.Feasible):
-            point = dict(zip(columns, out.point))
-            low = tuple(point.get(f"l{i}", Fraction(1)) for i in range(1, n + 1))
-            high = tuple(point.get(f"u{i}", Fraction(2)) for i in range(1, n + 1))
-            thresholds = tuple(point[f"th{j + 1}"] for j in range(len(tup)))
-            w = Witness(s, PhiAssignment(low, high), thresholds)
-            if not verify_witness(tup, w):
-                raise AssertionError("feasible sum system produced a bad witness")
-            return Verdict.realizable(w)
-        dead.append((s.text(), FarkasCertificate(tuple(columns), tuple(rows), out.multipliers)))
-    return Verdict.not_realizable(ExhaustionCertificate(tuple(dead)))
+    members = tuple(range(1, n + 1))
+    columns, rows = _sigma_system(tup, members)
+    out = linear.solve(len(columns), rows)
+    if isinstance(out, linear.Infeasible):
+        return Verdict.not_realizable(
+            FarkasCertificate(tuple(columns), tuple(rows), out.multipliers)
+        )
+    # columns are l1..ln, u1..un, th1..thk
+    p = out.point
+    w = Witness(sum_structure(members, n), PhiAssignment(p[:n], p[n:2 * n]), p[2 * n:])
+    if not verify_witness(tup, w):
+        raise AssertionError("feasible sum system produced a bad witness")
+    return Verdict.realizable(w)
 
 
 # ---------------------------------------------------------------- direction test
@@ -367,18 +359,23 @@ def necessary_condition(f: MbfFunction, g: MbfFunction, s: InteractionStructure)
 
 
 def verify_direction_certificate(
-    f: MbfFunction, g: MbfFunction, s: InteractionStructure, cert: DirectionCertificate
+    f: MbfFunction,
+    g: MbfFunction,
+    s: "InteractionStructure | None",
+    cert: DirectionCertificate,
 ) -> bool:
+    """Check the four corners; with a structure, also that it exposes the
+    direction as a bare factor or standalone summand."""
     ell = cert.direction
-    if not (has_factor(s, ell) or has_simple_term(s, ell)):
+    if s is not None and not (has_factor(s, ell) or has_simple_term(s, ell)):
         return False
     bit = 1 << (ell - 1)
-    if cert.f_true_corner != cert.g_false_corner | bit or cert.g_false_corner & bit:
-        return False
-    if cert.f_false_corner != cert.g_true_corner | bit or cert.g_true_corner & bit:
-        return False
     return (
-        f.truth >> cert.f_true_corner & 1 == 1
+        cert.f_true_corner == cert.g_false_corner | bit
+        and not cert.g_false_corner & bit
+        and cert.f_false_corner == cert.g_true_corner | bit
+        and not cert.g_true_corner & bit
+        and f.truth >> cert.f_true_corner & 1 == 1
         and g.truth >> cert.g_false_corner & 1 == 0
         and g.truth >> cert.g_true_corner & 1 == 1
         and f.truth >> cert.f_false_corner & 1 == 0
@@ -530,41 +527,6 @@ def search_witness(
 
 # ---------------------------------------------------------------- class check
 
-def extend_to_full_support(tup: OrderedTuple, w: Witness, class_tag: str) -> Witness:
-    """Pad a subset-support sum witness with fresh variables small enough to
-    keep every separation, re-tagged for the enclosing class."""
-    n = tup.n
-    members = sorted(w.structure.support)
-    missing = [i for i in range(1, n + 1) if i not in members]
-    full: InteractionStructure
-    if class_tag == PISIGMA:
-        full = structure([[frozenset(range(1, n + 1))]], n, PISIGMA)
-    elif class_tag == SIGMAPISIGMA:
-        full = structure(
-            [(frozenset({i}),) for i in range(1, n + 1)], n, SIGMAPISIGMA
-        )
-    else:
-        full = sum_structure(range(1, n + 1), n)
-    if not missing:
-        return Witness(full, w.phi, w.thresholds)
-    values = corner_table(w.structure, w.phi)
-    margin = min(
-        abs(value - theta) for value in values for theta in w.thresholds
-    )
-    eps = margin / (2 * len(missing))
-    low = list(w.phi.low)
-    high = list(w.phi.high)
-    for i in missing:
-        low[i - 1] = Fraction(1)
-        high[i - 1] = 1 + eps
-    shift = Fraction(len(missing))
-    thresholds = tuple(t + shift for t in w.thresholds)
-    out = Witness(full, PhiAssignment(tuple(low), tuple(high)), thresholds)
-    if not verify_witness(tup, out):
-        raise AssertionError("support extension broke the witness")
-    return out
-
-
 def _pairs(tup: OrderedTuple):
     for a in range(len(tup)):
         for b in range(a + 1, len(tup)):
@@ -599,12 +561,13 @@ def check_class(
 ) -> Verdict:
     """Three-valued verdict for one algebraic class.
 
-    The sum class delegates to the exact decision.  For the larger classes
-    every structure is tried in turn: direction certificates, then (at four
+    The sum class delegates to the exact decision, and so do the larger
+    classes first: a sum witness is returned with its structure z1+...+zn
+    re-tagged for the class.  Otherwise every
+    structure is tried in turn: direction certificates, then (at four
     inputs) facet-collapse pruning, then the monomial Farkas test, then grid
-    search.  The sum-of-all-variables structure is decided exactly through
-    the sum decision instead of searched, so a sum-realizable tuple is never
-    misreported in a larger class.
+    search.  The full-sum structure is not searched; the sum decision's
+    Farkas certificate rules it out unless a direction certificate does.
     """
     if class_tag == SIGMA:
         return check_sigma(tup)
@@ -618,9 +581,12 @@ def check_class(
 
     sigma = check_sigma(tup)
     if sigma.is_realizable:
-        return Verdict.realizable(extend_to_full_support(tup, sigma.witness, class_tag))
+        if class_tag == PISIGMA:
+            full = structure([[frozenset(range(1, n + 1))]], n, PISIGMA)
+        else:
+            full = structure([(frozenset({i}),) for i in range(1, n + 1)], n, SIGMAPISIGMA)
+        return Verdict.realizable(Witness(full, sigma.witness.phi, sigma.witness.thresholds))
     sum_text = sum_structure(range(1, n + 1), n).text()
-    sigma_certs = sigma.certificate.as_dict()
 
     dead = []
     alive = []
@@ -634,7 +600,7 @@ def check_class(
                 cert = necessary_condition(f, g, s)
                 if cert is not None:
                     break
-            dead.append((s.text(), cert if cert is not None else sigma_certs[sum_text]))
+            dead.append((s.text(), cert if cert is not None else sigma.certificate))
             continue
         cert = _structure_blocked(tup, s, prune)
         if cert is not None:
@@ -929,15 +895,7 @@ def replay_certificate(tup: OrderedTuple, structure_text: "str | None", cert) ->
         if len(tup) < 2:
             return False
         s = parse_structure(structure_text, tup.n) if structure_text else None
-        for f, g in _pairs(tup):
-            ok = (
-                verify_direction_certificate(f, g, s, cert)
-                if s is not None
-                else _direction_corners_hold(f, g, cert)
-            )
-            if ok:
-                return True
-        return False
+        return any(verify_direction_certificate(f, g, s, cert) for f, g in _pairs(tup))
     if isinstance(cert, CollapseCertificate):
         collapsed = OrderedTuple(
             tuple(restrict_and_collapse(f, cert.direction, cert.side) for f in tup)
@@ -948,20 +906,6 @@ def replay_certificate(tup: OrderedTuple, structure_text: "str | None", cert) ->
             replay_certificate(tup, text, sub) for text, sub in cert.entries
         )
     return False
-
-
-def _direction_corners_hold(f, g, cert: DirectionCertificate) -> bool:
-    bit = 1 << (cert.direction - 1)
-    return (
-        cert.f_true_corner == cert.g_false_corner | bit
-        and not cert.g_false_corner & bit
-        and cert.f_false_corner == cert.g_true_corner | bit
-        and not cert.g_true_corner & bit
-        and f.truth >> cert.f_true_corner & 1 == 1
-        and g.truth >> cert.g_false_corner & 1 == 0
-        and g.truth >> cert.g_true_corner & 1 == 1
-        and f.truth >> cert.f_false_corner & 1 == 0
-    )
 
 
 # ---------------------------------------------------------------- witness files

@@ -213,6 +213,24 @@ def test_census_config_mismatch(tmp_path, capsys):
     assert "configuration" in err
 
 
+def test_census_resume_recomputes_corrupt_results(tmp_path, capsys):
+    out_dir = tmp_path / "census"
+    argv = ("census", "--n", "3", "--classes", "sigma", "--out", str(out_dir))
+    assert run(capsys, *argv)[0] == 0
+    csv = (out_dir / "census.csv").read_text()
+    results = out_dir / "results"
+    intact = (results / "sigma_00003.json").read_text()
+    # a run cut off mid-write, and entries that parse but are not {"row": str}
+    (results / "sigma_00003.json").write_text('{"row": "3,mbf')
+    (results / "sigma_00004.json").write_text("")
+    (results / "sigma_00005.json").write_text("[]")
+    (results / "sigma_00006.json").write_text('{"row": 6}')
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert (out_dir / "census.csv").read_text() == csv
+    assert (results / "sigma_00003.json").read_text() == intact
+
+
 def test_census_parallel_matches_serial(tmp_path, capsys):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"

@@ -1,8 +1,11 @@
+import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from mbfreal import linear
 from mbfreal.boolean_core import (
     CEILING,
     FLOOR,
@@ -11,6 +14,7 @@ from mbfreal.boolean_core import (
     enumerate_mbf_positive,
     enumerate_ordered_pairs,
     eta,
+    implies,
     monotone_closure,
 )
 from mbfreal.interaction import (
@@ -31,18 +35,19 @@ from mbfreal.realizability import (
     Verdict,
     Witness,
     WitnessError,
+    _sigma_system,
     check_class,
     check_sigma,
     collapse_witness,
     derive_thresholds,
     direction_certificate,
-    extend_to_full_support,
     induced_function,
     lift_eta,
     lower_eta,
     monomial_certificate,
     necessary_condition,
     realize_k,
+    replay_certificate,
     search_witness,
     separating_to_witness,
     verify_direction_certificate,
@@ -160,10 +165,43 @@ def test_all_two_input_pairs_sum_realizable():
 def test_product_pair_not_sum_realizable():
     verdict = check_sigma(pair_tuple(PAIR_NEEDS_PRODUCT))
     assert verdict.is_not_realizable
-    entries = verdict.certificate.as_dict()
-    assert len(entries) == 7  # one per non-empty support subset
-    for cert in entries.values():
-        assert verify_farkas(cert)
+    cert = verdict.certificate
+    assert isinstance(cert, FarkasCertificate)  # one for the full-support LP
+    assert cert.columns == ("l1", "l2", "l3", "u1", "u2", "u3", "th1", "th2")
+    assert verify_farkas(cert)
+
+
+def _sum_lp_feasible(tup, members):
+    columns, rows = _sigma_system(tup, members)
+    return isinstance(linear.solve(len(columns), rows), linear.Feasible)
+
+
+def _small_tuples():
+    for n in (1, 2, 3):
+        for f in enumerate_mbf_positive(n):
+            yield OrderedTuple((f,))
+        for f, g in enumerate_ordered_pairs(n):
+            yield OrderedTuple((f, g))
+    for n in (1, 2):
+        for f, g in enumerate_ordered_pairs(n):
+            for h in enumerate_mbf_positive(n):
+                if implies(g, h):
+                    yield OrderedTuple((f, g, h))
+
+
+def test_full_support_sum_lp_decides_every_support():
+    # the full-support LP is infeasible only when every subset LP is, so
+    # check_sigma loses nothing by solving that one LP alone
+    infeasible = 0
+    for tup in _small_tuples():
+        n = tup.n
+        if _sum_lp_feasible(tup, tuple(range(1, n + 1))):
+            continue
+        infeasible += 1
+        for r in range(1, n):
+            for members in itertools.combinations(range(1, n + 1), r):
+                assert not _sum_lp_feasible(tup, members), (tup, members)
+    assert infeasible == 18  # the 18 non-separable n=3 pairs
 
 
 def test_first_nonseparable_row_rejected():
@@ -187,6 +225,27 @@ def test_direction_certificate_factor_structure():
     cert = necessary_condition(f, g, s)
     assert cert is not None and cert.direction == 1
     assert verify_direction_certificate(f, g, s, cert)
+
+
+def test_direction_certificate_rejects_every_changed_field():
+    f, g = PAIR_NEEDS_PRODUCT
+    tup = pair_tuple(PAIR_NEEDS_PRODUCT)
+    s = sum_structure({1, 2, 3}, 3)
+    cert = necessary_condition(f, g, s)
+    assert verify_direction_certificate(f, g, s, cert)
+    assert replay_certificate(tup, None, cert)
+    fields = ("f_true_corner", "g_false_corner", "g_true_corner", "f_false_corner")
+    changed = [
+        replace(cert, **{name: value})
+        for name in fields
+        for value in range(8)
+        if value != getattr(cert, name)
+    ]
+    changed += [replace(cert, direction=d) for d in (2, 3)]
+    for bad in changed:
+        assert not verify_direction_certificate(f, g, s, bad), bad
+        assert not verify_direction_certificate(f, g, None, bad), bad
+        assert not replay_certificate(tup, None, bad), bad
 
 
 def test_no_direction_certificate_when_comparable():
@@ -456,18 +515,20 @@ def test_separating_rejects_bad_inputs():
         separating_to_witness((1, 1), Fraction(-3))
 
 
-# ---------------------------------------------------------------- support extension
+# ---------------------------------------------------------------- sum re-tag
 
-def test_extend_to_full_support():
+def test_sum_witness_retagged_for_product_classes():
     f = MbfFunction(2, 0b1010)  # equal to y1
     tup = OrderedTuple((f,))
-    w = Witness(
-        parse_structure("z1", 2), PhiAssignment((1, 1), (2, 2)), (Fraction(3, 2),)
-    )
-    assert verify_witness(tup, w)
-    out = extend_to_full_support(tup, w, PISIGMA)
-    assert out.structure.class_tag == PISIGMA
-    assert verify_witness(tup, out)
+    sigma = check_sigma(tup)
+    assert sigma.is_realizable
+    assert sigma.witness.structure.text() == "z1+z2"
+    for tag in (PISIGMA, SIGMAPISIGMA):
+        w = check_class(tup, tag).witness
+        assert w.structure.class_tag == tag
+        assert w.structure.support == frozenset({1, 2})
+        assert (w.phi, w.thresholds) == (sigma.witness.phi, sigma.witness.thresholds)
+        assert verify_witness(tup, w)
 
 
 # ---------------------------------------------------------------- witness files
