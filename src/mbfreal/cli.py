@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -179,6 +180,14 @@ def _cached_row(path: Path) -> "str | None":
     return row if isinstance(row, str) else None
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write a temporary file in the same directory, then rename it into
+    place, so that a run cut off mid-write never leaves a partial file."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def _census_task(task):
     """Decide one (class, pair) cell and write its files; returns the CSV row."""
     out_dir, n, class_tag, index, f_hex, g_hex = task
@@ -193,16 +202,17 @@ def _census_task(task):
     certificate_path = ""
     if verdict.status == REALIZABLE:
         witness_path = f"witnesses/{class_tag}_{index:05d}.txt"
-        (out / witness_path).write_text(witness_to_text(tup, verdict.witness))
+        _write_atomic(out / witness_path, witness_to_text(tup, verdict.witness))
     elif verdict.status == NOT_REALIZABLE:
         certificate_path = f"certificates/{class_tag}_{index:05d}.json"
-        (out / certificate_path).write_text(
-            json.dumps(certificate_to_data(verdict.certificate), indent=1) + "\n"
+        _write_atomic(
+            out / certificate_path,
+            json.dumps(certificate_to_data(verdict.certificate), indent=1) + "\n",
         )
     row = ",".join(
         [str(index), f_hex, g_hex, class_tag, verdict.status, witness_path, certificate_path]
     )
-    result_path.write_text(json.dumps({"row": row}) + "\n")
+    _write_atomic(result_path, json.dumps({"row": row}) + "\n")
     return row
 
 

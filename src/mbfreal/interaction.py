@@ -322,6 +322,46 @@ def corner_table(s: InteractionStructure, phi: PhiAssignment) -> "tuple[Fraction
     return tuple(evaluate_at_corner(s, phi, v) for v in range(1 << s.n))
 
 
+def scaled_corner_evaluator(s: InteractionStructure, scale: int, corners):
+    """Exact integer evaluation of the expression at fixed corners.
+
+    Returns a function of two integer lists, each variable's low and high
+    numerator over ``scale``, that gives the value at each of ``corners``
+    times ``scale ** s.degree()``.  A group of m blocks, a product of m sums
+    of numerators, is ``scale ** m`` times its rational value, so it is
+    weighted by ``scale ** (degree - m)``; every result is then exactly
+    ``scale ** degree`` times the value ``corner_table`` gives, and the two
+    orders agree.  Each block is compiled once into positions in the list
+    ``low + high``.
+    """
+    n = s.n
+    deg = s.degree()
+    plan = [
+        [
+            (
+                scale ** (deg - len(blocks)),
+                [tuple(i - 1 + n * (v >> (i - 1) & 1) for i in sorted(b)) for b in blocks],
+            )
+            for blocks in s.groups
+        ]
+        for v in corners
+    ]
+
+    def values(low, high) -> "list[int]":
+        get = (low + high).__getitem__
+        out = []
+        for terms in plan:
+            total = 0
+            for weight, blocks in terms:
+                for b in blocks:
+                    weight *= sum(map(get, b))
+                total += weight
+            out.append(total)
+        return out
+
+    return values
+
+
 def corner_monomials(s: InteractionStructure, v: int):
     """Multilinear expansion of the corner value.
 

@@ -17,6 +17,7 @@ works (sum the functions); the algebraic classes are decided or searched:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +49,7 @@ from .interaction import (
     has_factor,
     has_simple_term,
     parse_structure,
+    scaled_corner_evaluator,
     structure,
     sum_structure,
 )
@@ -390,15 +392,13 @@ def _monomial_label(mono) -> str:
     )
 
 
-def monomial_certificate(tup: OrderedTuple, s: InteractionStructure):
-    """Farkas refutation of the linearized corner-separation system.
+def _monomial_system(tup: OrderedTuple, s: InteractionStructure):
+    """Columns and rows of the linearized corner-separation system.
 
     Every multilinear monomial of the expression becomes an independent
     positive variable; separation constraints plus linearized products of the
     elementary facts (low < high, positivity) make a homogeneous strict
-    system.  Infeasibility of this relaxation is sound: the true polynomial
-    system is a further restriction.  Returns None when the relaxation is
-    feasible, which proves nothing either way.
+    system.
     """
     n = tup.n
     universe: "dict[frozenset, int]" = {}
@@ -456,8 +456,18 @@ def monomial_certificate(tup: OrderedTuple, s: InteractionStructure):
                         fact_rows.add(tuple(coeffs))
     for coeffs in sorted(fact_rows):
         rows.append(linear.Row(coeffs, Fraction(0), strict=True))
+    return columns, rows
 
-    out = linear.solve(width, rows)
+
+def monomial_certificate(tup: OrderedTuple, s: InteractionStructure):
+    """Farkas refutation of the linearized corner-separation system.
+
+    Infeasibility of this relaxation is sound: the true polynomial system is
+    a further restriction.  Returns None when the relaxation is feasible,
+    which proves nothing either way.
+    """
+    columns, rows = _monomial_system(tup, s)
+    out = linear.solve(len(columns), rows)
     if isinstance(out, linear.Infeasible):
         return FarkasCertificate(tuple(columns), tuple(rows), out.multipliers)
     return None
@@ -505,15 +515,51 @@ def search_witness(
     tup: OrderedTuple, s: InteractionStructure, grid: SearchGrid = DEFAULT_GRID
 ):
     """Enumerate the rational grid of high values over the structure support;
-    thresholds are derived from the achieved value gaps, never searched."""
+    thresholds are derived from the achieved value gaps, never searched.
+
+    Each grid point is screened in exact integers before any ``Fraction`` is
+    built.  Every grid value is a multiple of 1/scale, scale being the LCM of
+    the grid's denominators, so ``scaled_corner_evaluator`` gives each corner
+    value times scale**degree as an integer; a positive factor keeps every
+    comparison.  Values only grow with the corner bits, because every low is
+    below its high, so a function has a separating gap exactly when each of
+    its maximal false corners is below each of its minimal true corners.  A
+    point without a gap would fail ``derive_thresholds``; a point with one
+    goes through the exact path: ``PhiAssignment``, ``corner_table``,
+    ``derive_thresholds`` and ``verify_witness``.
+    """
+    for h in grid.highs:
+        if not 0 < grid.low < h:
+            raise ValueError(f"need 0 < low < high, got {grid.low}, {h}")
     n = tup.n
     support = sorted(s.support)
     spare_high = max(grid.highs)
-    for highs in itertools.product(grid.highs, repeat=len(support)):
+    scale = math.lcm(grid.low.denominator, *(h.denominator for h in grid.highs))
+    int_low = [int(grid.low * scale)] * n
+    int_highs = [int(h * scale) for h in grid.highs]
+    sides = [(maximal_false_corners(f), minimal_true_corners(f)) for f in tup]
+    corners = sorted({v for below, above in sides for v in below + above})
+    slot = {v: k for k, v in enumerate(corners)}
+    gaps = [
+        ([slot[v] for v in below], [slot[v] for v in above])
+        for below, above in sides
+        if below and above
+    ]
+    int_high = [int(spare_high * scale)] * n
+    scaled_values = scaled_corner_evaluator(s, scale, corners)
+    for point in itertools.product(range(len(grid.highs)), repeat=len(support)):
+        for i, k in zip(support, point):
+            int_high[i - 1] = int_highs[k]
+        values = scaled_values(int_low, int_high)
+        if any(
+            max(values[k] for k in below) >= min(values[k] for k in above)
+            for below, above in gaps
+        ):
+            continue
         low = [grid.low] * n
         high = [spare_high] * n
-        for i, h in zip(support, highs):
-            high[i - 1] = h
+        for i, k in zip(support, point):
+            high[i - 1] = grid.highs[k]
         phi = PhiAssignment(tuple(low), tuple(high))
         values = corner_table(s, phi)
         thresholds = derive_thresholds(tup, values)
@@ -887,24 +933,59 @@ def certificate_from_data(data: dict):
     raise ValueError(f"unknown certificate type {kind!r}")
 
 
+def _farkas_replays(cert: FarkasCertificate, system) -> bool:
+    """The certificate refutes exactly the rebuilt ``(columns, rows)``."""
+    columns, rows = system
+    return (
+        cert.columns == tuple(columns)
+        and cert.rows == tuple(rows)
+        and verify_farkas(cert)
+    )
+
+
 def replay_certificate(tup: OrderedTuple, structure_text: "str | None", cert) -> bool:
-    """Re-derive the contradiction from the stored data alone."""
+    """Re-derive the contradiction against the claim it makes.
+
+    Nothing stored is trusted that can be rebuilt from the tuple and the
+    structure.  A Farkas certificate must hold the sum LP (no structure, or
+    the full sum) or the monomial system of the structure, row for row.  An
+    exhaustion must name every ``pisigma`` or ``sigmapisigma`` structure in
+    enumeration order.  A collapse must name the shape its direction leaves
+    of the parent structure; its Farkas certificate holds that shape's
+    monomial system, as ``_structure_blocked`` builds it.
+    """
+    n = tup.n
     if isinstance(cert, FarkasCertificate):
-        return verify_farkas(cert)
+        if structure_text is None or structure_text == sum_structure(range(1, n + 1), n).text():
+            return _farkas_replays(cert, _sigma_system(tup, tuple(range(1, n + 1))))
+        return _farkas_replays(cert, _monomial_system(tup, parse_structure(structure_text, n)))
     if isinstance(cert, DirectionCertificate):
         if len(tup) < 2:
             return False
-        s = parse_structure(structure_text, tup.n) if structure_text else None
+        s = parse_structure(structure_text, n) if structure_text else None
         return any(verify_direction_certificate(f, g, s, cert) for f, g in _pairs(tup))
     if isinstance(cert, CollapseCertificate):
+        if structure_text is None or cert.side not in (FLOOR, CEILING):
+            return False
+        if n < 2 or not 1 <= cert.direction <= n:
+            return False
+        shape = collapse_shape(parse_structure(structure_text, n), cert.direction)
+        if cert.structure_text != shape.text():
+            return False
         collapsed = OrderedTuple(
             tuple(restrict_and_collapse(f, cert.direction, cert.side) for f in tup)
         )
+        if isinstance(cert.inner, FarkasCertificate):
+            return _farkas_replays(cert.inner, _monomial_system(collapsed, shape))
         return replay_certificate(collapsed, cert.structure_text, cert.inner)
     if isinstance(cert, ExhaustionCertificate):
-        return all(
-            replay_certificate(tup, text, sub) for text, sub in cert.entries
-        )
+        texts = [text for text, _ in cert.entries]
+        if not any(
+            texts == [s.text() for s in enumerate_structures(n, c)]
+            for c in (PISIGMA, SIGMAPISIGMA)
+        ):
+            return False
+        return all(replay_certificate(tup, text, sub) for text, sub in cert.entries)
     return False
 
 

@@ -238,3 +238,14 @@ def test_census_parallel_matches_serial(tmp_path, capsys):
     run(capsys, "census", "--n", "3", "--classes", "k", "--out", str(parallel),
         "--jobs", "2")
     assert (serial / "census.csv").read_text() == (parallel / "census.csv").read_text()
+
+
+def test_census_leaves_no_temporary_files(tmp_path, capsys):
+    # results, witnesses and certificates are renamed into place
+    out_dir = tmp_path / "census"
+    code, _, err = run(capsys, "census", "--n", "3", "--classes", "sigma,k",
+                       "--out", str(out_dir), "--jobs", "2")
+    assert code == 0, err
+    written = {p.parent.name for p in out_dir.rglob("*") if p.is_file()}
+    assert {"results", "witnesses", "certificates"} <= written
+    assert not list(out_dir.rglob("*.tmp"))

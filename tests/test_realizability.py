@@ -22,10 +22,15 @@ from mbfreal.interaction import (
     SIGMA,
     SIGMAPISIGMA,
     PhiAssignment,
+    collapse_shape,
+    corner_table,
+    enumerate_structures,
     parse_structure,
     sum_structure,
 )
+from mbfreal import realizability
 from mbfreal.realizability import (
+    DEFAULT_GRID,
     CollapseCertificate,
     DirectionCertificate,
     ExhaustionCertificate,
@@ -36,6 +41,8 @@ from mbfreal.realizability import (
     Witness,
     WitnessError,
     _sigma_system,
+    certificate_from_data,
+    certificate_to_data,
     check_class,
     check_sigma,
     collapse_witness,
@@ -169,6 +176,28 @@ def test_product_pair_not_sum_realizable():
     assert isinstance(cert, FarkasCertificate)  # one for the full-support LP
     assert cert.columns == ("l1", "l2", "l3", "u1", "u2", "u3", "th1", "th2")
     assert verify_farkas(cert)
+
+
+def test_farkas_certificate_bound_to_its_tuple_and_structure():
+    tup = pair_tuple(PAIR_NEEDS_PRODUCT)
+    cert = check_sigma(tup).certificate
+    assert replay_certificate(tup, None, cert)
+    assert replay_certificate(tup, "z1+z2+z3", cert)
+    # a pair the sum class realizes: the same arithmetic proves nothing there
+    trivial = OrderedTuple((MbfFunction.const(3, 0), MbfFunction.const(3, 1)))
+    assert check_sigma(trivial).is_realizable
+    assert verify_farkas(cert)
+    assert not replay_certificate(trivial, None, cert)
+    unrelated = FarkasCertificate(("x",), (linear.row([0], 1),), (Fraction(1),))
+    assert verify_farkas(unrelated)
+    assert not replay_certificate(trivial, None, unrelated)
+
+    mixed = pair_tuple(PAIR_NEEDS_MIXED)
+    monomial = monomial_certificate(mixed, parse_structure("(z1+z2)*z3"))
+    assert replay_certificate(mixed, "(z1+z2)*z3", monomial)
+    assert not replay_certificate(mixed, "(z1+z3)*z2", monomial)
+    assert not replay_certificate(mixed, None, monomial)
+    assert not replay_certificate(tup, "(z1+z2)*z3", monomial)
 
 
 def _sum_lp_feasible(tup, members):
@@ -327,6 +356,114 @@ def test_search_const_pair():
     assert w.thresholds[0] > w.thresholds[1]
 
 
+def _reference_search(tup, s, grid, tables):
+    """The grid loop without the integer screen: Fraction corner values at
+    every point.  ``tables`` keeps each structure's corner tables for the
+    next tuple, which saves time and changes nothing else."""
+    if s not in tables:
+        support = sorted(s.support)
+        tables[s] = []
+        for highs in itertools.product(grid.highs, repeat=len(support)):
+            high = [max(grid.highs)] * s.n
+            for i, h in zip(support, highs):
+                high[i - 1] = h
+            phi = PhiAssignment((grid.low,) * s.n, tuple(high))
+            tables[s].append((phi, corner_table(s, phi)))
+    for phi, values in tables[s]:
+        thresholds = derive_thresholds(tup, values)
+        if thresholds is not None and verify_witness(tup, Witness(s, phi, thresholds)):
+            return Witness(s, phi, thresholds)
+    return None
+
+
+def _relabeled(f, perm):
+    return sum(
+        1 << sum(1 << perm[i] for i in range(f.n) if v >> i & 1)
+        for v in range(1 << f.n)
+        if f.truth >> v & 1
+    )
+
+
+def _orbit_representatives(n):
+    """The ordered pair with the smallest truth tables in each orbit of
+    variable relabeling."""
+    perms = list(itertools.permutations(range(n)))
+    return [
+        (f, g)
+        for f, g in enumerate_ordered_pairs(n)
+        if (f.truth, g.truth) == min((_relabeled(f, p), _relabeled(g, p)) for p in perms)
+    ]
+
+
+def _product_structures(n):
+    return enumerate_structures(n, PISIGMA) + enumerate_structures(n, SIGMAPISIGMA)
+
+
+def test_search_witness_matches_fraction_reference():
+    # every structure against every pair at n <= 2 and one pair per orbit at
+    # n = 3 (58 of 168): relabeling a pair is relabeling the structure, and
+    # every structure is tried
+    assert len(_orbit_representatives(3)) == 58
+    for n in (1, 2, 3):
+        tables = {}
+        pairs = enumerate_ordered_pairs(n) if n < 3 else _orbit_representatives(n)
+        for f, g in pairs:
+            tup = OrderedTuple((f, g))
+            for s in _product_structures(n):
+                expected = _reference_search(tup, s, DEFAULT_GRID, tables)
+                assert search_witness(tup, s) == expected, (f, g, s.text())
+
+
+def test_search_witness_matches_reference_on_other_grids():
+    grids = [
+        SearchGrid(
+            Fraction(1, 3),
+            (Fraction(1, 2), Fraction(5, 7), Fraction(3, 2), Fraction(17, 10), Fraction(3)),
+        ),
+        SearchGrid(Fraction(6, 5), (Fraction(9, 7), Fraction(3, 2), Fraction(21, 10), Fraction(4))),
+        SearchGrid(Fraction(1), (Fraction(8, 7), Fraction(13, 10), Fraction(2), Fraction(22, 7))),
+    ]
+    pairs = [PAIR_NEEDS_PRODUCT, PAIR_NEEDS_MIXED] + _orbit_representatives(3)[::6]
+    found = 0
+    for grid in grids:
+        tables = {}
+        for f, g in pairs:
+            tup = OrderedTuple((f, g))
+            for s in _product_structures(3):
+                expected = _reference_search(tup, s, grid, tables)
+                assert search_witness(tup, s, grid) == expected, (f, g, s.text(), grid)
+                found += expected is not None
+    assert found > 0
+
+
+def test_search_grid_needs_every_high_above_low():
+    tup = OrderedTuple((MbfFunction.const(1, 0), MbfFunction.const(1, 1)))
+    s = parse_structure("z1", 1)
+    # the first point, high 3, already separates; the grid is still refused
+    for grid in (
+        SearchGrid(Fraction(2), (Fraction(3), Fraction(2))),
+        SearchGrid(Fraction(2), (Fraction(3), Fraction(1))),
+        SearchGrid(Fraction(0), (Fraction(3),)),
+    ):
+        with pytest.raises(ValueError, match="need 0 < low < high"):
+            search_witness(tup, s, grid)
+
+
+def test_search_builds_fractions_only_for_screened_points(monkeypatch):
+    calls = []
+
+    def counted(s, phi):
+        calls.append(phi)
+        return corner_table(s, phi)
+
+    monkeypatch.setattr(realizability, "corner_table", counted)
+    tup = pair_tuple(PAIR_NEEDS_PRODUCT)
+    w = search_witness(tup, parse_structure("(z1+z2)*z3"))
+    assert w is not None
+    # the winning point, once in the loop and once in verify_witness
+    assert calls == [w.phi, w.phi]
+
+
 def test_derive_thresholds_shared_gap():
     f = PAIR_NEEDS_PRODUCT[0]
     tup = OrderedTuple((f, f))
@@ -347,6 +484,38 @@ def test_mixed_pair_not_prodsum_realizable():
     farkas_kills = [k for k, c in entries.items() if isinstance(c, FarkasCertificate)]
     assert len(direction_kills) == 4
     assert farkas_kills == ["(z1+z2)*z3"]
+
+
+def test_exhaustion_certificate_bound_to_every_structure():
+    tup = pair_tuple(PAIR_UNREACHABLE_4)
+    cert = check_class(tup, SIGMAPISIGMA).certificate
+    assert replay_certificate(tup, None, cert)
+    assert replay_certificate(tup, None, certificate_from_data(certificate_to_data(cert)))
+    entries = cert.entries
+    (text0, sub0), (text1, sub1) = entries[:2]
+    changed = [
+        (),
+        entries[1:],
+        entries[:-1],
+        ((text1, sub1), (text0, sub0)) + entries[2:],
+        (("(z1+z3)*(z2+z4)", sub0),) + entries[1:],
+        entries + entries[-1:],
+    ]
+    # a collapse must name the shape its direction leaves of its structure
+    k, (text, collapse) = next(
+        (k, e) for k, e in enumerate(entries) if isinstance(e[1], CollapseCertificate)
+    )
+    shape = collapse_shape(parse_structure(text, 4), collapse.direction).text()
+    assert collapse.structure_text == shape
+    for other in ("(z1+z3)*z2", "z1*z2*z3", "z1+z2+z3"):
+        assert other != shape
+        bad = replace(collapse, structure_text=other)
+        changed.append(entries[:k] + ((text, bad),) + entries[k + 1:])
+    for bad in changed:
+        assert not replay_certificate(tup, None, ExhaustionCertificate(bad))
+    # an empty exhaustion proves nothing
+    trivial = OrderedTuple((MbfFunction.const(3, 0), MbfFunction.const(3, 1)))
+    assert not replay_certificate(trivial, None, ExhaustionCertificate(()))
 
 
 def test_mixed_pair_mixed_realizable():
