@@ -8,6 +8,14 @@ node, the 1-based index of the interval its concentration occupies among the
 node's sorted outgoing thresholds.  The induced self-map of D determines the
 asynchronous state transition graph, and its equivalence classes correspond
 to collections of monotone Boolean functions, one per edge.
+
+Per-node facts (incoming edges in node order, decays, the (A, B) key of
+each activity combination, the K cells) are built once per network or K
+object.  ``phi_k`` tabulates each node's image level over all 2^m activity
+combinations of its m inputs before visiting any state; this evaluates no
+more and no fewer K values than a per-state loop, because every combination
+occurs in some state (each source coordinate can be 1, below all of its
+thresholds, or its out-degree + 1, above all of them).
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .boolean_core import (
     ACTIVATING,
@@ -45,13 +54,17 @@ class Edge:
 
 @dataclass(frozen=True)
 class WeightedRegulatoryNetwork:
-    """Signed digraph with decay rates on nodes and thresholds on edges."""
+    """Signed digraph with decay rates on nodes and thresholds on edges.
+
+    Per-node lookups are computed once per network object and cached outside
+    the fields, so equality and hashing see only ``nodes`` and ``edges``.
+    """
 
     nodes: "tuple[tuple[str, Fraction], ...]"  # (name, decay)
     edges: "tuple[Edge, ...]"
 
     def __post_init__(self) -> None:
-        names = [name for name, _ in self.nodes]
+        names = self.names
         if len(set(names)) != len(names):
             raise NetworkError("duplicate node names")
         for name, decay in self.nodes:
@@ -77,25 +90,58 @@ class WeightedRegulatoryNetwork:
 
     # -- structure helpers ------------------------------------------------
 
-    @property
+    @cached_property
     def names(self) -> "tuple[str, ...]":
         return tuple(name for name, _ in self.nodes)
 
+    @cached_property
+    def _decays(self) -> "dict[str, Fraction]":
+        return dict(self.nodes)
+
+    @cached_property
+    def _incoming(self) -> "dict[str, tuple[Edge, ...]]":
+        order = {n: i for i, n in enumerate(self.names)}
+        incoming: "dict[str, list]" = {n: [] for n in self.names}
+        for e in sorted(self.edges, key=lambda e: order[e.source]):
+            incoming[e.target].append(e)
+        return {n: tuple(edges) for n, edges in incoming.items()}
+
+    @cached_property
+    def _outgoing(self) -> "dict[str, tuple[Edge, ...]]":
+        outgoing: "dict[str, list]" = {n: [] for n in self.names}
+        for e in self.edges:
+            outgoing[e.source].append(e)
+        return {n: tuple(edges) for n, edges in outgoing.items()}
+
+    @cached_property
+    def _activity_keys(self) -> "dict[str, tuple[tuple[frozenset, frozenset], ...]]":
+        """Per node, the (A, B) key of every activity combination of its
+        incoming edges, indexed by the bitmask whose bit i marks edge i
+        active."""
+        out = {}
+        for name, incoming in self._incoming.items():
+            keys = [(frozenset(), frozenset())]
+            for e in incoming:
+                s = {e.source}
+                if e.sign == ACTIVATING:
+                    keys += [(a | s, b) for a, b in keys]
+                else:
+                    keys += [(a, b | s) for a, b in keys]
+            out[name] = tuple(keys)
+        return out
+
     def decay(self, name: str) -> Fraction:
-        for n, d in self.nodes:
-            if n == name:
-                return d
-        raise NetworkError(f"unknown node {name!r}")
+        try:
+            return self._decays[name]
+        except KeyError:
+            raise NetworkError(f"unknown node {name!r}") from None
 
     def sources(self, name: str) -> "tuple[Edge, ...]":
         """Incoming edges, ordered by the network's node order."""
-        order = {n: i for i, n in enumerate(self.names)}
-        incoming = [e for e in self.edges if e.target == name]
-        incoming.sort(key=lambda e: order[e.source])
-        return tuple(incoming)
+        return self._incoming.get(name, ())
 
     def targets(self, name: str) -> "tuple[Edge, ...]":
-        return tuple(e for e in self.edges if e.source == name)
+        return self._outgoing.get(name, ())
 
     def out_thresholds(self, name: str) -> "tuple[Fraction, ...]":
         return tuple(sorted(e.threshold for e in self.targets(name)))
@@ -111,8 +157,11 @@ class WeightedRegulatoryNetwork:
 
 def gamma_normalize(net: WeightedRegulatoryNetwork) -> WeightedRegulatoryNetwork:
     """Set every decay to 1, scaling each node's outgoing thresholds by its
-    decay; the induced state dynamics are unchanged."""
-    decays = dict(net.nodes)
+    decay; the induced state dynamics are unchanged.  A network whose decays
+    are all 1 is returned as it is."""
+    if all(d == 1 for _, d in net.nodes):
+        return net
+    decays = net._decays
     edges = tuple(
         Edge(e.source, e.target, e.sign, e.threshold * decays[e.source])
         for e in net.edges
@@ -149,44 +198,52 @@ class KCollection:
             entries.append((node, cells))
         return cls(tuple(entries))
 
-    def as_dict(self) -> dict:
+    @cached_property
+    def _index(self) -> "dict[str, dict]":
         return {node: dict(cells) for node, cells in self.entries}
 
+    def as_dict(self) -> dict:
+        return {node: dict(cells) for node, cells in self._index.items()}
+
     def value(self, node: str, a: frozenset, b: frozenset) -> Fraction:
-        for name, cells in self.entries:
-            if name == node:
-                for key, v in cells:
-                    if key == (a, b):
-                        return v
-                raise KeyError(f"missing K[{node}][{sorted(a)},{sorted(b)}]")
-        raise KeyError(f"no K entries for node {node!r}")
+        cells = self._index.get(node)
+        if cells is None:
+            raise KeyError(f"no K entries for node {node!r}")
+        try:
+            return cells[(a, b)]
+        except KeyError:
+            raise KeyError(f"missing K[{node}][{sorted(a)},{sorted(b)}]") from None
 
 
-def _subsets(items):
+def _subsets(items) -> "list[frozenset]":
     items = tuple(items)
-    for r in range(len(items) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(items, r))
+    return [
+        frozenset(c)
+        for r in range(len(items) + 1)
+        for c in itertools.combinations(items, r)
+    ]
 
 
 def validate_k(net: WeightedRegulatoryNetwork, k: KCollection) -> "list[str]":
     """Coverage errors raise; returned list names the monotonicity violations
     (adjacent subset pairs suffice)."""
-    table = k.as_dict()
     violations = []
     for name in net.names:
-        plus = [e.source for e in net.sources(name) if e.sign == ACTIVATING]
-        minus = [e.source for e in net.sources(name) if e.sign == REPRESSING]
-        cells = table.get(name)
+        incoming = net.sources(name)
+        plus = [e.source for e in incoming if e.sign == ACTIVATING]
+        minus = [e.source for e in incoming if e.sign == REPRESSING]
+        cells = k._index.get(name)
         if cells is None:
             raise KeyError(f"no K entries for node {name!r}")
-        for a in _subsets(plus):
-            for b in _subsets(minus):
+        plus_subsets, minus_subsets = _subsets(plus), _subsets(minus)
+        for a in plus_subsets:
+            for b in minus_subsets:
                 if (a, b) not in cells:
                     raise KeyError(f"missing K[{name}][{sorted(a)},{sorted(b)}]")
                 if cells[(a, b)] < 0:
                     violations.append(f"{name}: K[{sorted(a)},{sorted(b)}] negative")
-        for a in _subsets(plus):
-            for b in _subsets(minus):
+        for a in plus_subsets:
+            for b in minus_subsets:
                 for j in plus:
                     if j not in a:
                         a2 = a | {j}
@@ -226,30 +283,45 @@ def phi_k(net: WeightedRegulatoryNetwork, k: KCollection) -> dict:
     For each state, an input counts as active when its axis coordinate lies
     above that edge's threshold (activity is determined by threshold ranks
     alone); the target level K/decay then lands in one of the node's own
-    threshold intervals, giving the image coordinate.
+    threshold intervals, giving the image coordinate.  Each node's image
+    level is tabulated once per activity combination of its inputs, and each
+    state only indexes the tables.
     """
     problems = validate_k(net, k)
     if problems:
         raise NetworkError("K violates monotonicity: " + "; ".join(problems))
     names = net.names
     position = {name: i for i, name in enumerate(names)}
-    sorted_out = {name: net.out_thresholds(name) for name in names}
-    # rank[source][threshold] = 1-based rank among the source's thresholds
-    rank = {
-        name: {t: r for r, t in enumerate(sorted_out[name], start=1)}
-        for name in names
-    }
+    # sorted_out[name]: the node's outgoing thresholds, ascending;
+    # rank[(source, target)]: the edge's 1-based rank among its source's
+    sorted_out, rank = {}, {}
+    for name in names:
+        by_threshold = sorted(net.targets(name), key=lambda e: e.threshold)
+        sorted_out[name] = tuple(e.threshold for e in by_threshold)
+        for r, e in enumerate(by_threshold, start=1):
+            rank[(e.source, e.target)] = r
+    tables = []
+    for name in names:
+        incoming = net.sources(name)
+        decay = net.decay(name)
+        levels = tuple(
+            _interval_index(k.value(name, a, b) / decay, sorted_out[name])
+            for a, b in net._activity_keys[name]
+        )
+        axes = tuple(
+            (1 << i, position[e.source], rank[(e.source, e.target)])
+            for i, e in enumerate(incoming)
+        )
+        tables.append((axes, levels))
     out = {}
     for state in net.state_space():
         image = []
-        for name in names:
-            a, b = set(), set()
-            for e in net.sources(name):
-                above = state[position[e.source]] > rank[e.source][e.threshold]
-                if above:
-                    (a if e.sign == ACTIVATING else b).add(e.source)
-            target = k.value(name, frozenset(a), frozenset(b)) / net.decay(name)
-            image.append(_interval_index(target, sorted_out[name]))
+        for axes, levels in tables:
+            v = 0
+            for bit, p, r in axes:
+                if state[p] > r:
+                    v |= bit
+            image.append(levels[v])
         out[state] = tuple(image)
     return out
 
@@ -320,20 +392,18 @@ def k_to_mbfs(net: WeightedRegulatoryNetwork, k: KCollection) -> dict:
     normalized = gamma_normalize(net)
     out = {}
     for name in normalized.names:
-        incoming = normalized.sources(name)
-        inputs = tuple(e.source for e in incoming)
-        signs = tuple(e.sign for e in incoming)
-        plus = {e.source for e in incoming if e.sign == ACTIVATING}
-        m = len(inputs)
         targets = sorted(
             normalized.targets(name), key=lambda e: e.threshold, reverse=True
         )
+        if not targets:
+            continue
+        incoming = normalized.sources(name)
+        signs = tuple(e.sign for e in incoming)
+        values = [k.value(name, a, b) for a, b in normalized._activity_keys[name]]
         raw_tables = []
         for e in targets:
             truth = 0
-            for v in range(1 << m):
-                chosen = {inputs[i] for i in range(m) if v >> i & 1}
-                value = k.value(name, frozenset(chosen & plus), frozenset(chosen - plus))
+            for v, value in enumerate(values):
                 if value == e.threshold:
                     raise DegenerateKError(
                         f"K value {value} equals normalized threshold of "
@@ -342,11 +412,8 @@ def k_to_mbfs(net: WeightedRegulatoryNetwork, k: KCollection) -> dict:
                 if value > e.threshold:
                     truth |= 1 << v
             raw_tables.append(truth)
-        functions = OrderedTuple(
-            tuple(beta_normalize(t, signs) for t in raw_tables)
-        ) if raw_tables else None
-        if functions is None:
-            continue
+        functions = OrderedTuple(tuple(beta_normalize(t, signs) for t in raw_tables))
+        inputs = tuple(e.source for e in incoming)
         out[name] = NodeFunctions(inputs, signs, tuple(e.target for e in targets), functions)
     return out
 
@@ -377,41 +444,28 @@ def mbfs_to_k(net: WeightedRegulatoryNetwork, assignments: dict):
     table = {}
     for name in canon_net.names:
         incoming = canon_net.sources(name)
-        inputs = tuple(e.source for e in incoming)
-        signs = tuple(e.sign for e in incoming)
+        keys = canon_net._activity_keys[name]
         b = canon_net.out_degree(name)
         if b == 0:
             # no outgoing thresholds: the production level never matters
-            m = len(inputs)
-            plus = {e.source for e in incoming if e.sign == ACTIVATING}
-            table[name] = {
-                (
-                    frozenset({inputs[i] for i in range(m) if v >> i & 1} & plus),
-                    frozenset({inputs[i] for i in range(m) if v >> i & 1} - plus),
-                ): Fraction(0)
-                for v in range(1 << m)
-            }
+            table[name] = {key: Fraction(0) for key in keys}
             continue
         functions = assignments[name]
         if len(functions) != b:
             raise NetworkError(
                 f"{name} has {b} targets but {len(functions)} functions"
             )
-        if functions.n != len(inputs):
+        if functions.n != len(incoming):
             raise NetworkError(
-                f"{name} has {len(inputs)} inputs but arity {functions.n}"
+                f"{name} has {len(incoming)} inputs but arity {functions.n}"
             )
         flip = sum(
-            1 << i for i, s in enumerate(signs) if s == REPRESSING
+            1 << i for i, e in enumerate(incoming) if e.sign == REPRESSING
         )
-        plus = {e.source for e in incoming if e.sign == ACTIVATING}
-        cells = {}
-        m = len(inputs)
-        for v in range(1 << m):
-            chosen = {inputs[i] for i in range(m) if v >> i & 1}
-            count = sum(f.truth >> (v ^ flip) & 1 for f in functions)
-            cells[(frozenset(chosen & plus), frozenset(chosen - plus))] = Fraction(count)
-        table[name] = cells
+        table[name] = {
+            key: Fraction(sum(f.truth >> (v ^ flip) & 1 for f in functions))
+            for v, key in enumerate(keys)
+        }
     return canon_net, KCollection.from_dict(table)
 
 
@@ -433,12 +487,44 @@ def network_to_json(net: WeightedRegulatoryNetwork) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise NetworkError(f"{what} must be a JSON object")
+    return value
+
+
+def _field(obj, key: str, kind, what: str):
+    """``obj[key]`` of an object that must be a JSON object holding a value
+    of the given type there."""
+    value = _object(obj, what).get(key)
+    if not isinstance(value, kind):
+        raise NetworkError(f"{what} needs a {key!r} field of type {kind.__name__}")
+    return value
+
+
+def _number(value, what: str) -> Fraction:
+    if not isinstance(value, (str, int, float)):
+        raise NetworkError(f"{what} must be a number or a number string")
+    try:
+        return Fraction(value)
+    except (ValueError, ArithmeticError):
+        raise NetworkError(f"{what} is not a number: {value!r}") from None
+
+
 def network_from_json(text: str) -> WeightedRegulatoryNetwork:
     data = json.loads(text)
-    nodes = tuple((n["name"], Fraction(n["decay"])) for n in data["nodes"])
+    nodes = tuple(
+        (_field(n, "name", str, "node"), _number(n.get("decay"), "node decay"))
+        for n in _field(data, "nodes", list, "network")
+    )
     edges = tuple(
-        Edge(e["source"], e["target"], e["sign"], Fraction(e["threshold"]))
-        for e in data["edges"]
+        Edge(
+            _field(e, "source", str, "edge"),
+            _field(e, "target", str, "edge"),
+            _field(e, "sign", str, "edge"),
+            _number(e.get("threshold"), "edge threshold"),
+        )
+        for e in _field(data, "edges", list, "network")
     )
     return WeightedRegulatoryNetwork(nodes, edges)
 
@@ -453,9 +539,10 @@ def k_to_json(k: KCollection) -> str:
 
 
 def k_from_json(text: str, net: WeightedRegulatoryNetwork) -> KCollection:
-    data = json.loads(text)
+    data = _object(json.loads(text), "K collection")
     table = {}
     for node, cells in data.items():
+        cells = _object(cells, f"K entries of {node}")
         plus = {e.source for e in net.sources(node) if e.sign == ACTIVATING}
         minus = {e.source for e in net.sources(node) if e.sign == REPRESSING}
         parsed = {}
@@ -463,6 +550,8 @@ def k_from_json(text: str, net: WeightedRegulatoryNetwork) -> KCollection:
             members = set(key.split(",")) if key else set()
             if not members <= plus | minus:
                 raise NetworkError(f"K key {key!r} names non-sources of {node}")
-            parsed[(frozenset(members & plus), frozenset(members & minus))] = Fraction(v)
+            parsed[(frozenset(members & plus), frozenset(members & minus))] = _number(
+                v, f"K[{node}][{key}]"
+            )
         table[node] = parsed
     return KCollection.from_dict(table)

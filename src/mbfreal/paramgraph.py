@@ -108,26 +108,34 @@ def factor_for_node(net, name: str) -> FactorGraph:
 
 def build_parameter_graph(net) -> ParameterGraph:
     """One factor per node with at least one output; vertices are tuples of
-    factor vertex indices and edges move exactly one factor one step."""
+    factor vertex indices and edges move exactly one factor one step.
+
+    Vertices are listed in row-major order, so moving slot ``s`` from factor
+    vertex ``a`` to ``b`` moves the product index by ``(b - a)`` times the
+    product of the later factors' sizes.
+    """
     names = [name for name in net.names if net.out_degree(name) > 0]
     factors = tuple(factor_for_node(net, name) for name in names)
-    ranges = [range(len(f.vertices)) for f in factors]
-    vertices = tuple(itertools.product(*ranges))
-    index = {v: i for i, v in enumerate(vertices)}
+    vertices = tuple(itertools.product(*(range(len(f.vertices)) for f in factors)))
+    # per factor, each vertex's neighbours with a larger index
+    upward = []
+    for factor in factors:
+        up: "list[list[int]]" = [[] for _ in factor.vertices]
+        for a, b in factor.edges:
+            up[min(a, b)].append(max(a, b))
+        upward.append(up)
+    strides = [1] * len(factors)
+    for slot in range(len(factors) - 2, -1, -1):
+        strides[slot] = strides[slot + 1] * len(factors[slot + 1].vertices)
+    # edges take their indices from one list and so share its int objects; a
+    # fresh int per neighbour would add 28 bytes to every edge
+    ids = list(range(len(vertices)))
     edges = []
-    for pos, vertex in enumerate(vertices):
-        for slot, factor in enumerate(factors):
-            for a, b in factor.edges:
-                if vertex[slot] == a:
-                    neighbor = vertex[:slot] + (b,) + vertex[slot + 1 :]
-                elif vertex[slot] == b:
-                    neighbor = vertex[:slot] + (a,) + vertex[slot + 1 :]
-                else:
-                    continue
-                other = index[neighbor]
-                if other > pos:
-                    edges.append((pos, other))
-    return ParameterGraph(tuple(names), factors, vertices, tuple(sorted(set(edges))))
+    for pos, vertex in zip(ids, vertices):
+        for coordinate, up, stride in zip(vertex, upward, strides):
+            for b in up[coordinate]:
+                edges.append((pos, ids[pos + (b - coordinate) * stride]))
+    return ParameterGraph(tuple(names), factors, vertices, tuple(sorted(edges)))
 
 
 # ---------------------------------------------------------------- annotation

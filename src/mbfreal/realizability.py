@@ -41,6 +41,7 @@ from .interaction import (
     SIGMAPISIGMA,
     InteractionStructure,
     PhiAssignment,
+    StructureError,
     collapse_shape,
     collapse_structure,
     corner_monomials,
@@ -952,8 +953,16 @@ def replay_certificate(tup: OrderedTuple, structure_text: "str | None", cert) ->
     exhaustion must name every ``pisigma`` or ``sigmapisigma`` structure in
     enumeration order.  A collapse must name the shape its direction leaves
     of the parent structure; its Farkas certificate holds that shape's
-    monomial system, as ``_structure_blocked`` builds it.
+    monomial system, as ``_structure_blocked`` builds it.  Structure text
+    that does not parse names no claim, so nothing replays against it.
     """
+    try:
+        return _replays(tup, structure_text, cert)
+    except StructureError:
+        return False
+
+
+def _replays(tup: OrderedTuple, structure_text: "str | None", cert) -> bool:
     n = tup.n
     if isinstance(cert, FarkasCertificate):
         if structure_text is None or structure_text == sum_structure(range(1, n + 1), n).text():
@@ -977,7 +986,7 @@ def replay_certificate(tup: OrderedTuple, structure_text: "str | None", cert) ->
         )
         if isinstance(cert.inner, FarkasCertificate):
             return _farkas_replays(cert.inner, _monomial_system(collapsed, shape))
-        return replay_certificate(collapsed, cert.structure_text, cert.inner)
+        return _replays(collapsed, cert.structure_text, cert.inner)
     if isinstance(cert, ExhaustionCertificate):
         texts = [text for text, _ in cert.entries]
         if not any(
@@ -985,7 +994,7 @@ def replay_certificate(tup: OrderedTuple, structure_text: "str | None", cert) ->
             for c in (PISIGMA, SIGMAPISIGMA)
         ):
             return False
-        return all(replay_certificate(tup, text, sub) for text, sub in cert.entries)
+        return all(_replays(tup, text, sub) for text, sub in cert.entries)
     return False
 
 

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from mbfreal.cli import main
 from mbfreal.ksystem import k_to_json, network_to_json
 from mbfreal.realizability import witness_from_text
@@ -173,6 +175,27 @@ def test_pg_command(tmp_path, capsys):
     assert (out_dir / "parameter_graph.dot").exists()
     assert (out_dir / "vertices.csv").exists()
     assert (out_dir / "factor_1.dot").exists()
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("pg", "[]"),
+        ("pg", '{"nodes": "ab", "edges": []}'),
+        ("pg", '{"nodes": [{"name": "a", "decay": null}], "edges": []}'),
+        ("stg", '{"a": 5}'),
+        ("stg", '{"a": {"": [1]}}'),
+    ],
+)
+def test_malformed_network_or_k_json_exits_2(tmp_path, capsys, command, text):
+    net_path, k_path = write_example_inputs(tmp_path)
+    (net_path if command == "pg" else k_path).write_text(text)
+    args = ["--net", str(net_path), "--out", str(tmp_path / "out")]
+    if command == "stg":
+        args += ["--k", str(k_path)]
+    code, _, err = run(capsys, command, *args)
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 # ---------------------------------------------------------------- census

@@ -3,13 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from mbfreal.boolean_core import ACTIVATING, MbfFunction, OrderedTuple, REPRESSING
+from mbfreal.boolean_core import (
+    ACTIVATING,
+    MbfFunction,
+    OrderedTuple,
+    REPRESSING,
+    beta_normalize,
+)
 from mbfreal.ksystem import (
     DegenerateKError,
     Edge,
     KCollection,
     NetworkError,
     WeightedRegulatoryNetwork,
+    _interval_index,
     build_stg,
     gamma_normalize,
     k_from_json,
@@ -422,3 +429,170 @@ def test_input_free_node():
     assert "b" not in out  # no outgoing edges, no functions
     states = set(phi_k(net, k))
     assert states == {(1, 1), (2, 1)}
+
+
+# ---------------------------------------------------------------- per-node tables
+
+def _reference_phi(net, k):
+    """phi_k as a per-state loop: every state looks up its own K value."""
+    names = net.names
+    position = {name: i for i, name in enumerate(names)}
+    rank = {
+        name: {t: r for r, t in enumerate(net.out_thresholds(name), start=1)}
+        for name in names
+    }
+    out = {}
+    for state in net.state_space():
+        image = []
+        for name in names:
+            a, b = set(), set()
+            for e in net.sources(name):
+                if state[position[e.source]] > rank[e.source][e.threshold]:
+                    (a if e.sign == ACTIVATING else b).add(e.source)
+            target = k.value(name, frozenset(a), frozenset(b)) / net.decay(name)
+            image.append(_interval_index(target, net.out_thresholds(name)))
+        out[state] = tuple(image)
+    return out
+
+
+def _reference_tables(net, k):
+    """k_to_mbfs's raw tables, one K lookup per (target, input combination)."""
+    out = {}
+    for name in net.names:
+        incoming = net.sources(name)
+        plus = {e.source for e in incoming if e.sign == ACTIVATING}
+        inputs = [e.source for e in incoming]
+        tables = []
+        for e in sorted(net.targets(name), key=lambda e: e.threshold, reverse=True):
+            truth = 0
+            for v in range(1 << len(inputs)):
+                chosen = {x for i, x in enumerate(inputs) if v >> i & 1}
+                value = k.value(name, frozenset(chosen & plus), frozenset(chosen - plus))
+                if value > e.threshold * net.decay(name):
+                    truth |= 1 << v
+            tables.append(truth)
+        if tables:
+            out[name] = tables
+    return out
+
+
+def _random_draws(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        net = random_network(rng)
+        yield net, random_k(rng, net)
+
+
+def test_tables_match_per_state_reference():
+    draws = [(example_network(), example_k()), (example_network(F(4)), example_k())]
+    draws += list(_random_draws(2024, 60))
+    assert any(d != 1 for net, _ in draws for _, d in net.nodes)
+    for net, k in draws:
+        phi = phi_k(net, k)
+        assert phi == _reference_phi(net, k)
+        assert build_stg(phi) == build_stg(_reference_phi(net, k))
+        out = k_to_mbfs(net, k)
+        reference = _reference_tables(net, k)
+        assert sorted(out) == sorted(reference)
+        for name, nf in out.items():
+            expected = [beta_normalize(t, nf.signs) for t in reference[name]]
+            assert list(nf.functions) == expected
+        canon_net, canon_k = mbfs_to_k(net, {n: nf.functions for n, nf in out.items()})
+        assert all(d == 1 for _, d in canon_net.nodes)
+        assert phi_k(canon_net, canon_k) == _reference_phi(canon_net, canon_k) == phi
+        back = k_to_mbfs(canon_net, canon_k)
+        assert {n: nf.functions for n, nf in back.items()} == {
+            n: nf.functions for n, nf in out.items()
+        }
+        for name, cells in canon_k.as_dict().items():
+            for (a, b), value in cells.items():
+                assert canon_k.value(name, a, b) == value
+
+
+def test_gamma_normalize_scales_or_returns_the_network():
+    net = example_network()
+    assert gamma_normalize(net) is net
+    scaled = example_network(F(7, 3))
+    normalized = gamma_normalize(scaled)
+    assert normalized is not scaled
+    assert all(d == 1 for _, d in normalized.nodes)
+    assert normalized.edges == tuple(
+        Edge(e.source, e.target, e.sign, e.threshold * scaled.decay(e.source))
+        for e in scaled.edges
+    )
+
+
+def test_tables_keep_degenerate_and_missing_errors():
+    for gamma1, k1_empty in ((F(1), F(2)), (F(2), F(1, 2))):
+        net, k = example_network(gamma1), example_k(k1_empty)
+        with pytest.raises(DegenerateKError):
+            phi_k(net, k)
+        with pytest.raises(DegenerateKError):
+            _reference_phi(net, k)
+    with pytest.raises(DegenerateKError):
+        k_to_mbfs(example_network(), example_k(F(2)))
+    partial = example_k().as_dict()
+    del partial["1"][(frozenset(), frozenset({"2"}))]
+    partial = KCollection.from_dict(partial)
+    message = "missing K[1][[],['2']]"
+    for call in (
+        lambda: validate_k(example_network(), partial),
+        lambda: phi_k(example_network(), partial),
+        lambda: k_to_mbfs(example_network(), partial),
+        lambda: partial.value("1", frozenset(), frozenset({"2"})),
+    ):
+        with pytest.raises(KeyError) as info:
+            call()
+        assert info.value.args == (message,)
+    with pytest.raises(KeyError) as info:
+        partial.value("9", frozenset(), frozenset())
+    assert info.value.args == ("no K entries for node '9'",)
+
+
+def test_lookups_of_unknown_nodes():
+    net = example_network()
+    assert net.sources("9") == ()
+    assert net.targets("9") == ()
+    with pytest.raises(NetworkError):
+        net.decay("9")
+
+
+def test_cached_network_compares_and_hashes_by_fields():
+    used = example_network(F(4))
+    phi_k(used, example_k())
+    k_to_mbfs(used, example_k())
+    assert "_incoming" in vars(used)
+    fresh = example_network(F(4))
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert used != example_network()
+    k = example_k()
+    k.value("1", frozenset(), frozenset())
+    assert k == example_k() and hash(k) == hash(example_k())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        '{"nodes": "ab", "edges": []}',
+        '{"nodes": [{"name": "a", "decay": null}], "edges": []}',
+        '{"nodes": [{"name": "a", "decay": "1/0"}], "edges": []}',
+        '{"nodes": [{"name": 3, "decay": 1}], "edges": []}',
+        '{"nodes": [{"name": "a", "decay": 1}]}',
+        '{"nodes": [{"name": "a", "decay": 1}], "edges": [7]}',
+        '{"nodes": [{"name": "a", "decay": 1}], "edges": [{"source": "a"}]}',
+    ],
+)
+def test_network_json_shape_errors(text):
+    with pytest.raises(NetworkError):
+        network_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "text", ['[]', '{"1": 5}', '{"1": {"": [1]}}', '{"1": {"": null}}', '{"1": {"": "x"}}']
+)
+def test_k_json_shape_errors(text):
+    with pytest.raises(NetworkError):
+        k_from_json(text, example_network())

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from mbfreal.boolean_core import ACTIVATING, REPRESSING, implies
@@ -13,7 +16,7 @@ from mbfreal.paramgraph import (
     vertex_table_csv,
 )
 
-from test_ksystem import example_network
+from test_ksystem import example_network, random_network
 
 
 def test_single_input_single_output_path():
@@ -122,3 +125,33 @@ def test_exports():
     lines = csv.strip().split("\n")
     assert lines[0] == "vertex_index,coordinates,1_functions,2_functions,verdict_sigma"
     assert len(lines) == 61
+
+
+def _reference_product_edges(factors):
+    """Product edges by scanning every factor edge at every product vertex."""
+    vertices = list(itertools.product(*(range(len(f.vertices)) for f in factors)))
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = set()
+    for pos, vertex in enumerate(vertices):
+        for slot, factor in enumerate(factors):
+            for a, b in factor.edges:
+                if vertex[slot] in (a, b):
+                    other = a + b - vertex[slot]
+                    neighbor = index[vertex[:slot] + (other,) + vertex[slot + 1:]]
+                    if neighbor > pos:
+                        edges.add((pos, neighbor))
+    return tuple(vertices), tuple(sorted(edges))
+
+
+def test_product_matches_edge_scan():
+    rng = random.Random(31)
+    nets = [example_network()]
+    while len(nets) < 6:
+        net = random_network(rng)
+        # keep every factor at two inputs and two outputs or fewer
+        if all(len(net.sources(n)) <= 2 and net.out_degree(n) <= 2 for n in net.names):
+            nets.append(net)
+    assert any(len(net.names) == 3 for net in nets)
+    for net in nets:
+        pg = build_parameter_graph(net)
+        assert (pg.vertices, pg.edges) == _reference_product_edges(pg.factors)

@@ -518,6 +518,30 @@ def test_exhaustion_certificate_bound_to_every_structure():
     assert not replay_certificate(trivial, None, ExhaustionCertificate(()))
 
 
+def test_replay_rejects_structure_text_that_does_not_parse():
+    bad_texts = ("z1+(", "z1+z2)", "x1", "")
+    tup = pair_tuple(PAIR_NEEDS_PRODUCT)
+    farkas = check_sigma(tup).certificate
+    f, g = PAIR_NEEDS_PRODUCT
+    direction = necessary_condition(f, g, sum_structure({1, 2, 3}, 3))
+    assert replay_certificate(tup, "z1+z2+z3", farkas)
+    assert replay_certificate(tup, "z1+z2+z3", direction)
+    for text in bad_texts:
+        assert not replay_certificate(tup, text, farkas)
+    # an empty structure text means "no structure" to a direction certificate
+    for text in bad_texts[:-1]:
+        assert not replay_certificate(tup, text, direction)
+    unreachable = pair_tuple(PAIR_UNREACHABLE_4)
+    parent, collapse = next(
+        (text, c)
+        for text, c in check_class(unreachable, SIGMAPISIGMA).certificate.entries
+        if isinstance(c, CollapseCertificate)
+    )
+    assert replay_certificate(unreachable, parent, collapse)
+    for text in bad_texts:
+        assert not replay_certificate(unreachable, text, collapse)
+
+
 def test_mixed_pair_mixed_realizable():
     verdict = check_class(pair_tuple(PAIR_NEEDS_MIXED), SIGMAPISIGMA)
     assert verdict.is_realizable
