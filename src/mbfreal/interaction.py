@@ -181,6 +181,8 @@ def parse_structure(text: str, n: "int | None" = None) -> InteractionStructure:
             tok = pop()
             if not isinstance(tok, int):
                 raise StructureError(f"expected variable, got {tok!r}")
+            if tok in members:
+                raise StructureError(f"variable z{tok} repeated in a block of {text!r}")
             members.add(tok)
             tok = pop()
             if tok == ")":
@@ -214,6 +216,8 @@ def parse_structure(text: str, n: "int | None" = None) -> InteractionStructure:
     if n is None:
         n = max(support)
     if all(len(g) == 1 and len(g[0]) == 1 for g in groups):
+        if len(groups) != len(support):
+            raise StructureError(f"variable repeated in the sum {text!r}")
         return sum_structure(support, n)
     return structure(groups, n)
 

@@ -542,6 +542,8 @@ def k_from_json(text: str, net: WeightedRegulatoryNetwork) -> KCollection:
     data = _object(json.loads(text), "K collection")
     table = {}
     for node, cells in data.items():
+        if node not in net.names:
+            raise NetworkError(f"K entries for {node!r}, which is not a node of the network")
         cells = _object(cells, f"K entries of {node}")
         plus = {e.source for e in net.sources(node) if e.sign == ACTIVATING}
         minus = {e.source for e in net.sources(node) if e.sign == REPRESSING}

@@ -2,15 +2,23 @@
 
 A system is a list of rows, each meaning ``sum_j coeffs[j] * x_j >= const``
 (or ``>`` when strict).  Fourier-Motzkin elimination decides feasibility
-exactly; every derived row carries the non-negative combination of original
-rows that produced it, so an infeasible system yields a replayable multiplier
-vector and a feasible one yields a sample point by back-substitution.
+exactly on integer rows: each input row is scaled once by the LCM of its
+denominators, two rows are combined with coprime positive weights, and each
+derived row is divided by the gcd of its coefficients, constant and
+multipliers (fraction-free elimination, Bareiss 1968).  Every working row is
+thus the exact integer combination of original rows recorded in its
+provenance, so an infeasible system yields a replayable multiplier vector and
+a feasible one a sample point by back-substitution, both as ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import attrgetter, mul
+
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
 @dataclass(frozen=True)
@@ -35,62 +43,73 @@ class Infeasible:
 
 
 class _Work:
-    """A working inequality plus its provenance over the original rows."""
+    """An integer inequality, its provenance (the integer multiple of each original
+    row it sums) and its direction ``key`` = coeffs / ``unit`` (0 for a zero row)."""
 
-    __slots__ = ("coeffs", "const", "strict", "mult")
+    __slots__ = ("coeffs", "const", "strict", "mult", "unit", "key")
 
     def __init__(self, coeffs, const, strict, mult):
-        self.coeffs = coeffs
-        self.const = const
-        self.strict = strict
-        self.mult = mult
-
-    def scaled(self) -> "_Work":
-        lead = next((c for c in self.coeffs if c), None)
-        scale = 1 / abs(lead) if lead is not None else (1 / abs(self.const) if self.const else None)
-        if scale is None or scale == 1:
-            return self
-        return _Work(
-            [c * scale for c in self.coeffs],
-            self.const * scale,
-            self.strict,
-            {k: v * scale for k, v in self.mult.items()},
-        )
+        self.coeffs, self.const, self.strict, self.mult = coeffs, const, strict, mult
+        self.unit = g = gcd(*coeffs)
+        self.key = tuple([c // g for c in coeffs]) if g > 1 else tuple(coeffs)
 
 
-def _is_true(w: _Work) -> bool:
-    return not any(w.coeffs) and (w.const < 0 or (w.const <= 0 and not w.strict))
-
-
-def _is_false(w: _Work) -> bool:
-    return not any(w.coeffs) and (w.const > 0 or (w.const >= 0 and w.strict))
+def _integer_row(r: Row, idx: int) -> _Work:
+    values = (r.const, *r.coeffs)
+    scale = lcm(*map(_denominator, values))
+    nums = list(map(_numerator, values))
+    if scale > 1:
+        nums = [n * (scale // c.denominator) for n, c in zip(nums, values)]
+    return _Work(nums[1:], nums[0], r.strict, {idx: scale})
 
 
 def _dedupe(rows: "list[_Work]") -> "list[_Work]":
+    """One row per direction: the largest ``const / unit``, strict on a tie."""
     best: "dict[tuple, _Work]" = {}
     for w in rows:
-        key = tuple(w.coeffs)
-        old = best.get(key)
-        if old is None or (w.const, w.strict) > (old.const, old.strict):
-            best[key] = w
+        old = best.get(w.key)
+        if old is None or (w.const * old.unit, w.strict) > (old.const * w.unit, old.strict):
+            best[w.key] = w
     return list(best.values())
 
 
+def _combine(p: _Work, q: _Work, var: int) -> _Work:
+    """The combination of ``p`` (positive at ``var``) and ``q`` (negative
+    there) that cancels ``var``, divided by the gcd of all its integers."""
+    g = gcd(p.coeffs[var], q.coeffs[var])
+    a, b = -q.coeffs[var] // g, p.coeffs[var] // g
+    coeffs = [a * cp + b * cq for cp, cq in zip(p.coeffs, q.coeffs)]
+    const = a * p.const + b * q.const
+    mult = {k: a * v for k, v in p.mult.items()}
+    for k, v in q.mult.items():
+        mult[k] = mult.get(k, 0) + b * v
+    g = gcd(const, *coeffs, *mult.values())
+    if g > 1:
+        coeffs, const = [c // g for c in coeffs], const // g
+        mult = {k: v // g for k, v in mult.items()}
+    return _Work(coeffs, const, p.strict or q.strict, mult)
+
+
 def solve(num_vars: int, rows: "list[Row]") -> "Feasible | Infeasible":
-    """Decide the system; exact rational arithmetic throughout."""
-    work = []
-    for idx, r in enumerate(rows):
-        if len(r.coeffs) != num_vars:
-            raise ValueError("row width mismatch")
-        work.append(_Work(list(r.coeffs), r.const, r.strict, {idx: Fraction(1)}).scaled())
+    """Decide the system exactly; elimination runs on integers."""
+    if any(len(r.coeffs) != num_vars for r in rows):
+        raise ValueError("row width mismatch")
+    work = [_integer_row(r, idx) for idx, r in enumerate(rows)]
 
     levels: "list[tuple[int, list[_Work]]]" = []
     remaining = list(range(num_vars))
-    while remaining:
+    while True:
+        live = []
         for w in work:
-            if _is_false(w):
-                return Infeasible(_mult_vector(w.mult, len(rows)))
-        work = _dedupe([w for w in work if not _is_true(w)])
+            if w.unit:
+                live.append(w)
+            elif w.const > 0 or (w.const == 0 and w.strict):
+                # scaled so that a positive constant becomes 1 (0 > 0 stays primitive)
+                mult = [w.mult.get(i, 0) for i in range(len(rows))]
+                return Infeasible(tuple(Fraction(m, w.const or 1) for m in mult))
+        if not remaining:
+            break
+        work = _dedupe(live)
 
         # eliminate the variable with the fewest pairings first
         def cost(j: int) -> int:
@@ -101,57 +120,35 @@ def solve(num_vars: int, rows: "list[Row]") -> "Feasible | Infeasible":
         var = min(remaining, key=cost)
         remaining.remove(var)
         levels.append((var, work))
-
         pos = [w for w in work if w.coeffs[var] > 0]
         neg = [w for w in work if w.coeffs[var] < 0]
-        rest = [w for w in work if w.coeffs[var] == 0]
-        new = list(rest)
-        for p in pos:
-            for q in neg:
-                a, b = -q.coeffs[var], p.coeffs[var]
-                coeffs = [a * cp + b * cq for cp, cq in zip(p.coeffs, q.coeffs)]
-                const = a * p.const + b * q.const
-                mult = {k: a * v for k, v in p.mult.items()}
-                for k, v in q.mult.items():
-                    mult[k] = mult.get(k, Fraction(0)) + b * v
-                new.append(_Work(coeffs, const, p.strict or q.strict, mult).scaled())
-        work = new
+        work = [w for w in work if w.coeffs[var] == 0]
+        work.extend(_combine(p, q, var) for p in pos for q in neg)
 
-    for w in work:
-        if _is_false(w):
-            return Infeasible(_mult_vector(w.mult, len(rows)))
-
-    # back-substitution; lower == upper can only happen with both bounds
-    # non-strict, otherwise elimination would have derived a contradiction
-    point = [Fraction(0)] * num_vars
+    # back-substitution with the point as integers over one denominator;
+    # lower == upper can only happen with both bounds non-strict, otherwise
+    # elimination would have derived a contradiction
+    nums, den = [0] * num_vars, 1
     for var, level_rows in reversed(levels):
-        lower = None
-        upper = None
+        lower = upper = None  # (rest, c): the bound is rest / (c * den)
         for w in level_rows:
             c = w.coeffs[var]
-            if c == 0:
-                continue
-            rest = w.const - sum(
-                w.coeffs[j] * point[j] for j in range(num_vars) if j != var and w.coeffs[j]
-            )
-            bound = rest / c
-            if c > 0:
-                lower = bound if lower is None else max(lower, bound)
-            else:
-                upper = bound if upper is None else min(upper, bound)
-        if lower is not None and upper is not None:
-            point[var] = lower if lower == upper else (lower + upper) / 2
-        elif lower is not None:
-            point[var] = lower + 1
-        elif upper is not None:
-            point[var] = upper - 1
+            if c:
+                rest = w.const * den - sum(map(mul, w.coeffs, nums))
+                if c > 0 and (lower is None or rest * lower[1] > lower[0] * c):
+                    lower = (rest, c)
+                elif c < 0 and (upper is None or rest * upper[1] < upper[0] * c):
+                    upper = (rest, c)
+        lo, hi = (Fraction(b[0], b[1] * den) if b else None for b in (lower, upper))
+        if lower and upper:
+            value = lo if lo == hi else (lo + hi) / 2
         else:
-            point[var] = Fraction(1)
-    return Feasible(tuple(point))
-
-
-def _mult_vector(mult: dict, size: int) -> "tuple[Fraction, ...]":
-    return tuple(mult.get(i, Fraction(0)) for i in range(size))
+            value = lo + 1 if lower else hi - 1 if upper else Fraction(1)
+        step = lcm(den, value.denominator) // den
+        if step > 1:
+            nums, den = [x * step for x in nums], den * step
+        nums[var] = value.numerator * (den // value.denominator)
+    return Feasible(tuple(Fraction(x, den) for x in nums))
 
 
 def combine(rows: "list[Row]", multipliers) -> Row:

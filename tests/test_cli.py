@@ -185,6 +185,8 @@ def test_pg_command(tmp_path, capsys):
         ("pg", '{"nodes": [{"name": "a", "decay": null}], "edges": []}'),
         ("stg", '{"a": 5}'),
         ("stg", '{"a": {"": [1]}}'),
+        # the example K plus an entry for a node the network lacks
+        ("stg", json.dumps({**json.loads(k_to_json(example_k())), "zz": {"": "5"}})),
     ],
 )
 def test_malformed_network_or_k_json_exits_2(tmp_path, capsys, command, text):

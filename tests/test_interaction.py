@@ -142,7 +142,8 @@ def test_parse_reordered_product():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "z1+", "(z1+z2", "z1**z2", "x1+x2", "(z1*z2)+z3"):
+    for bad in ("", "z1+", "(z1+z2", "z1**z2", "x1+x2", "(z1*z2)+z3",
+                "z1+z1+z2", "(z1)+(z1)", "(z2+z2)*z1*z3", "(z1+z2+z1)*z3", "z1*z1"):
         with pytest.raises(StructureError):
             parse_structure(bad)
 

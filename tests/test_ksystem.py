@@ -591,7 +591,9 @@ def test_network_json_shape_errors(text):
 
 
 @pytest.mark.parametrize(
-    "text", ['[]', '{"1": 5}', '{"1": {"": [1]}}', '{"1": {"": null}}', '{"1": {"": "x"}}']
+    "text",
+    ['[]', '{"1": 5}', '{"1": {"": [1]}}', '{"1": {"": null}}', '{"1": {"": "x"}}',
+     '{"zz": {"": "5"}}'],
 )
 def test_k_json_shape_errors(text):
     with pytest.raises(NetworkError):

@@ -1,8 +1,12 @@
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mbfreal import linear, realizability
+from mbfreal.boolean_core import OrderedTuple, enumerate_ordered_pairs
+from mbfreal.interaction import PISIGMA, SIGMA
 from mbfreal.linear import Feasible, Infeasible, combine, refutes, row, solve
 
 
@@ -96,3 +100,161 @@ def test_random_systems_verified(data):
         strict = data.draw(st.booleans())
         rows.append(row(coeffs, const, strict))
     check(num_vars, rows)
+
+
+# ------------------------------------------------- reference: Fraction rows
+
+def _reference_solve(num_vars, rows):
+    """Fourier-Motzkin on Fraction rows, each scaled to a leading coefficient
+    of magnitude 1: the elimination that the integer kernel replaced."""
+
+    def scaled(coeffs, const, strict, mult):
+        lead = next((c for c in coeffs if c), None)
+        scale = 1 / abs(lead) if lead is not None else (1 / abs(const) if const else 1)
+        return ([c * scale for c in coeffs], const * scale, strict,
+                {k: v * scale for k, v in mult.items()})
+
+    def zero(w):
+        return not any(w[0])
+
+    def false(w):
+        return zero(w) and (w[1] > 0 or (w[1] >= 0 and w[2]))
+
+    def multipliers(w):
+        return Infeasible(tuple(w[3].get(i, Fraction(0)) for i in range(len(rows))))
+
+    work = [scaled(list(r.coeffs), r.const, r.strict, {i: Fraction(1)}) for i, r in enumerate(rows)]
+    levels = []
+    remaining = list(range(num_vars))
+    while remaining:
+        for w in work:
+            if false(w):
+                return multipliers(w)
+        best = {}
+        for w in work:
+            if zero(w):
+                continue  # a zero row that is not false is true
+            old = best.get(tuple(w[0]))
+            if old is None or (w[1], w[2]) > (old[1], old[2]):
+                best[tuple(w[0])] = w
+        work = list(best.values())
+
+        def cost(j):
+            pos = sum(1 for w in work if w[0][j] > 0)
+            neg = sum(1 for w in work if w[0][j] < 0)
+            return pos * neg - pos - neg
+
+        var = min(remaining, key=cost)
+        remaining.remove(var)
+        levels.append((var, work))
+        new = [w for w in work if w[0][var] == 0]
+        for p in (w for w in work if w[0][var] > 0):
+            for q in (w for w in work if w[0][var] < 0):
+                a, b = -q[0][var], p[0][var]
+                mult = {k: a * v for k, v in p[3].items()}
+                for k, v in q[3].items():
+                    mult[k] = mult.get(k, Fraction(0)) + b * v
+                new.append(scaled([a * x + b * y for x, y in zip(p[0], q[0])],
+                                  a * p[1] + b * q[1], p[2] or q[2], mult))
+        work = new
+    for w in work:
+        if false(w):
+            return multipliers(w)
+
+    point = [Fraction(0)] * num_vars
+    for var, level_rows in reversed(levels):
+        lower = upper = None
+        for coeffs, const, _, _ in level_rows:
+            c = coeffs[var]
+            if c == 0:
+                continue
+            bound = (const - sum(coeffs[j] * point[j] for j in range(num_vars)
+                                 if j != var and coeffs[j])) / c
+            if c > 0:
+                lower = bound if lower is None else max(lower, bound)
+            else:
+                upper = bound if upper is None else min(upper, bound)
+        if lower is not None and upper is not None:
+            point[var] = lower if lower == upper else (lower + upper) / 2
+        elif lower is not None:
+            point[var] = lower + 1
+        elif upper is not None:
+            point[var] = upper - 1
+        else:
+            point[var] = Fraction(1)
+    return Feasible(tuple(point))
+
+
+def check_against_reference(num_vars, rows):
+    """Same point as the reference, or multipliers that are a positive
+    multiple of its own (equal when the contradiction is 0 >= positive)."""
+    out = check(num_vars, rows)
+    ref = _reference_solve(num_vars, rows)
+    assert type(out) is type(ref)
+    if isinstance(ref, Feasible):
+        assert out.point == ref.point
+        return out
+    ratio = next(m / r for m, r in zip(out.multipliers, ref.multipliers) if r)
+    assert ratio > 0
+    assert out.multipliers == tuple(ratio * r for r in ref.multipliers)
+    if combine(rows, ref.multipliers).const > 0:
+        assert out.multipliers == ref.multipliers
+    return out
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 7]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rational_systems_match_reference(data):
+    num_vars = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(
+        st.builds(row, st.lists(_RATIONALS, min_size=num_vars, max_size=num_vars),
+                  _RATIONALS, st.booleans()),
+        min_size=1, max_size=9,
+    ))
+    for _ in range(data.draw(st.integers(0, 2))):
+        zero = row([0] * num_vars, data.draw(_RATIONALS), data.draw(st.booleans()))
+        rows.insert(data.draw(st.integers(0, len(rows))), zero)
+    check_against_reference(num_vars, rows)
+
+
+def test_fractional_rows_match_reference():
+    # x/2 + y/3 >= 1/7, 2x/3 - y/7 > 0, -x >= -5/2: feasible; then add
+    # -x/2 - y/3 > -1/7 to contradict the first row
+    rows = [row([Fraction(1, 2), Fraction(1, 3)], Fraction(1, 7)),
+            row([Fraction(2, 3), Fraction(-1, 7)], 0, strict=True),
+            row([-1, 0], Fraction(-5, 2))]
+    assert isinstance(check_against_reference(2, rows), Feasible)
+    rows.append(row([Fraction(-1, 2), Fraction(-1, 3)], Fraction(-1, 7), strict=True))
+    assert isinstance(check_against_reference(2, rows), Infeasible)
+
+
+@functools.cache
+def _census_systems():
+    """Every system that check_class solves for the n=3 pairs in sigma and
+    pisigma."""
+    systems = []
+    solve_once = linear.solve
+
+    def recording(num_vars, rows):
+        systems.append((num_vars, list(rows)))
+        return solve_once(num_vars, rows)
+
+    linear.solve = recording
+    try:
+        for pair in enumerate_ordered_pairs(3):
+            for class_tag in (SIGMA, PISIGMA):
+                realizability.check_class(OrderedTuple(pair), class_tag)
+    finally:
+        linear.solve = solve_once
+    return systems
+
+
+def test_census_systems_match_reference():
+    systems = _census_systems()
+    assert len(systems) >= 168
+    outcomes = [check_against_reference(num_vars, rows) for num_vars, rows in systems]
+    assert any(isinstance(out, Infeasible) for out in outcomes)
+    assert any(isinstance(out, Feasible) for out in outcomes)

@@ -218,6 +218,15 @@ def _small_tuples():
                     yield OrderedTuple((f, g, h))
 
 
+def test_sum_lp_of_f880_pair_is_realizable():
+    # the n=4 pair whose sum LP blew up on rows rescaled to a leading 1:
+    # 13 s there, under a second with gcd-reduced integer rows
+    tup = OrderedTuple((MbfFunction(4, 0xF880), MbfFunction(4, 0xF880)))
+    verdict = check_sigma(tup)
+    assert verdict.status == "realizable"
+    assert verify_witness(tup, verdict.witness)
+
+
 def test_full_support_sum_lp_decides_every_support():
     # the full-support LP is infeasible only when every subset LP is, so
     # check_sigma loses nothing by solving that one LP alone
@@ -540,6 +549,20 @@ def test_replay_rejects_structure_text_that_does_not_parse():
     assert replay_certificate(unreachable, parent, collapse)
     for text in bad_texts:
         assert not replay_certificate(unreachable, text, collapse)
+
+
+def test_replay_rejects_structure_text_with_repeated_variable():
+    # each certificate replays against its canonical text, and the repeated
+    # variable text used to parse to that same structure
+    tup = pair_tuple(PAIR_NEEDS_PRODUCT)
+    farkas = monomial_certificate(tup, parse_structure("z1+z2", 3))
+    assert replay_certificate(tup, "z1+z2", farkas)
+    assert not replay_certificate(tup, "z1+z1+z2", farkas)
+    mixed = pair_tuple(PAIR_NEEDS_MIXED)
+    entries = dict(check_class(mixed, PISIGMA).certificate.entries)
+    direction = entries["z1*z2*z3"]
+    assert replay_certificate(mixed, "z1*z2*z3", direction)
+    assert not replay_certificate(mixed, "(z2+z2)*z1*z3", direction)
 
 
 def test_mixed_pair_mixed_realizable():
