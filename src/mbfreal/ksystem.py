@@ -9,19 +9,27 @@ node's sorted outgoing thresholds.  The induced self-map of D determines the
 asynchronous state transition graph, and its equivalence classes correspond
 to collections of monotone Boolean functions, one per edge.
 
-Per-node facts (incoming edges in node order, decays, the (A, B) key of
-each activity combination, the K cells) are built once per network or K
-object.  ``phi_k`` tabulates each node's image level over all 2^m activity
-combinations of its m inputs before visiting any state; this evaluates no
-more and no fewer K values than a per-state loop, because every combination
-occurs in some state (each source coordinate can be 1, below all of its
-thresholds, or its out-degree + 1, above all of them).
+Each network object compiles, once, its canonical network (the one
+``mbfs_to_k`` returns, the same object on every call) and one plan per node
+(``_NodePlan``) that ``validate_k``, ``phi_k``, ``k_to_mbfs`` and
+``mbfs_to_k`` share: the (A, B) key of every activity combination, the
+adjacent monotone pairs, the outgoing thresholds scaled by the decay, and
+the node's activity combination in every domain state.  Each K object
+holds, once, every node's values as integers over their common denominator,
+so K values are compared with each other and with the scaled thresholds in
+exact integers.  ``phi_k`` tabulates each node's image level over all 2^m
+activity combinations of its m inputs before visiting any state; this
+evaluates no more and no fewer K values than a per-state loop, because every
+combination occurs in some state (each source coordinate can be 1, below all
+of its thresholds, or its out-degree + 1, above all of them).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -114,21 +122,36 @@ class WeightedRegulatoryNetwork:
         return {n: tuple(edges) for n, edges in outgoing.items()}
 
     @cached_property
-    def _activity_keys(self) -> "dict[str, tuple[tuple[frozenset, frozenset], ...]]":
-        """Per node, the (A, B) key of every activity combination of its
-        incoming edges, indexed by the bitmask whose bit i marks edge i
-        active."""
-        out = {}
-        for name, incoming in self._incoming.items():
-            keys = [(frozenset(), frozenset())]
-            for e in incoming:
-                s = {e.source}
-                if e.sign == ACTIVATING:
-                    keys += [(a | s, b) for a, b in keys]
-                else:
-                    keys += [(a, b | s) for a, b in keys]
-            out[name] = tuple(keys)
-        return out
+    def _ranks(self) -> "dict[tuple[str, str], int]":
+        """Each edge's 1-based rank among its source's outgoing thresholds,
+        ascending."""
+        ranks = {}
+        for outgoing in self._outgoing.values():
+            for r, e in enumerate(sorted(outgoing, key=lambda e: e.threshold), start=1):
+                ranks[(e.source, e.target)] = r
+        return ranks
+
+    @cached_property
+    def _states(self) -> "tuple[tuple[int, ...], ...]":
+        return tuple(self.state_space())
+
+    @cached_property
+    def _plans(self) -> "tuple[_NodePlan, ...]":
+        """One compiled plan per node, in node order."""
+        return tuple(_NodePlan.compile(self, name) for name in self.names)
+
+    @cached_property
+    def _canonical(self) -> "WeightedRegulatoryNetwork":
+        """Decays 1, and each node's outgoing thresholds moved to the
+        half-integers 1/2, 3/2, ... in their order."""
+        ranks = self._ranks
+        return WeightedRegulatoryNetwork(
+            tuple((name, Fraction(1)) for name in self.names),
+            tuple(
+                Edge(e.source, e.target, e.sign, Fraction(2 * ranks[(e.source, e.target)] - 1, 2))
+                for e in self.edges
+            ),
+        )
 
     def decay(self, name: str) -> Fraction:
         try:
@@ -202,6 +225,16 @@ class KCollection:
     def _index(self) -> "dict[str, dict]":
         return {node: dict(cells) for node, cells in self.entries}
 
+    @cached_property
+    def _integers(self) -> "dict[str, tuple[int, dict]]":
+        """Per node, the common denominator of its K values and each value
+        times it."""
+        out = {}
+        for node, cells in self.entries:
+            den = math.lcm(*(v.denominator for _, v in cells))
+            out[node] = (den, {key: v.numerator * (den // v.denominator) for key, v in cells})
+        return out
+
     def as_dict(self) -> dict:
         return {node: dict(cells) for node, cells in self._index.items()}
 
@@ -224,58 +257,135 @@ def _subsets(items) -> "list[frozenset]":
     ]
 
 
-def validate_k(net: WeightedRegulatoryNetwork, k: KCollection) -> "list[str]":
-    """Coverage errors raise; returned list names the monotonicity violations
-    (adjacent subset pairs suffice)."""
-    violations = []
-    for name in net.names:
+@dataclass(frozen=True)
+class _NodePlan:
+    """One node's facts for ``validate_k``, ``phi_k``, ``k_to_mbfs`` and
+    ``mbfs_to_k``, compiled once per network object.
+
+    Activity combinations are bitmasks whose bit i marks incoming edge i
+    (in node order) active; ``keys[v]`` is the (A, B) key of bitmask v.
+    """
+
+    name: str
+    inputs: "tuple[str, ...]"
+    signs: "tuple[str, ...]"
+    keys: "tuple[tuple[frozenset, frozenset], ...]"
+    labels: "tuple[str, ...]"  # per bitmask, the key as the messages print it
+    order: "tuple[int, ...]"  # bitmasks in validate_k's order
+    pairs: "tuple[tuple[int, int, str], ...]"  # (x, y, message): K[x] > K[y] violates
+    flip: int  # bitmask of the repressing inputs
+    cell_order: "tuple[int, ...]"  # bitmasks in KCollection.from_dict's cell order
+    bound_den: int
+    bounds: "tuple[int, ...]"  # ascending thresholds times decay, times bound_den
+    targets: "tuple[str, ...]"  # edge targets, largest threshold first
+    levels: "tuple[Fraction, ...]"  # 0..out-degree, the canonical K values
+    masks: "tuple[int, ...]"  # the activity bitmask in each domain state
+
+    @classmethod
+    def compile(cls, net: WeightedRegulatoryNetwork, name: str) -> "_NodePlan":
         incoming = net.sources(name)
+        bit = {e.source: 1 << i for i, e in enumerate(incoming)}
+        keys = [(frozenset(), frozenset())]
+        for e in incoming:
+            s = {e.source}
+            if e.sign == ACTIVATING:
+                keys += [(a | s, b) for a, b in keys]
+            else:
+                keys += [(a, b | s) for a, b in keys]
         plus = [e.source for e in incoming if e.sign == ACTIVATING]
         minus = [e.source for e in incoming if e.sign == REPRESSING]
-        cells = k._index.get(name)
-        if cells is None:
-            raise KeyError(f"no K entries for node {name!r}")
-        plus_subsets, minus_subsets = _subsets(plus), _subsets(minus)
-        for a in plus_subsets:
-            for b in minus_subsets:
-                if (a, b) not in cells:
-                    raise KeyError(f"missing K[{name}][{sorted(a)},{sorted(b)}]")
-                if cells[(a, b)] < 0:
-                    violations.append(f"{name}: K[{sorted(a)},{sorted(b)}] negative")
-        for a in plus_subsets:
-            for b in minus_subsets:
+        order, pairs = [], []
+        for a in _subsets(plus):
+            for b in _subsets(minus):
+                v = sum(bit[j] for j in a | b)
+                order.append(v)
                 for j in plus:
                     if j not in a:
-                        a2 = a | {j}
-                        if cells[(a, b)] > cells[(a2, b)]:
-                            violations.append(
-                                f"{name}: K[A={sorted(a)},B={sorted(b)}] > "
-                                f"K[A={sorted(a2)},B={sorted(b)}] (activator grows)"
-                            )
+                        pairs.append((v, v | bit[j], (
+                            f"{name}: K[A={sorted(a)},B={sorted(b)}] > "
+                            f"K[A={sorted(a | {j})},B={sorted(b)}] (activator grows)"
+                        )))
                 for j in minus:
                     if j not in b:
-                        b2 = b | {j}
-                        if cells[(a, b)] < cells[(a, b2)]:
-                            violations.append(
-                                f"{name}: K[A={sorted(a)},B={sorted(b)}] < "
-                                f"K[A={sorted(a)},B={sorted(b2)}] (repressor grows)"
-                            )
+                        pairs.append((v | bit[j], v, (
+                            f"{name}: K[A={sorted(a)},B={sorted(b)}] < "
+                            f"K[A={sorted(a)},B={sorted(b | {j})}] (repressor grows)"
+                        )))
+        decay = net.decay(name)
+        outgoing = sorted(net.targets(name), key=lambda e: e.threshold)
+        scaled = [e.threshold * decay for e in outgoing]
+        bound_den = math.lcm(*(t.denominator for t in scaled))
+        position = {n: i for i, n in enumerate(net.names)}
+        axes = [
+            (1 << i, position[e.source], net._ranks[(e.source, e.target)])
+            for i, e in enumerate(incoming)
+        ]
+        return cls(
+            name=name,
+            inputs=tuple(e.source for e in incoming),
+            signs=tuple(e.sign for e in incoming),
+            keys=tuple(keys),
+            labels=tuple(f"{sorted(a)},{sorted(b)}" for a, b in keys),
+            order=tuple(order),
+            pairs=tuple(pairs),
+            flip=sum(bit[j] for j in minus),
+            cell_order=tuple(
+                sorted(range(len(keys)), key=lambda v: (sorted(keys[v][0]), sorted(keys[v][1])))
+            ),
+            bound_den=bound_den,
+            bounds=tuple(t.numerator * (bound_den // t.denominator) for t in scaled),
+            targets=tuple(e.target for e in reversed(outgoing)),
+            levels=tuple(Fraction(c) for c in range(len(outgoing) + 1)),
+            masks=tuple(
+                sum(flag for flag, p, r in axes if state[p] > r) for state in net._states
+            ),
+        )
+
+
+def _node_values(plan: _NodePlan, k: KCollection) -> "tuple[int, list[int]]":
+    """The common denominator of the node's K values, and each value times
+    it, indexed by activity bitmask."""
+    try:
+        den, cells = k._integers[plan.name]
+    except KeyError:
+        raise KeyError(f"no K entries for node {plan.name!r}") from None
+    try:
+        return den, [cells[key] for key in plan.keys]
+    except KeyError:
+        v = next(v for v in plan.order if plan.keys[v] not in cells)
+        raise KeyError(f"missing K[{plan.name}][{plan.labels[v]}]") from None
+
+
+def validate_k(net: WeightedRegulatoryNetwork, k: KCollection) -> "list[str]":
+    """Coverage errors raise; returned list names the negative values and the
+    monotonicity violations (adjacent subset pairs suffice)."""
+    violations = []
+    for plan in net._plans:
+        _, values = _node_values(plan, k)
+        violations += [
+            f"{plan.name}: K[{plan.labels[v]}] negative" for v in plan.order if values[v] < 0
+        ]
+        violations += [message for x, y, message in plan.pairs if values[x] > values[y]]
     return violations
 
 
+def _clearances(plan: _NodePlan, den: int, values: "list[int]"):
+    """Per activity bitmask, how many of the node's scaled thresholds its K
+    value exceeds, and the (bitmask, threshold index) pairs where the value
+    sits exactly on one.  A value p / den exceeds a threshold
+    q / bound_den when p * bound_den > q * den."""
+    bounds = [q * den for q in plan.bounds]
+    counts, on = [], []
+    for v, p in enumerate(values):
+        x = p * plan.bound_den
+        i = bisect_left(bounds, x)
+        if i < len(bounds) and bounds[i] == x:
+            on.append((v, i))
+        counts.append(i)
+    return counts, on
+
+
 # ---------------------------------------------------------------- dynamics
-
-def _interval_index(value: Fraction, thresholds) -> int:
-    """1-based index of the interval containing the value among sorted
-    thresholds; the value must not equal any of them."""
-    index = 1
-    for t in thresholds:
-        if value == t:
-            raise DegenerateKError(f"value {value} sits exactly on threshold {t}")
-        if value > t:
-            index += 1
-    return index
-
 
 def phi_k(net: WeightedRegulatoryNetwork, k: KCollection) -> dict:
     """The discrete self-map of the domain-state set.
@@ -290,40 +400,18 @@ def phi_k(net: WeightedRegulatoryNetwork, k: KCollection) -> dict:
     problems = validate_k(net, k)
     if problems:
         raise NetworkError("K violates monotonicity: " + "; ".join(problems))
-    names = net.names
-    position = {name: i for i, name in enumerate(names)}
-    # sorted_out[name]: the node's outgoing thresholds, ascending;
-    # rank[(source, target)]: the edge's 1-based rank among its source's
-    sorted_out, rank = {}, {}
-    for name in names:
-        by_threshold = sorted(net.targets(name), key=lambda e: e.threshold)
-        sorted_out[name] = tuple(e.threshold for e in by_threshold)
-        for r, e in enumerate(by_threshold, start=1):
-            rank[(e.source, e.target)] = r
-    tables = []
-    for name in names:
-        incoming = net.sources(name)
-        decay = net.decay(name)
-        levels = tuple(
-            _interval_index(k.value(name, a, b) / decay, sorted_out[name])
-            for a, b in net._activity_keys[name]
-        )
-        axes = tuple(
-            (1 << i, position[e.source], rank[(e.source, e.target)])
-            for i, e in enumerate(incoming)
-        )
-        tables.append((axes, levels))
-    out = {}
-    for state in net.state_space():
-        image = []
-        for axes, levels in tables:
-            v = 0
-            for bit, p, r in axes:
-                if state[p] > r:
-                    v |= bit
-            image.append(levels[v])
-        out[state] = tuple(image)
-    return out
+    columns = []
+    for plan in net._plans:
+        counts, on = _clearances(plan, *_node_values(plan, k))
+        if on:
+            v, i = on[0]
+            value = k.value(plan.name, *plan.keys[v]) / net.decay(plan.name)
+            raise DegenerateKError(
+                f"value {value} sits exactly on threshold {net.out_thresholds(plan.name)[i]}"
+            )
+        columns.append([counts[m] + 1 for m in plan.masks])
+    # a network without nodes has the one empty state, mapped to itself
+    return dict(zip(net._states, zip(*columns) if columns else [()]))
 
 
 @dataclass(frozen=True)
@@ -381,92 +469,74 @@ class NodeFunctions:
 def k_to_mbfs(net: WeightedRegulatoryNetwork, k: KCollection) -> dict:
     """The collection of monotone Boolean functions equivalent to [K].
 
-    Decays are normalized away first; each target's function marks the input
-    combinations whose production level clears that edge's scaled threshold.
-    Raw tables are monotone with the edge signs and are returned
+    Each target's function marks the input combinations whose production
+    level clears that edge's threshold scaled by the source's decay.  Raw
+    tables are monotone with the edge signs and are returned
     positive-normalized.
     """
     problems = validate_k(net, k)
     if problems:
         raise NetworkError("K violates monotonicity: " + "; ".join(problems))
-    normalized = gamma_normalize(net)
     out = {}
-    for name in normalized.names:
-        targets = sorted(
-            normalized.targets(name), key=lambda e: e.threshold, reverse=True
-        )
-        if not targets:
+    for plan in net._plans:
+        b = len(plan.targets)
+        if not b:
             continue
-        incoming = normalized.sources(name)
-        signs = tuple(e.sign for e in incoming)
-        values = [k.value(name, a, b) for a, b in normalized._activity_keys[name]]
-        raw_tables = []
-        for e in targets:
-            truth = 0
-            for v, value in enumerate(values):
-                if value == e.threshold:
-                    raise DegenerateKError(
-                        f"K value {value} equals normalized threshold of "
-                        f"{name}->{e.target}"
-                    )
-                if value > e.threshold:
-                    truth |= 1 << v
-            raw_tables.append(truth)
-        functions = OrderedTuple(tuple(beta_normalize(t, signs) for t in raw_tables))
-        inputs = tuple(e.source for e in incoming)
-        out[name] = NodeFunctions(inputs, signs, tuple(e.target for e in targets), functions)
+        counts, on = _clearances(plan, *_node_values(plan, k))
+        if on:
+            # the first value on a threshold, taking the targets from the
+            # largest threshold down and each over every activity bitmask
+            v, i = min(on, key=lambda vi: (-vi[1], vi[0]))
+            raise DegenerateKError(
+                f"K value {k.value(plan.name, *plan.keys[v])} equals normalized "
+                f"threshold of {plan.name}->{plan.targets[b - 1 - i]}"
+            )
+        # raw_tables[j] is the function of the (j + 1)-th largest threshold
+        raw_tables = [0] * b
+        for v, c in enumerate(counts):
+            for j in range(b - c, b):
+                raw_tables[j] |= 1 << v
+        functions = OrderedTuple(tuple(beta_normalize(t, plan.signs) for t in raw_tables))
+        out[plan.name] = NodeFunctions(plan.inputs, plan.signs, plan.targets, functions)
     return out
 
 
 def mbfs_to_k(net: WeightedRegulatoryNetwork, assignments: dict):
     """Canonical K for a collection of per-node ordered positive functions.
 
-    Returns the normalized network (decays 1, each node's outgoing thresholds
-    moved to half-integer ranks, order preserved) and the K collection whose
-    production levels count how many of the node's functions are true.
+    Returns the canonical network (decays 1, each node's outgoing thresholds
+    moved to half-integer ranks, order preserved; one object per network)
+    and the K collection whose production levels count how many of the
+    node's functions are true.  A node without outgoing edges needs no
+    functions and gets level 0 everywhere.
     """
-    normalized = gamma_normalize(net)
-    new_edges = {}
-    for name in normalized.names:
-        targets = sorted(
-            normalized.targets(name), key=lambda e: e.threshold, reverse=True
-        )
-        b = len(targets)
-        for j, e in enumerate(targets, start=1):
-            new_edges[(e.source, e.target)] = Fraction(2 * (b - j) + 1, 2)
-    canon_net = WeightedRegulatoryNetwork(
-        normalized.nodes,
-        tuple(
-            Edge(e.source, e.target, e.sign, new_edges[(e.source, e.target)])
-            for e in normalized.edges
-        ),
-    )
-    table = {}
-    for name in canon_net.names:
-        incoming = canon_net.sources(name)
-        keys = canon_net._activity_keys[name]
-        b = canon_net.out_degree(name)
-        if b == 0:
-            # no outgoing thresholds: the production level never matters
-            table[name] = {key: Fraction(0) for key in keys}
-            continue
-        functions = assignments[name]
-        if len(functions) != b:
-            raise NetworkError(
-                f"{name} has {b} targets but {len(functions)} functions"
-            )
-        if functions.n != len(incoming):
-            raise NetworkError(
-                f"{name} has {len(incoming)} inputs but arity {functions.n}"
-            )
-        flip = sum(
-            1 << i for i, e in enumerate(incoming) if e.sign == REPRESSING
-        )
-        table[name] = {
-            key: Fraction(sum(f.truth >> (v ^ flip) & 1 for f in functions))
-            for v, key in enumerate(keys)
-        }
-    return canon_net, KCollection.from_dict(table)
+    for name in assignments:
+        if name not in net._decays:
+            raise NetworkError(f"functions for {name!r}, which is not a node of the network")
+    canon_net = net._canonical
+    entries = []
+    for plan in canon_net._plans:
+        b = len(plan.targets)
+        counts = [0] * len(plan.keys)
+        if b:
+            if plan.name not in assignments:
+                raise NetworkError(f"no functions for node {plan.name!r}")
+            functions = assignments[plan.name]
+            if len(functions) != b:
+                raise NetworkError(
+                    f"{plan.name} has {b} targets but {len(functions)} functions"
+                )
+            if functions.n != len(plan.inputs):
+                raise NetworkError(
+                    f"{plan.name} has {len(plan.inputs)} inputs but arity {functions.n}"
+                )
+            for f in functions:
+                for v in range(len(counts)):
+                    counts[v] += f.truth >> (v ^ plan.flip) & 1
+        cells = tuple((plan.keys[v], plan.levels[counts[v]]) for v in plan.cell_order)
+        entries.append((plan.name, cells))
+    # node names are distinct, so the sort compares names only
+    return canon_net, KCollection(tuple(sorted(entries)))
 
 
 # ---------------------------------------------------------------- serialization

@@ -174,7 +174,10 @@ def combine(rows: "list[Row]", multipliers) -> Row:
 
 def refutes(rows: "list[Row]", multipliers) -> bool:
     """Whether the combination proves the system infeasible (0 >= positive,
-    or 0 > 0 via a strict row with positive weight)."""
+    or 0 > 0 via a strict row with positive weight).  Multipliers that are
+    not one non-negative weight per row prove nothing."""
+    if len(multipliers) != len(rows) or any(m < 0 for m in multipliers):
+        return False
     combined = combine(rows, multipliers)
     if any(combined.coeffs):
         return False

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from mbfreal.ksystem import (
     KCollection,
     NetworkError,
     WeightedRegulatoryNetwork,
-    _interval_index,
     build_stg,
     gamma_normalize,
     k_from_json,
@@ -29,6 +29,7 @@ from mbfreal.ksystem import (
     stg_to_dot,
     validate_k,
 )
+from mbfreal.paramgraph import build_parameter_graph
 
 F = Fraction
 
@@ -433,6 +434,18 @@ def test_input_free_node():
 
 # ---------------------------------------------------------------- per-node tables
 
+def _interval_index(value, thresholds):
+    """1-based index of the interval containing the value among sorted
+    thresholds; the value must not equal any of them."""
+    index = 1
+    for t in thresholds:
+        if value == t:
+            raise DegenerateKError(f"value {value} sits exactly on threshold {t}")
+        if value > t:
+            index += 1
+    return index
+
+
 def _reference_phi(net, k):
     """phi_k as a per-state loop: every state looks up its own K value."""
     names = net.names
@@ -598,3 +611,221 @@ def test_network_json_shape_errors(text):
 def test_k_json_shape_errors(text):
     with pytest.raises(NetworkError):
         k_from_json(text, example_network())
+
+
+# ---------------------------------------------------------------- compiled plans
+
+def _reference_subsets(items):
+    items = tuple(items)
+    return [
+        frozenset(c)
+        for r in range(len(items) + 1)
+        for c in itertools.combinations(items, r)
+    ]
+
+
+def _reference_validate(net, k):
+    """validate_k as a nested loop over the subsets of each node's
+    activators and repressors, comparing the Fraction values."""
+    violations = []
+    for name in net.names:
+        incoming = net.sources(name)
+        plus = [e.source for e in incoming if e.sign == ACTIVATING]
+        minus = [e.source for e in incoming if e.sign == REPRESSING]
+        cells = k._index.get(name)
+        if cells is None:
+            raise KeyError(f"no K entries for node {name!r}")
+        plus_subsets, minus_subsets = _reference_subsets(plus), _reference_subsets(minus)
+        for a in plus_subsets:
+            for b in minus_subsets:
+                if (a, b) not in cells:
+                    raise KeyError(f"missing K[{name}][{sorted(a)},{sorted(b)}]")
+                if cells[(a, b)] < 0:
+                    violations.append(f"{name}: K[{sorted(a)},{sorted(b)}] negative")
+        for a in plus_subsets:
+            for b in minus_subsets:
+                for j in plus:
+                    if j not in a:
+                        a2 = a | {j}
+                        if cells[(a, b)] > cells[(a2, b)]:
+                            violations.append(
+                                f"{name}: K[A={sorted(a)},B={sorted(b)}] > "
+                                f"K[A={sorted(a2)},B={sorted(b)}] (activator grows)"
+                            )
+                for j in minus:
+                    if j not in b:
+                        b2 = b | {j}
+                        if cells[(a, b)] < cells[(a, b2)]:
+                            violations.append(
+                                f"{name}: K[A={sorted(a)},B={sorted(b)}] < "
+                                f"K[A={sorted(a)},B={sorted(b2)}] (repressor grows)"
+                            )
+    return violations
+
+
+def _outcome(call):
+    """The call's result, or the type and arguments of what it raised."""
+    try:
+        return "ok", call()
+    except (KeyError, NetworkError, DegenerateKError) as exc:
+        return type(exc).__name__, exc.args
+
+
+def _validation_draws():
+    """The example K and the 60 random draws, each also once perturbed: one
+    cell set to another cell's value of the same node (ties), negated, or set
+    to a random fraction; one draw loses a cell and one a whole node.  Two
+    example draws put a value on a scaled threshold."""
+    rng = random.Random(3031)
+    draws = [(example_network(), example_k()), (example_network(F(4)), example_k())]
+    draws += [(example_network(), example_k(F(2))), (example_network(F(2)), example_k())]
+    for index, (net, k) in enumerate(_random_draws(2024, 60)):
+        draws.append((net, k))
+        table = k.as_dict()
+        node = rng.choice(sorted(table))
+        keys = sorted(table[node], key=lambda ab: (sorted(ab[0]), sorted(ab[1])))
+        key = rng.choice(keys)
+        if index == 0:
+            del table[node][key]
+        elif index == 1:
+            del table[node]
+        elif index % 3 == 0:
+            table[node][key] = table[node][rng.choice(keys)]
+        elif index % 3 == 1:
+            table[node][key] = -table[node][key] - F(1, 7)
+        else:
+            table[node][key] = F(rng.randint(-2, 14), rng.randint(1, 4))
+        draws.append((net, KCollection.from_dict(table)))
+    return draws
+
+
+def _checked_reference_phi(net, k):
+    problems = _reference_validate(net, k)
+    if problems:
+        raise NetworkError("K violates monotonicity: " + "; ".join(problems))
+    return _reference_phi(net, k)
+
+
+def test_validate_k_matches_nested_loop_reference():
+    seen = set()
+    for net, k in _validation_draws():
+        got = _outcome(lambda: validate_k(net, k))
+        assert got == _outcome(lambda: _reference_validate(net, k))
+        seen.add(got[0])
+        if got[0] == "ok":
+            seen.update(
+                kind for kind in ("negative", "activator", "repressor")
+                for message in got[1] if kind in message
+            )
+        phi = _outcome(lambda: phi_k(net, k))
+        assert phi == _outcome(lambda: _checked_reference_phi(net, k))
+        seen.add(phi[0])
+        out = _outcome(lambda: k_to_mbfs(net, k))
+        if phi[0] == "ok":
+            reference = _reference_tables(net, k)
+            assert {n: list(nf.functions) for n, nf in out[1].items()} == {
+                n: [beta_normalize(t, out[1][n].signs) for t in tables]
+                for n, tables in reference.items()
+            }
+        else:
+            assert out[0] == phi[0]
+            if phi[0] != "DegenerateKError":
+                assert out == phi
+    # the draws reach every outcome and every kind of violation
+    assert seen == {
+        "ok", "KeyError", "NetworkError", "DegenerateKError",
+        "negative", "activator", "repressor",
+    }
+
+
+def test_degenerate_messages_are_pinned():
+    # node 1's values 2 and 3 sit on its thresholds 2 (1->2) and 3 (1->1):
+    # phi_k reports the first activity combination, k_to_mbfs the largest
+    # threshold first
+    table = example_k().as_dict()
+    table["1"][(frozenset(), frozenset())] = F(2)
+    table["1"][(frozenset({"1"}), frozenset())] = F(3)
+    table["1"][(frozenset({"1"}), frozenset({"2"}))] = F(5, 2)
+    k = KCollection.from_dict(table)
+    assert validate_k(example_network(), k) == []
+    with pytest.raises(DegenerateKError) as info:
+        phi_k(example_network(), k)
+    assert info.value.args == ("value 2 sits exactly on threshold 2",)
+    with pytest.raises(DegenerateKError) as info:
+        k_to_mbfs(example_network(), k)
+    assert info.value.args == ("K value 3 equals normalized threshold of 1->1",)
+    # with decay 4 the values are compared with the thresholds times 4
+    table = example_k().as_dict()
+    table["1"][(frozenset({"1"}), frozenset())] = F(12)
+    k = KCollection.from_dict(table)
+    with pytest.raises(DegenerateKError) as info:
+        phi_k(example_network(F(4)), k)
+    assert info.value.args == ("value 3 sits exactly on threshold 3",)
+    with pytest.raises(DegenerateKError) as info:
+        k_to_mbfs(example_network(F(4)), k)
+    assert info.value.args == ("K value 12 equals normalized threshold of 1->1",)
+
+
+def _assignment(net, k):
+    return {n: nf.functions for n, nf in k_to_mbfs(net, k).items()}
+
+
+def test_mbfs_to_k_returns_one_canonical_network():
+    net = example_network(F(4))
+    assignment = _assignment(net, example_k())
+    first, k1 = mbfs_to_k(net, assignment)
+    second, k2 = mbfs_to_k(net, assignment)
+    assert first is second
+    assert first == WeightedRegulatoryNetwork(first.nodes, first.edges)
+    assert first == WeightedRegulatoryNetwork(
+        (("1", F(1)), ("2", F(1))),
+        (
+            Edge("1", "1", ACTIVATING, F(3, 2)),
+            Edge("1", "2", ACTIVATING, F(1, 2)),
+            Edge("2", "1", REPRESSING, F(1, 2)),
+        ),
+    )
+    assert k1 == k2 == KCollection.from_dict(k1.as_dict())
+
+
+def test_mbfs_to_k_names_missing_and_unknown_nodes():
+    net = example_network()
+    assignment = _assignment(net, example_k())
+    with pytest.raises(NetworkError) as info:
+        mbfs_to_k(net, {})
+    assert info.value.args == ("no functions for node '1'",)
+    with pytest.raises(NetworkError) as info:
+        mbfs_to_k(net, {"1": assignment["1"]})
+    assert info.value.args == ("no functions for node '2'",)
+    with pytest.raises(NetworkError) as info:
+        mbfs_to_k(net, {**assignment, "zz": assignment["2"]})
+    assert info.value.args == ("functions for 'zz', which is not a node of the network",)
+
+
+def three_node_network():
+    """Three nodes with unit decay; node 1 regulates itself and both others."""
+    return WeightedRegulatoryNetwork(
+        nodes=(("1", F(1)), ("2", F(1)), ("3", F(1))),
+        edges=(
+            Edge("1", "1", ACTIVATING, F(3)),
+            Edge("1", "2", ACTIVATING, F(2)),
+            Edge("1", "3", ACTIVATING, F(1)),
+            Edge("2", "1", REPRESSING, F(3, 2)),
+            Edge("3", "1", ACTIVATING, F(5, 2)),
+        ),
+    )
+
+
+def test_round_trip_on_parameter_graph_vertices():
+    net = three_node_network()
+    pg = build_parameter_graph(net)
+    assert len(pg.vertices) == 7983
+    for vertex in pg.vertices[::97]:
+        assignment = {
+            name: OrderedTuple(factor.vertices[i])
+            for name, factor, i in zip(pg.node_names, pg.factors, vertex)
+        }
+        canon_net, k = mbfs_to_k(net, assignment)
+        assert validate_k(canon_net, k) == _reference_validate(canon_net, k) == []
+        assert phi_k(canon_net, k) == _reference_phi(canon_net, k)
+        assert _assignment(canon_net, k) == assignment

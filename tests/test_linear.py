@@ -88,6 +88,13 @@ def test_refutes_needs_zero_coefficients():
     assert not refutes(rows, (1,))
 
 
+def test_refutes_rejects_negative_or_miscounted_multipliers():
+    # -1 times "0 >= -1" would read "0 >= 1"
+    assert not refutes([row([0], -1)], (-1,))
+    assert refutes([row([0], 1)], (1,))
+    assert not refutes([row([0], 1)], (1, 1))
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_random_systems_verified(data):

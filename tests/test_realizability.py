@@ -527,6 +527,58 @@ def test_exhaustion_certificate_bound_to_every_structure():
     assert not replay_certificate(trivial, None, ExhaustionCertificate(()))
 
 
+def _farkas_mutations(cert):
+    """Copies of a Farkas certificate, each changed in one place."""
+    rows, weights = cert.rows, cert.multipliers
+    out = []
+    for i, r in enumerate(rows):
+        for changed in (
+            replace(r, coeffs=(r.coeffs[0] + 1,) + r.coeffs[1:]),
+            replace(r, const=r.const + 1),
+            replace(r, strict=not r.strict),
+        ):
+            out.append(replace(cert, rows=rows[:i] + (changed,) + rows[i + 1:]))
+        out.append(replace(cert, rows=rows[:i] + rows[i + 1:], multipliers=weights[:i] + weights[i + 1:]))
+    for j in range(len(cert.columns)):
+        out.append(replace(cert, columns=cert.columns[:j] + ("renamed",) + cert.columns[j + 1:]))
+    out.append(replace(cert, multipliers=tuple(0 * w for w in weights)))
+    out += [
+        replace(cert, multipliers=weights[:i] + (-w,) + weights[i + 1:])
+        for i, w in enumerate(weights)
+        if w
+    ]
+    return out
+
+
+def test_monomial_and_collapse_certificates_reject_every_mutation():
+    # the monomial certificate of an impossible n=3 pisigma pair of the census
+    mixed = pair_tuple(PAIR_NEEDS_MIXED)
+    text, monomial = next(
+        (t, c) for t, c in check_class(mixed, PISIGMA).certificate.entries
+        if isinstance(c, FarkasCertificate)
+    )
+    assert replay_certificate(mixed, text, monomial)
+    for bad in _farkas_mutations(monomial):
+        assert not replay_certificate(mixed, text, bad), bad
+    # collapse pruning runs at four inputs only: the collapse certificate
+    # comes from the n=4 pair whose floor in direction 4 is PAIR_NEEDS_MIXED
+    unreachable = pair_tuple(PAIR_UNREACHABLE_4)
+    parent, collapse = next(
+        (t, c) for t, c in check_class(unreachable, SIGMAPISIGMA).certificate.entries
+        if isinstance(c, CollapseCertificate) and isinstance(c.inner, FarkasCertificate)
+    )
+    assert replay_certificate(unreachable, parent, collapse)
+    changed = [replace(collapse, direction=d) for d in range(6) if d != collapse.direction]
+    changed.append(replace(collapse, side=CEILING if collapse.side == FLOOR else FLOOR))
+    changed += [
+        replace(collapse, structure_text=t)
+        for t in ("(z1+z3)*z2", "z1*z2*z3", "z1+z2+z3", "(z1+z2)*(z3+z4)")
+    ]
+    changed += [replace(collapse, inner=bad) for bad in _farkas_mutations(collapse.inner)]
+    for bad in changed:
+        assert not replay_certificate(unreachable, parent, bad), bad
+
+
 def test_replay_rejects_structure_text_that_does_not_parse():
     bad_texts = ("z1+(", "z1+z2)", "x1", "")
     tup = pair_tuple(PAIR_NEEDS_PRODUCT)
