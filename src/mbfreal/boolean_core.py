@@ -7,11 +7,14 @@ bit ("110" is index 3 and "001" is index 4 when n = 3).
 
 The module also provides the pairing between ordered pairs (f, g) with
 f implying g on the n-cube and single positive monotone functions on the
-(n+1)-cube: the new coordinate's floor carries f and its ceiling carries g.
+(n+1)-cube: the new coordinate's floor carries f and its ceiling carries g,
+and the relabeling of variables with the canonical member of each
+relabeling orbit of a tuple.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -359,3 +362,82 @@ class OrderedTuple:
 
     def __repr__(self) -> str:
         return f"OrderedTuple({', '.join(f.to_hex() for f in self.functions)})"
+
+
+# ---------------------------------------------------------------- relabeling
+
+@lru_cache(maxsize=None)
+def permutations(n: int) -> "tuple[tuple[int, ...], ...]":
+    """Every relabeling of z_1..z_n, the identity first.
+
+    A relabeling ``perm`` renames z_i to z_perm[i-1]; the order is that of
+    ``itertools.permutations``.
+    """
+    _check_arity(n)
+    return tuple(itertools.permutations(range(1, n + 1)))
+
+
+def inverse_permutation(perm: "tuple[int, ...]") -> "tuple[int, ...]":
+    """The relabeling that undoes ``perm``."""
+    out = [0] * len(perm)
+    for i, j in enumerate(perm, start=1):
+        out[j - 1] = i
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _corner_images(perm: "tuple[int, ...]") -> "tuple[int, ...]":
+    """Per corner v, the corner that v becomes when z_i becomes z_perm[i-1]."""
+    n = len(perm)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"{perm} is not a permutation of 1..{n}")
+    image = [0] * (1 << n)
+    for i, j in enumerate(perm):
+        for v in range(1 << i):
+            image[v | 1 << i] = image[v] | 1 << (j - 1)
+    return tuple(image)
+
+
+def _relabel_truth(truth: int, perm: "tuple[int, ...]") -> int:
+    out = 0
+    for v, w in enumerate(_corner_images(perm)):
+        if truth >> v & 1:
+            out |= 1 << w
+    return out
+
+
+@lru_cache(maxsize=None)
+def relabel_images(n: int, truth: int) -> "tuple[int, ...]":
+    """Truth mask of the table relabeled by each of ``permutations(n)``."""
+    return tuple(_relabel_truth(truth, perm) for perm in permutations(n))
+
+
+def relabel(f: MbfFunction, perm: "tuple[int, ...]") -> MbfFunction:
+    """f with z_i renamed z_perm[i-1]: its value at a corner is f's value at
+    the corner whose y_i is the new corner's y_perm[i-1]."""
+    if len(perm) != f.n:
+        raise ArityError(f"relabeling of {len(perm)} variables for arity {f.n}")
+    return MbfFunction(f.n, _relabel_truth(f.truth, perm))
+
+
+def relabel_tuple(tup: OrderedTuple, perm: "tuple[int, ...]") -> OrderedTuple:
+    """Every member relabeled alike; implication is kept."""
+    return OrderedTuple(tuple(relabel(f, perm) for f in tup))
+
+
+def canonical_form(tup: OrderedTuple) -> "tuple[OrderedTuple, tuple[int, ...]]":
+    """The canonical member of the tuple's relabeling orbit and a relabeling
+    that maps the tuple onto it.
+
+    The canonical member has the lexicographically smallest tuple of truth
+    masks over all relabelings, so every member of an orbit has the same one.
+    A tuple that is its own canonical member gets the identity and is
+    returned as the same object.
+    """
+    n = tup.n
+    masks = list(zip(*(relabel_images(n, f.truth) for f in tup)))
+    best = min(range(len(masks)), key=masks.__getitem__)
+    perm = permutations(n)[best]
+    if best == 0:
+        return tup, perm
+    return OrderedTuple(tuple(MbfFunction(n, t) for t in masks[best])), perm

@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, choices=(3, 4))
     p.add_argument("--classes", default="sigma,pisigma,sigmapisigma,k")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("realize", help="decide one pair in one class")
@@ -188,8 +188,11 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _census_task(task):
-    """Decide one (class, pair) cell and write its files; returns the CSV row."""
+def _census_task(task, decided):
+    """Decide one (class, pair) cell and write its files; returns the CSV row.
+
+    ``decided`` holds the shard's canonical decisions (see ``check_class``).
+    """
     out_dir, n, class_tag, index, f_hex, g_hex = task
     out = Path(out_dir)
     result_path = out / "results" / f"{class_tag}_{index:05d}.json"
@@ -197,7 +200,7 @@ def _census_task(task):
     if cached is not None:
         return cached
     tup = OrderedTuple((MbfFunction.from_hex(f_hex), MbfFunction.from_hex(g_hex)))
-    verdict = check_class(tup, class_tag)
+    verdict = check_class(tup, class_tag, decided=decided)
     witness_path = ""
     certificate_path = ""
     if verdict.status == REALIZABLE:
@@ -217,7 +220,18 @@ def _census_task(task):
 
 
 def _run_shard(tasks):
-    return [_census_task(t) for t in tasks]
+    decided = {}
+    return [_census_task(t, decided) for t in tasks]
+
+
+def _shard_plan(tasks: list, jobs: int, cpus: "int | None") -> "list[list]":
+    """The tasks dealt round-robin into one shard per worker process.
+
+    There are never more workers than ``jobs``, than tasks or than CPUs
+    (``cpus`` is ``os.cpu_count()``, None when unknown, which counts as one).
+    """
+    workers = max(1, min(jobs, len(tasks), cpus or 1))
+    return [tasks[i::workers] for i in range(workers)]
 
 
 def cmd_census(args) -> int:
@@ -226,6 +240,9 @@ def cmd_census(args) -> int:
         if c not in CENSUS_CLASSES:
             print(f"error: unknown class {c!r}", file=sys.stderr)
             return 2
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     config = {"n": args.n, "classes": sorted(classes)}
     config_path = out / "config.json"
@@ -248,12 +265,11 @@ def cmd_census(args) -> int:
         for class_tag in classes
         for index, (f, g) in enumerate(pairs)
     ]
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        rows = [_census_task(t) for t in tasks]
+    shards = _shard_plan(tasks, args.jobs, os.cpu_count())
+    if len(shards) == 1:
+        rows = _run_shard(shards[0])
     else:
-        shards = [tasks[i::jobs] for i in range(jobs)]
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(len(shards)) as pool:
             rows = [row for shard in pool.map(_run_shard, shards) for row in shard]
     rows.sort(key=lambda r: (r.split(",")[3], int(r.split(",")[0])))
     (out / "census.csv").write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")

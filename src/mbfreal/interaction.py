@@ -380,6 +380,29 @@ def corner_monomials(s: InteractionStructure, v: int):
     return out
 
 
+# ---------------------------------------------------------------- relabeling
+
+def relabel_structure(s: InteractionStructure, perm: "tuple[int, ...]") -> InteractionStructure:
+    """The same expression with z_i renamed z_perm[i-1]."""
+    if sorted(perm) != list(range(1, s.n + 1)):
+        raise StructureError(f"{perm} is not a permutation of 1..{s.n}")
+    groups = [[frozenset(perm[i - 1] for i in b) for b in blocks] for blocks in s.groups]
+    return structure(groups, s.n, s.class_tag)
+
+
+def relabel_assignment(phi: PhiAssignment, perm: "tuple[int, ...]") -> PhiAssignment:
+    """Values moved with their variables: z_perm[i-1] gets z_i's low and high,
+    so a relabeled expression has the original value at the relabeled corner."""
+    if sorted(perm) != list(range(1, phi.n + 1)):
+        raise ValueError(f"{perm} is not a permutation of 1..{phi.n}")
+    low = [None] * phi.n
+    high = [None] * phi.n
+    for i, j in enumerate(perm):
+        low[j - 1] = phi.low[i]
+        high[j - 1] = phi.high[i]
+    return PhiAssignment(tuple(low), tuple(high))
+
+
 # ---------------------------------------------------------------- factors and terms
 
 def has_factor(s: InteractionStructure, ell: int) -> bool:

@@ -39,7 +39,6 @@ from .boolean_core import (
     MbfFunction,
     OrderedTuple,
     REPRESSING,
-    beta_normalize,
 )
 
 
@@ -491,12 +490,15 @@ def k_to_mbfs(net: WeightedRegulatoryNetwork, k: KCollection) -> dict:
                 f"K value {k.value(plan.name, *plan.keys[v])} equals normalized "
                 f"threshold of {plan.name}->{plan.targets[b - 1 - i]}"
             )
-        # raw_tables[j] is the function of the (j + 1)-th largest threshold
-        raw_tables = [0] * b
+        # tables[j] is the function of the (j + 1)-th largest threshold, its
+        # repressing inputs flipped so that it is positive; MbfFunction and
+        # OrderedTuple check monotonicity and implication
+        tables = [0] * b
         for v, c in enumerate(counts):
             for j in range(b - c, b):
-                raw_tables[j] |= 1 << v
-        functions = OrderedTuple(tuple(beta_normalize(t, plan.signs) for t in raw_tables))
+                tables[j] |= 1 << (v ^ plan.flip)
+        n = len(plan.inputs)
+        functions = OrderedTuple(tuple(MbfFunction(n, t) for t in tables))
         out[plan.name] = NodeFunctions(plan.inputs, plan.signs, plan.targets, functions)
     return out
 

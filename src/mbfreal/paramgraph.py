@@ -141,10 +141,15 @@ def build_parameter_graph(net) -> ParameterGraph:
 # ---------------------------------------------------------------- annotation
 
 def annotate_factor(factor: FactorGraph, class_tag: str, grid=DEFAULT_GRID):
-    """check_class verdict for every factor vertex, in vertex order."""
+    """check_class verdict for every factor vertex, in vertex order.
+
+    The vertices share one ``decided`` dict, so each relabeling orbit among
+    them is decided once (see ``check_class``).
+    """
+    decided = {}
     out = []
     for vertex in factor.vertices:
-        out.append(check_class(OrderedTuple(vertex), class_tag, grid))
+        out.append(check_class(OrderedTuple(vertex), class_tag, grid, decided))
     return tuple(out)
 
 

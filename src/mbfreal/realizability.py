@@ -27,9 +27,11 @@ from .boolean_core import (
     FLOOR,
     MbfFunction,
     OrderedTuple,
+    canonical_form,
     corner_insert_bit,
     eta,
     implies,
+    inverse_permutation,
     maximal_false_corners,
     minimal_true_corners,
     restrict_and_collapse,
@@ -50,6 +52,8 @@ from .interaction import (
     has_factor,
     has_simple_term,
     parse_structure,
+    relabel_assignment,
+    relabel_structure,
     scaled_corner_evaluator,
     structure,
     sum_structure,
@@ -604,9 +608,64 @@ def _structure_blocked(tup: OrderedTuple, s: InteractionStructure, prune_collaps
 
 
 def check_class(
-    tup: OrderedTuple, class_tag: str, grid: SearchGrid = DEFAULT_GRID
+    tup: OrderedTuple,
+    class_tag: str,
+    grid: SearchGrid = DEFAULT_GRID,
+    decided: "dict | None" = None,
 ) -> Verdict:
     """Three-valued verdict for one algebraic class.
+
+    Realizability does not depend on how the variables are numbered, so the
+    verdict is decided on the canonical member of the tuple's relabeling
+    orbit (``canonical_form``) by ``_decide``.  The canonical member gets
+    that verdict itself.  Any other member whose canonical member is
+    realizable gets the canonical witness relabeled back onto its own
+    variables, and that witness is verified against the member's own tuple.
+    A member whose canonical member is ``not_realizable`` or ``unknown`` is
+    decided directly, so every certificate is built from the member's own
+    rows; such a member costs two decisions unless its canonical member is
+    already in ``decided``.  Every witness therefore derives from the
+    canonical member's decision, whatever order the tuples arrive in, and a
+    census writes the same files however it is sharded.
+
+    ``decided`` shares canonical decisions between calls: a dict from
+    (canonical tuple, class, grid) to verdict that this call reads and adds
+    to.  A caller deciding many tuples (a census shard, a parameter-graph
+    factor) passes one dict, so each orbit is decided once; without it a
+    call decides on its own.
+
+    The free class ``k`` is realized directly.  The tag and the arity guards
+    are checked before the tuple is canonicalized.
+    """
+    if class_tag == KCLASS:
+        return Verdict.realizable(realize_k(tup))
+    if class_tag == SIGMA:
+        limit, what = 5, "sum decision"
+    elif class_tag in (PISIGMA, SIGMAPISIGMA):
+        limit, what = 4, "product classes"
+    else:
+        raise ValueError(f"unknown class tag {class_tag!r}")
+    if tup.n > limit:
+        raise ValueError(f"{what} guarded at arity {limit}")
+    if decided is None:
+        decided = {}
+    canon, perm = canonical_form(tup)
+    key = (canon, class_tag, grid)
+    verdict = decided.get(key)
+    if verdict is None:
+        verdict = decided[key] = _decide(canon, class_tag, grid)
+    if canon is tup:
+        return verdict
+    if not verdict.is_realizable:
+        return _decide(tup, class_tag, grid)
+    w = relabel_witness(verdict.witness, inverse_permutation(perm))
+    if not verify_witness(tup, w):
+        raise AssertionError("relabeled witness does not verify the tuple")
+    return Verdict.realizable(w)
+
+
+def _decide(tup: OrderedTuple, class_tag: str, grid: SearchGrid) -> Verdict:
+    """The verdict for this tuple itself.
 
     The sum class delegates to the exact decision, and so do the larger
     classes first: a sum witness is returned with its structure z1+...+zn
@@ -618,14 +677,7 @@ def check_class(
     """
     if class_tag == SIGMA:
         return check_sigma(tup)
-    if class_tag == KCLASS:
-        return Verdict.realizable(realize_k(tup))
-    if class_tag not in (PISIGMA, SIGMAPISIGMA):
-        raise ValueError(f"unknown class tag {class_tag!r}")
     n = tup.n
-    if n > 4:
-        raise ValueError("product classes guarded at arity 4")
-
     sigma = check_sigma(tup)
     if sigma.is_realizable:
         if class_tag == PISIGMA:
@@ -663,6 +715,15 @@ def check_class(
 
 
 # ---------------------------------------------------------------- transformations
+
+def relabel_witness(w: Witness, perm: "tuple[int, ...]") -> Witness:
+    """The witness for the tuple relabeled by ``perm``: the structure's
+    variables are renamed and the low/high values move with them; the
+    thresholds stay, because every corner value does."""
+    return Witness(
+        relabel_structure(w.structure, perm), relabel_assignment(w.phi, perm), w.thresholds
+    )
+
 
 def lift_eta(
     pair: "tuple[MbfFunction, MbfFunction]", w: Witness, class_tag: str

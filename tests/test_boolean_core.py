@@ -13,15 +13,21 @@ from mbfreal.boolean_core import (
     MbfFunction,
     OrderedTuple,
     beta_normalize,
+    canonical_form,
     enumerate_mbf_positive,
     enumerate_ordered_pairs,
     eta,
     eta_inverse,
     evaluate,
     implies,
+    inverse_permutation,
     is_monotone_positive,
     is_monotone_signed,
     monotone_closure,
+    permutations,
+    relabel,
+    relabel_images,
+    relabel_tuple,
     restrict_and_collapse,
 )
 
@@ -375,3 +381,90 @@ def test_monotone_pair_facet_containments(n, data):
             restrict_and_collapse(f, direction, FLOOR),
             restrict_and_collapse(g, direction, CEILING),
         )
+
+
+# ---------------------------------------------------------------- relabeling
+
+def relabel_oracle(f, perm):
+    """Corner by corner: the new corner w reads y_i of the old corner at
+    y_perm[i-1] of w."""
+    truth = 0
+    for w in range(1 << f.n):
+        v = sum(1 << (i - 1) for i in range(1, f.n + 1) if w >> (perm[i - 1] - 1) & 1)
+        truth |= evaluate(f, v) << w
+    return MbfFunction(f.n, truth)
+
+
+def test_permutations_identity_first():
+    assert permutations(3)[0] == (1, 2, 3)
+    assert len(permutations(4)) == 24
+    assert len(set(permutations(4))) == 24
+    assert permutations(0) == ((),)
+
+
+def test_relabel_matches_oracle_and_images():
+    for n in (1, 2, 3):
+        for f in enumerate_mbf_positive(n):
+            images = relabel_images(n, f.truth)
+            for perm, image in zip(permutations(n), images):
+                g = relabel(f, perm)
+                assert g == relabel_oracle(f, perm)
+                assert g.truth == image
+
+
+def test_relabel_then_inverse_is_identity():
+    for n in (1, 2, 3, 4):
+        for f in enumerate_mbf_positive(n)[:: 1 if n < 4 else 7]:
+            for perm in permutations(n):
+                inv = inverse_permutation(perm)
+                assert relabel(relabel(f, perm), inv) == f
+                assert relabel(relabel(f, inv), perm) == f
+
+
+def test_inverse_permutation_composes_to_identity():
+    for perm in permutations(4):
+        inv = inverse_permutation(perm)
+        assert tuple(inv[perm[i] - 1] for i in range(4)) == (1, 2, 3, 4)
+    assert inverse_permutation((2, 3, 1)) == (3, 1, 2)
+
+
+def test_relabel_keeps_implication_order():
+    for f, g in enumerate_ordered_pairs(3):
+        for perm in permutations(3):
+            rf, rg = relabel(f, perm), relabel(g, perm)
+            assert implies(rf, rg)
+            assert relabel_tuple(OrderedTuple((f, g)), perm) == OrderedTuple((rf, rg))
+    chain = OrderedTuple(PAIR_UNREACHABLE_4)
+    for perm in permutations(4):
+        assert tuple(relabel_tuple(chain, perm)) == tuple(relabel(f, perm) for f in chain)
+
+
+def test_relabel_rejects_bad_permutations():
+    f = PAIR_NEEDS_PRODUCT[0]
+    with pytest.raises(ArityError):
+        relabel(f, (1, 2))
+    with pytest.raises(ValueError):
+        relabel(f, (1, 1, 2))
+
+
+def test_canonical_form_is_shared_by_the_orbit():
+    for f, g in enumerate_ordered_pairs(3):
+        tup = OrderedTuple((f, g))
+        canon, perm = canonical_form(tup)
+        assert relabel_tuple(tup, perm) == canon
+        masks = min(
+            tuple(h.truth for h in relabel_tuple(tup, p)) for p in permutations(3)
+        )
+        assert tuple(h.truth for h in canon) == masks
+        for p in permutations(3):
+            assert canonical_form(relabel_tuple(tup, p))[0] == canon
+    # a canonical member is its own canonical form, with the identity
+    canon, _ = canonical_form(OrderedTuple(PAIR_NEEDS_PRODUCT))
+    again, perm = canonical_form(canon)
+    assert again is canon and perm == (1, 2, 3)
+
+
+def test_canonical_pair_counts():
+    for n, expected in ((1, 6), (2, 15), (3, 58), (4, 620)):
+        canon = {canonical_form(OrderedTuple(p))[0] for p in enumerate_ordered_pairs(n)}
+        assert len(canon) == expected

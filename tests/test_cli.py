@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from mbfreal.cli import main
+from mbfreal import cli
+from mbfreal.cli import _shard_plan, main
 from mbfreal.ksystem import k_to_json, network_to_json
 from mbfreal.realizability import witness_from_text
 
@@ -274,3 +275,52 @@ def test_census_leaves_no_temporary_files(tmp_path, capsys):
     written = {p.parent.name for p in out_dir.rglob("*") if p.is_file()}
     assert {"results", "witnesses", "certificates"} <= written
     assert not list(out_dir.rglob("*.tmp"))
+
+
+def _archive(out_dir):
+    return {
+        p.relative_to(out_dir): p.read_bytes()
+        for sub in ("witnesses", "certificates")
+        for p in (out_dir / sub).iterdir()
+    }
+
+
+def test_census_files_do_not_depend_on_job_count(tmp_path, capsys, monkeypatch):
+    # each orbit's witnesses derive from its canonical member, whatever order
+    # and worker the pairs reach; two CPUs are reported so that --jobs 2
+    # starts two workers on any machine
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        code, _, err = run(capsys, "census", "--n", "3", "--out", str(outs[jobs]),
+                           "--jobs", jobs)
+        assert code == 0, err
+    serial, parallel = _archive(outs["1"]), _archive(outs["2"])
+    assert len(serial) == 150 + 165 + 168 + 168 + 18 + 3
+    assert serial == parallel
+    assert (outs["1"] / "census.csv").read_bytes() == (outs["2"] / "census.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_census_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    out_dir = tmp_path / "census"
+    code, _, err = run(capsys, "census", "--n", "3", "--classes", "k",
+                       "--out", str(out_dir), "--jobs", jobs)
+    assert code == 2
+    assert err.startswith("error: ") and "--jobs" in err
+    assert not out_dir.exists()
+
+
+def test_shard_plan_caps_workers():
+    tasks = list(range(10))
+    # never more workers than jobs, tasks or CPUs; an unknown CPU count is one
+    assert _shard_plan(tasks, 10**9, 2) == [tasks[0::2], tasks[1::2]]
+    assert len(_shard_plan(tasks[:3], 8, 64)) == 3
+    assert _shard_plan(tasks, 4, None) == [tasks]
+    assert _shard_plan(tasks, 1, 64) == [tasks]
+    assert _shard_plan([], 4, 4) == [[]]
+    for jobs, cpus in ((3, 8), (7, 4), (12, 16)):
+        shards = _shard_plan(tasks, jobs, cpus)
+        assert len(shards) == min(jobs, len(tasks), cpus)
+        assert sorted(t for shard in shards for t in shard) == tasks

@@ -20,11 +20,15 @@ from mbfreal.interaction import (
     evaluate_at_corner,
     has_factor,
     has_simple_term,
+    corner_table,
     parse_structure,
+    relabel_assignment,
+    relabel_structure,
     set_partitions,
     structure,
     sum_structure,
 )
+from mbfreal.boolean_core import inverse_permutation, permutations
 
 
 def S(text, n=None):
@@ -303,3 +307,38 @@ def test_phi_validation():
 def test_structure_rejects_overlap():
     with pytest.raises(StructureError):
         structure([[{1, 2}], [{2}, {3}]], 3)
+
+
+# ---------------------------------------------------------------- relabeling
+
+def _image(v, perm):
+    return sum(1 << (perm[i] - 1) for i in range(len(perm)) if v >> i & 1)
+
+
+def test_relabel_structure_renames_variables():
+    assert relabel_structure(S("(z1+z2)*z3"), (3, 1, 2)).text() == "(z1+z3)*z2"
+    assert relabel_structure(S("z1*z2+z3"), (2, 3, 1)).text() == "z1+z2*z3"
+    s = sum_structure({1, 3}, 3)
+    out = relabel_structure(s, (2, 1, 3))
+    assert out.class_tag == SIGMA and out.support == frozenset({2, 3})
+    with pytest.raises(StructureError):
+        relabel_structure(S("z1*z2"), (1, 3))
+
+
+def test_relabeled_expression_keeps_every_corner_value():
+    phi = PhiAssignment(
+        (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(3)),
+        (Fraction(3), Fraction(7, 2), Fraction(5), Fraction(4)),
+    )
+    for class_tag in (SIGMA, PISIGMA, SIGMAPISIGMA):
+        for s in enumerate_structures(4, class_tag)[::5]:
+            values = corner_table(s, phi)
+            for perm in permutations(4)[::5]:
+                rs = relabel_structure(s, perm)
+                rphi = relabel_assignment(phi, perm)
+                assert rs.class_tag == s.class_tag
+                relabeled = corner_table(rs, rphi)
+                assert all(relabeled[_image(v, perm)] == values[v] for v in range(16))
+                inv = inverse_permutation(perm)
+                assert relabel_structure(rs, inv) == s
+                assert relabel_assignment(rphi, inv) == phi

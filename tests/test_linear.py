@@ -240,8 +240,11 @@ def test_fractional_rows_match_reference():
 
 @functools.cache
 def _census_systems():
-    """Every system that check_class solves for the n=3 pairs in sigma and
-    pisigma."""
+    """Every system that deciding each n=3 pair in sigma and pisigma solves.
+
+    The pairs go through the decision of each tuple itself: ``check_class``
+    decides a realizable tuple on its orbit's canonical member, so it would
+    show only the canonical members' systems."""
     systems = []
     solve_once = linear.solve
 
@@ -253,7 +256,7 @@ def _census_systems():
     try:
         for pair in enumerate_ordered_pairs(3):
             for class_tag in (SIGMA, PISIGMA):
-                realizability.check_class(OrderedTuple(pair), class_tag)
+                realizability._decide(OrderedTuple(pair), class_tag, realizability.DEFAULT_GRID)
     finally:
         linear.solve = solve_once
     return systems

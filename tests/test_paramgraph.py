@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from mbfreal.boolean_core import ACTIVATING, REPRESSING, implies
+from mbfreal import realizability
+from mbfreal.boolean_core import ACTIVATING, REPRESSING, OrderedTuple, canonical_form, implies
 from mbfreal.interaction import PISIGMA, SIGMA, SIGMAPISIGMA
 from mbfreal.paramgraph import (
     annotate_factor,
@@ -15,6 +16,7 @@ from mbfreal.paramgraph import (
     pg_to_json,
     vertex_table_csv,
 )
+from mbfreal.realizability import verify_witness
 
 from test_ksystem import example_network, random_network
 
@@ -103,6 +105,24 @@ def test_annotate_two_input_factor_sums():
     factor = build_factor(2, 2)
     verdicts = annotate_factor(factor, SIGMA)
     assert all(v.is_realizable for v in verdicts)
+
+
+def test_annotation_decides_each_orbit_once(monkeypatch):
+    # build_factor(2, 2): the 20 pairs at n=2, in 15 sum-realizable orbits
+    factor = build_factor(2, 2)
+    decisions = []
+    decide = realizability._decide
+
+    def counted(tup, class_tag, grid):
+        decisions.append(canonical_form(tup)[0])
+        return decide(tup, class_tag, grid)
+
+    monkeypatch.setattr(realizability, "_decide", counted)
+    verdicts = annotate_factor(factor, SIGMA)
+    assert len(verdicts) == len(factor.vertices) == 20
+    assert len(decisions) == len(set(decisions)) == 15
+    for vertex, verdict in zip(factor.vertices, verdicts):
+        assert verify_witness(OrderedTuple(vertex), verdict.witness)
 
 
 def test_annotate_product_statuses():

@@ -11,11 +11,14 @@ from mbfreal.boolean_core import (
     FLOOR,
     MbfFunction,
     OrderedTuple,
+    canonical_form,
     enumerate_mbf_positive,
     enumerate_ordered_pairs,
     eta,
     implies,
     monotone_closure,
+    permutations,
+    relabel_tuple,
 )
 from mbfreal.interaction import (
     PISIGMA,
@@ -54,6 +57,7 @@ from mbfreal.realizability import (
     monomial_certificate,
     necessary_condition,
     realize_k,
+    relabel_witness,
     replay_certificate,
     search_witness,
     separating_to_witness,
@@ -846,3 +850,105 @@ def test_realize_k_random_chains():
         k = rng.randint(1, 4)
         tup = random_chain(rng, n, k)
         assert verify_k_witness(tup, realize_k(tup))
+
+
+# ---------------------------------------------------------------- orbit cache
+
+def _chains_of_three(n):
+    funcs = enumerate_mbf_positive(n)
+    return [
+        OrderedTuple((f, g, h))
+        for f in funcs
+        for g in funcs
+        if implies(f, g)
+        for h in funcs
+        if implies(g, h)
+    ]
+
+
+def _assert_matches_uncached(tup, class_tag):
+    """check_class against the uncached decision of the member itself."""
+    verdict = check_class(tup, class_tag)
+    direct = realizability._decide(tup, class_tag, DEFAULT_GRID)
+    assert verdict.status == direct.status, (tup, class_tag)
+    if verdict.is_realizable:
+        assert verify_witness(tup, verdict.witness)
+    elif verdict.is_not_realizable:
+        assert replay_certificate(tup, None, verdict.certificate)
+    canon, _ = canonical_form(tup)
+    if canon is tup or not verdict.is_realizable:
+        # canonical members get the cached verdict, the rest are decided
+        # directly unless a witness can be relabeled
+        assert verdict == direct
+    return verdict
+
+
+def test_check_class_matches_uncached_decision_on_every_pair():
+    for n in (1, 2, 3):
+        for pair in enumerate_ordered_pairs(n):
+            for class_tag in (SIGMA, PISIGMA, SIGMAPISIGMA):
+                _assert_matches_uncached(OrderedTuple(pair), class_tag)
+
+
+def test_check_class_matches_uncached_decision_on_chains_of_three():
+    chains = _chains_of_three(3)
+    assert len(chains) == 887
+    relabeled = 0
+    for tup in chains:
+        verdict = _assert_matches_uncached(tup, PISIGMA)
+        relabeled += verdict.is_realizable and canonical_form(tup)[0] is not tup
+    assert relabeled > 0
+
+
+def test_orbit_members_share_one_decision(monkeypatch):
+    tup = OrderedTuple(PAIR_NEEDS_PRODUCT)
+    canon, _ = canonical_form(tup)
+    decisions = []
+    decide = realizability._decide
+
+    def counted(*args):
+        decisions.append(args)
+        return decide(*args)
+
+    monkeypatch.setattr(realizability, "_decide", counted)
+    decided = {}
+    cached = check_class(canon, PISIGMA, decided=decided)
+    assert check_class(canon, PISIGMA, decided=decided) is cached
+    for perm in permutations(3):
+        member = relabel_tuple(canon, perm)
+        verdict = check_class(member, PISIGMA, decided=decided)
+        assert verdict.witness == relabel_witness(cached.witness, perm)
+        assert verify_witness(member, verdict.witness)
+    assert decisions == [(canon, PISIGMA, DEFAULT_GRID)]
+    assert decided == {(canon, PISIGMA, DEFAULT_GRID): cached}
+    # without a shared dict every call decides on its own
+    check_class(canon, PISIGMA)
+    check_class(canon, PISIGMA)
+    assert len(decisions) == 3
+
+
+def test_orbit_cache_at_four_inputs():
+    unreachable = OrderedTuple(PAIR_UNREACHABLE_4)
+    relabeled = relabel_tuple(unreachable, (2, 3, 4, 1))
+    assert canonical_form(relabeled)[0] == canonical_form(unreachable)[0]
+    for tup in (unreachable, relabeled):
+        for class_tag in (PISIGMA, SIGMAPISIGMA):
+            assert _assert_matches_uncached(tup, class_tag).is_not_realizable
+    # a member whose canonical form is a 3-cycle away gets a relabeled witness
+    tup = OrderedTuple((MbfFunction(4, 0x0000), MbfFunction(4, 0xFCA8)))
+    canon, perm = canonical_form(tup)
+    assert canon != tup and perm == (1, 3, 4, 2)
+    verdict = _assert_matches_uncached(tup, PISIGMA)
+    assert verdict.is_realizable and verdict.witness.structure.text() == "(z1+z4)*(z2+z3)"
+
+
+def test_guards_fire_before_canonicalization():
+    tup = OrderedTuple((MbfFunction.const(5, 0), MbfFunction.const(5, 1)))
+    with pytest.raises(ValueError, match="product classes guarded at arity 4"):
+        check_class(tup, PISIGMA)
+    with pytest.raises(ValueError, match="unknown class tag 'bogus'"):
+        check_class(tup, "bogus")
+    wide = OrderedTuple((MbfFunction.const(6, 0),))
+    with pytest.raises(ValueError, match="sum decision guarded at arity 5"):
+        check_class(wide, SIGMA)
+    assert check_class(wide, "k").is_realizable
