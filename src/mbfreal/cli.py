@@ -247,7 +247,14 @@ def cmd_census(args) -> int:
     config = {"n": args.n, "classes": sorted(classes)}
     config_path = out / "config.json"
     if config_path.exists():
-        existing = json.loads(config_path.read_text())
+        try:
+            existing = json.loads(config_path.read_text())
+        except ValueError as exc:
+            print(
+                f"error: {config_path} does not parse ({exc}); refusing to mix results",
+                file=sys.stderr,
+            )
+            return 3
         if existing != config:
             print(
                 f"error: {out} holds a census for a different configuration "
@@ -257,7 +264,7 @@ def cmd_census(args) -> int:
             return 3
     for sub in ("results", "witnesses", "certificates"):
         (out / sub).mkdir(parents=True, exist_ok=True)
-    config_path.write_text(json.dumps(config) + "\n")
+    _write_atomic(config_path, json.dumps(config) + "\n")
 
     pairs = enumerate_ordered_pairs(args.n)
     tasks = [
@@ -272,7 +279,7 @@ def cmd_census(args) -> int:
         with multiprocessing.Pool(len(shards)) as pool:
             rows = [row for shard in pool.map(_run_shard, shards) for row in shard]
     rows.sort(key=lambda r: (r.split(",")[3], int(r.split(",")[0])))
-    (out / "census.csv").write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+    _write_atomic(out / "census.csv", CSV_HEADER + "\n" + "\n".join(rows) + "\n")
 
     counts = {c: {REALIZABLE: 0, NOT_REALIZABLE: 0, UNKNOWN: 0} for c in classes}
     for row in rows:
@@ -283,7 +290,7 @@ def cmd_census(args) -> int:
     lines = report.summary_lines()
     for line in lines[1:]:
         print(line)
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
+    _write_atomic(out / "summary.txt", "\n".join(lines) + "\n")
     return 0
 
 

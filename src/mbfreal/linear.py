@@ -23,8 +23,14 @@ _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 @dataclass(frozen=True)
 class Row:
-    coeffs: "tuple[Fraction, ...]"
-    const: Fraction
+    """``sum_j coeffs[j] * x_j >= const``, or ``>`` when strict.
+
+    Coefficients and constant are rationals, ``int`` or ``Fraction``; the two
+    compare and hash alike, so rows equal as numbers are equal rows.
+    """
+
+    coeffs: "tuple[int | Fraction, ...]"
+    const: "int | Fraction"
     strict: bool = False
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from . import linear
@@ -165,7 +166,11 @@ class Verdict:
 
 @dataclass(frozen=True)
 class SearchGrid:
-    """Grid for the witness search: lows stay fixed, highs range per variable."""
+    """Grid for the witness search: lows stay fixed, highs range per variable.
+
+    The hash is computed once per grid: ``check_class`` hashes its grid into
+    every ``decided`` key.  Equality compares the fields.
+    """
 
     low: Fraction = Fraction(1)
     highs: "tuple[Fraction, ...]" = (
@@ -178,6 +183,13 @@ class SearchGrid:
         Fraction(5),
         Fraction(6),
     )
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.low, self.highs))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 DEFAULT_GRID = SearchGrid()
@@ -249,7 +261,8 @@ def _sigma_system(tup: OrderedTuple, members: "tuple[int, ...]"):
     """LP deciding separation by a sum over the member variables.
 
     The strict-inequality margin is normalized to 1; feasibility is
-    scale-invariant, so this loses nothing.
+    scale-invariant, so this loses nothing.  Coefficients and constants are
+    ``int``s.
     """
     n = tup.n
     k = len(tup)
@@ -261,24 +274,24 @@ def _sigma_system(tup: OrderedTuple, members: "tuple[int, ...]"):
     rows = []
 
     def blank():
-        return [Fraction(0)] * width
+        return [0] * width
 
     for i in members:
         r = blank()
-        r[index[f"l{i}"]] = Fraction(1)
-        rows.append(linear.Row(tuple(r), Fraction(1)))
+        r[index[f"l{i}"]] = 1
+        rows.append(linear.Row(tuple(r), 1))
         r = blank()
-        r[index[f"u{i}"]] = Fraction(1)
-        r[index[f"l{i}"]] = Fraction(-1)
-        rows.append(linear.Row(tuple(r), Fraction(1)))
+        r[index[f"u{i}"]] = 1
+        r[index[f"l{i}"]] = -1
+        rows.append(linear.Row(tuple(r), 1))
     r = blank()
-    r[index[f"th{k}"]] = Fraction(1)
-    rows.append(linear.Row(tuple(r), Fraction(1)))
+    r[index[f"th{k}"]] = 1
+    rows.append(linear.Row(tuple(r), 1))
     for j in range(1, k):
         r = blank()
-        r[index[f"th{j}"]] = Fraction(1)
-        r[index[f"th{j + 1}"]] = Fraction(-1)
-        rows.append(linear.Row(tuple(r), Fraction(1)))
+        r[index[f"th{j}"]] = 1
+        r[index[f"th{j + 1}"]] = -1
+        rows.append(linear.Row(tuple(r), 1))
 
     def value_coeffs(v: int):
         r = blank()
@@ -291,11 +304,11 @@ def _sigma_system(tup: OrderedTuple, members: "tuple[int, ...]"):
         for v in minimal_true_corners(f):
             r = value_coeffs(v)
             r[index[f"th{j}"]] -= 1
-            rows.append(linear.Row(tuple(r), Fraction(1)))
+            rows.append(linear.Row(tuple(r), 1))
         for v in maximal_false_corners(f):
             r = [-c for c in value_coeffs(v)]
             r[index[f"th{j}"]] += 1
-            rows.append(linear.Row(tuple(r), Fraction(1)))
+            rows.append(linear.Row(tuple(r), 1))
     return columns, rows
 
 
@@ -403,7 +416,7 @@ def _monomial_system(tup: OrderedTuple, s: InteractionStructure):
     Every multilinear monomial of the expression becomes an independent
     positive variable; separation constraints plus linearized products of the
     elementary facts (low < high, positivity) make a homogeneous strict
-    system.
+    system with ``int`` coefficients.
     """
     n = tup.n
     universe: "dict[frozenset, int]" = {}
@@ -420,7 +433,7 @@ def _monomial_system(tup: OrderedTuple, s: InteractionStructure):
     rows = []
 
     def corner_diff(w_corner: int, v_corner: int):
-        coeffs = [Fraction(0)] * width
+        coeffs = [0] * width
         for m in expansions[w_corner]:
             coeffs[universe[m]] += 1
         for m in expansions[v_corner]:
@@ -430,12 +443,12 @@ def _monomial_system(tup: OrderedTuple, s: InteractionStructure):
     for f in tup:
         for v in maximal_false_corners(f):
             for w in minimal_true_corners(f):
-                rows.append(linear.Row(tuple(corner_diff(w, v)), Fraction(0), strict=True))
+                rows.append(linear.Row(tuple(corner_diff(w, v)), 0, strict=True))
 
     for m, pos in universe.items():
-        coeffs = [Fraction(0)] * width
-        coeffs[pos] = Fraction(1)
-        rows.append(linear.Row(tuple(coeffs), Fraction(0), strict=True))
+        coeffs = [0] * width
+        coeffs[pos] = 1
+        rows.append(linear.Row(tuple(coeffs), 0, strict=True))
 
     # products of (u_i - l_i) facts with a monomial over the other variables,
     # kept only when every expanded term is already a column
@@ -448,7 +461,7 @@ def _monomial_system(tup: OrderedTuple, s: InteractionStructure):
                 others = [i for i in shape if i not in diff_vars]
                 for bits in itertools.product((0, 1), repeat=len(others)):
                     base = tuple(zip(others, bits))
-                    coeffs = [Fraction(0)] * width
+                    coeffs = [0] * width
                     ok = True
                     for choice in itertools.product((0, 1), repeat=r):
                         mono = frozenset(base + tuple(zip(diff_vars, choice)))
@@ -460,7 +473,7 @@ def _monomial_system(tup: OrderedTuple, s: InteractionStructure):
                     if ok:
                         fact_rows.add(tuple(coeffs))
     for coeffs in sorted(fact_rows):
-        rows.append(linear.Row(coeffs, Fraction(0), strict=True))
+        rows.append(linear.Row(coeffs, 0, strict=True))
     return columns, rows
 
 
@@ -584,26 +597,71 @@ def _pairs(tup: OrderedTuple):
             yield tup[a], tup[b]
 
 
-def _structure_blocked(tup: OrderedTuple, s: InteractionStructure, prune_collapse: bool):
-    """First impossibility certificate for this structure, or None."""
+def _direction_blocked(tup: OrderedTuple, s: InteractionStructure):
+    """First direction certificate over the tuple's pairs, or None."""
     for f, g in _pairs(tup):
         cert = necessary_condition(f, g, s)
         if cert is not None:
             return cert
-    if prune_collapse and tup.n > 1:
+    return None
+
+
+class _CollapseTable:
+    """The facet-collapse tests of one four-input decision, each run once.
+
+    ``collapsed`` holds the tuple restricted to each facet z_ell = side and
+    collapsed, built once per (direction, side).  ``inner`` maps (collapsed
+    tuple, collapse-shape text) to the first inner certificate for that
+    shape, or None: many structures collapse to the same shape, and
+    different facets can leave the same tuple, so each such test is run
+    once per decision.  A table lives for one ``_decide`` call.
+    """
+
+    __slots__ = ("collapsed", "inner")
+
+    def __init__(self, tup: OrderedTuple):
+        self.collapsed = {
+            (ell, side): OrderedTuple(tuple(restrict_and_collapse(f, ell, side) for f in tup))
+            for ell in range(1, tup.n + 1)
+            for side in (FLOOR, CEILING)
+        }
+        self.inner: "dict[tuple[OrderedTuple, str], object]" = {}
+
+    def certificate(self, ell: int, side: str, shape: InteractionStructure, text: str):
+        """Direction certificate on a collapsed pair, else the monomial
+        certificate of the collapsed tuple under ``shape``, else None."""
+        collapsed = self.collapsed[ell, side]
+        key = (collapsed, text)
+        if key in self.inner:
+            return self.inner[key]
+        cert = _direction_blocked(collapsed, shape)
+        if cert is None:
+            cert = monomial_certificate(collapsed, shape)
+        self.inner[key] = cert
+        return cert
+
+
+def _structure_blocked(
+    tup: OrderedTuple, s: InteractionStructure, table: "_CollapseTable | None"
+):
+    """First impossibility certificate for this structure, or None.
+
+    Direction certificates on the tuple's pairs come first.  With a collapse
+    table (four inputs), each direction's collapse shape is then tested on
+    the floor and the ceiling facet, in that order, through the table.  The
+    structure's own monomial Farkas test comes last.
+    """
+    cert = _direction_blocked(tup, s)
+    if cert is not None:
+        return cert
+    if table is not None:
         for ell in range(1, tup.n + 1):
             shape = collapse_shape(s, ell)
+            text = shape.text()
             for side in (FLOOR, CEILING):
-                collapsed = OrderedTuple(
-                    tuple(restrict_and_collapse(f, ell, side) for f in tup)
-                )
-                for f, g in _pairs(collapsed):
-                    inner = necessary_condition(f, g, shape)
-                    if inner is not None:
-                        return CollapseCertificate(ell, side, shape.text(), inner)
-                inner = monomial_certificate(collapsed, shape)
+                inner = table.certificate(ell, side, shape, text)
                 if inner is not None:
-                    return CollapseCertificate(ell, side, shape.text(), inner)
+                    return CollapseCertificate(ell, side, text, inner)
     return monomial_certificate(tup, s)
 
 
@@ -674,6 +732,11 @@ def _decide(tup: OrderedTuple, class_tag: str, grid: SearchGrid) -> Verdict:
     inputs) facet-collapse pruning, then the monomial Farkas test, then grid
     search.  The full-sum structure is not searched; the sum decision's
     Farkas certificate rules it out unless a direction certificate does.
+
+    At four inputs the decision builds one ``_CollapseTable``: each facet's
+    collapsed tuple is built once, and each (collapsed tuple, collapse
+    shape) is tested once, however many structures collapse to it.  The
+    table is dropped when the decision returns.
     """
     if class_tag == SIGMA:
         return check_sigma(tup)
@@ -689,19 +752,15 @@ def _decide(tup: OrderedTuple, class_tag: str, grid: SearchGrid) -> Verdict:
 
     dead = []
     alive = []
-    prune = n == 4
+    table = _CollapseTable(tup) if n == 4 else None
     for s in enumerate_structures(n, class_tag):
         if s.text() == sum_text:
             # direction test first, like every structure; the exact sum
             # decision (already NotRealizable here) covers the rest
-            cert = None
-            for f, g in _pairs(tup):
-                cert = necessary_condition(f, g, s)
-                if cert is not None:
-                    break
+            cert = _direction_blocked(tup, s)
             dead.append((s.text(), cert if cert is not None else sigma.certificate))
             continue
-        cert = _structure_blocked(tup, s, prune)
+        cert = _structure_blocked(tup, s, table)
         if cert is not None:
             dead.append((s.text(), cert))
             continue

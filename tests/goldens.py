@@ -122,3 +122,59 @@ REFERENCE_WITNESSES = [
     ("z3*(z1+z2)", (3, 4, 2), Fraction(9, 2), Fraction(15, 2)),
     ("z1*(z2+z3)", (2, 3, 4), Fraction(9, 2), Fraction(15, 2)),
 ]
+
+
+# json.dumps(certificate_to_data(...)) of two Farkas certificates, as census
+# and realize files hold them: the full-support sum LP of PAIR_NEEDS_PRODUCT,
+# and the monomial system of PAIR_NEEDS_MIXED under (z1+z2)*z3.
+PAIR_NEEDS_PRODUCT_SUM_CERTIFICATE_JSON = (
+    '{"type": "farkas", "columns": ["l1", "l2", "l3", "u1", "u2", "u3", "th1", "th2"], "rows": ['
+    '{"coeffs": ["1", "0", "0", "0", "0", "0", "0", "0"], "const": "1", "strict": false}, '
+    '{"coeffs": ["-1", "0", "0", "1", "0", "0", "0", "0"], "const": "1", "strict": false}, '
+    '{"coeffs": ["0", "1", "0", "0", "0", "0", "0", "0"], "const": "1", "strict": false}, '
+    '{"coeffs": ["0", "-1", "0", "0", "1", "0", "0", "0"], "const": "1", "strict": false}, '
+    '{"coeffs": ["0", "0", "1", "0", "0", "0", "0", "0"], "const": "1", "strict": false}, '
+    '{"coeffs": ["0", "0", "-1", "0", "0", "1", "0", "0"], "const": "1", "strict": false}, '
+    '{"coeffs": ["0", "0", "0", "0", "0", "0", "0", "1"], "const": "1", "strict": false}, '
+    '{"coeffs": ["0", "0", "0", "0", "0", "0", "1", "-1"], "const": "1", "strict": false}, '
+    '{"coeffs": ["0", "1", "0", "1", "0", "1", "-1", "0"], "const": "1", "strict": false}, '
+    '{"coeffs": ["1", "0", "0", "0", "1", "1", "-1", "0"], "const": "1", "strict": false}, '
+    '{"coeffs": ["0", "0", "-1", "-1", "-1", "0", "1", "0"], "const": "1", "strict": false}, '
+    '{"coeffs": ["-1", "-1", "0", "0", "0", "-1", "1", "0"], "const": "1", "strict": false}, '
+    '{"coeffs": ["0", "1", "1", "1", "0", "0", "0", "-1"], "const": "1", "strict": false}, '
+    '{"coeffs": ["1", "0", "1", "0", "1", "0", "0", "-1"], "const": "1", "strict": false}, '
+    '{"coeffs": ["-1", "-1", "0", "0", "0", "-1", "0", "1"], "const": "1", "strict": false}'
+    '], "multipliers": ["0", "0", "0", "0", "0", "0", "0", "0", "0", "1/4", "1/4", "0", "1/4", '
+    '"0", "1/4"]}'
+)
+
+PAIR_NEEDS_MIXED_MONOMIAL_CERTIFICATE_JSON = (
+    '{"type": "farkas", "columns": ["l1*l3", "l2*l3", "u1*l3", "u2*l3", "l1*u3", "l2*u3", '
+    '"u1*u3", "u2*u3"], "rows": ['
+    '{"coeffs": ["0", "0", "1", "1", "0", "-1", "-1", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "0", "1", "1", "-1", "0", "0", "-1"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "-1", "0", "1", "0", "0", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "-1", "-1", "0", "1", "1", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["-1", "0", "1", "0", "0", "0", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["-1", "0", "0", "-1", "1", "1", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["1", "0", "0", "0", "0", "0", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "1", "0", "0", "0", "0", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "0", "1", "0", "0", "0", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "0", "0", "1", "0", "0", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "0", "0", "0", "1", "0", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "0", "0", "0", "0", "1", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "0", "0", "0", "0", "0", "1", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "0", "0", "0", "0", "0", "0", "1"], "const": "0", "strict": true}, '
+    '{"coeffs": ["-1", "0", "0", "0", "1", "0", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["-1", "0", "1", "0", "0", "0", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "-1", "0", "0", "0", "1", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "-1", "0", "1", "0", "0", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "0", "-1", "0", "0", "0", "1", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "0", "0", "-1", "0", "0", "0", "1"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "0", "0", "0", "-1", "0", "1", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "0", "0", "0", "0", "-1", "0", "1"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "1", "0", "-1", "0", "-1", "0", "1"], "const": "0", "strict": true}, '
+    '{"coeffs": ["1", "0", "-1", "0", "-1", "0", "1", "0"], "const": "0", "strict": true}'
+    '], "multipliers": ["1", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0", '
+    '"0", "0", "0", "0", "0", "0", "0", "0", "0", "1"]}'
+)

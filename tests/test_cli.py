@@ -239,6 +239,20 @@ def test_census_config_mismatch(tmp_path, capsys):
     assert "configuration" in err
 
 
+@pytest.mark.parametrize("text", ["", '{"n": 3, "classes": ["k"]'])
+def test_census_config_that_does_not_parse_exits_3(tmp_path, capsys, text):
+    # config.json as a run cut off mid-write would have left it
+    out_dir = tmp_path / "census"
+    out_dir.mkdir()
+    config = out_dir / "config.json"
+    config.write_text(text)
+    code, _, err = run(capsys, "census", "--n", "3", "--classes", "k", "--out", str(out_dir))
+    assert code == 3
+    assert err.startswith("error: ")
+    assert str(config) in err
+    assert config.read_text() == text
+
+
 def test_census_resume_recomputes_corrupt_results(tmp_path, capsys):
     out_dir = tmp_path / "census"
     argv = ("census", "--n", "3", "--classes", "sigma", "--out", str(out_dir))
@@ -267,7 +281,7 @@ def test_census_parallel_matches_serial(tmp_path, capsys):
 
 
 def test_census_leaves_no_temporary_files(tmp_path, capsys):
-    # results, witnesses and certificates are renamed into place
+    # every census file is renamed into place
     out_dir = tmp_path / "census"
     code, _, err = run(capsys, "census", "--n", "3", "--classes", "sigma,k",
                        "--out", str(out_dir), "--jobs", "2")
@@ -275,6 +289,22 @@ def test_census_leaves_no_temporary_files(tmp_path, capsys):
     written = {p.parent.name for p in out_dir.rglob("*") if p.is_file()}
     assert {"results", "witnesses", "certificates"} <= written
     assert not list(out_dir.rglob("*.tmp"))
+
+
+def test_census_writes_every_file_atomically(tmp_path, capsys, monkeypatch):
+    written = []
+    write_atomic = cli._write_atomic
+
+    def recorded(path, text):
+        written.append(path.name)
+        write_atomic(path, text)
+
+    monkeypatch.setattr(cli, "_write_atomic", recorded)
+    out_dir = tmp_path / "census"
+    code, _, err = run(capsys, "census", "--n", "3", "--classes", "k", "--out", str(out_dir))
+    assert code == 0, err
+    assert {"config.json", "census.csv", "summary.txt"} <= set(written)
+    assert {p.name for p in out_dir.iterdir() if p.is_file()} <= set(written)
 
 
 def _archive(out_dir):

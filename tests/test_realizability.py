@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -19,6 +20,7 @@ from mbfreal.boolean_core import (
     monotone_closure,
     permutations,
     relabel_tuple,
+    restrict_and_collapse,
 )
 from mbfreal.interaction import (
     PISIGMA,
@@ -72,8 +74,10 @@ from mbfreal.realizability import (
 
 from goldens import (
     PAIR_NEEDS_MIXED,
+    PAIR_NEEDS_MIXED_MONOMIAL_CERTIFICATE_JSON,
     PAIR_NEEDS_MIXED_WITNESS,
     PAIR_NEEDS_PRODUCT,
+    PAIR_NEEDS_PRODUCT_SUM_CERTIFICATE_JSON,
     PAIR_NEEDS_PRODUCT_WITNESS,
     PAIR_UNREACHABLE_4,
     PRINTED_DIRECTION_ERRATA,
@@ -180,6 +184,12 @@ def test_product_pair_not_sum_realizable():
     assert isinstance(cert, FarkasCertificate)  # one for the full-support LP
     assert cert.columns == ("l1", "l2", "l3", "u1", "u2", "u3", "th1", "th2")
     assert verify_farkas(cert)
+    assert _integer_rows(cert.rows)
+    assert json.dumps(certificate_to_data(cert)) == PAIR_NEEDS_PRODUCT_SUM_CERTIFICATE_JSON
+
+
+def _integer_rows(rows):
+    return all(type(c) is int for r in rows for c in (*r.coeffs, r.const))
 
 
 def test_farkas_certificate_bound_to_its_tuple_and_structure():
@@ -199,6 +209,13 @@ def test_farkas_certificate_bound_to_its_tuple_and_structure():
     mixed = pair_tuple(PAIR_NEEDS_MIXED)
     monomial = monomial_certificate(mixed, parse_structure("(z1+z2)*z3"))
     assert replay_certificate(mixed, "(z1+z2)*z3", monomial)
+    # read back from JSON, the rows hold Fractions; they still equal the
+    # integer rows rebuilt from the claim
+    for claim, text, built in ((tup, None, cert), (mixed, "(z1+z2)*z3", monomial)):
+        restored = certificate_from_data(certificate_to_data(built))
+        assert not _integer_rows(restored.rows)
+        assert restored == built
+        assert replay_certificate(claim, text, restored)
     assert not replay_certificate(mixed, "(z1+z3)*z2", monomial)
     assert not replay_certificate(mixed, None, monomial)
     assert not replay_certificate(tup, "(z1+z2)*z3", monomial)
@@ -338,6 +355,15 @@ def test_farkas_kills_product_for_mixed_pair():
     cert = monomial_certificate(pair_tuple(PAIR_NEEDS_MIXED), parse_structure("(z1+z2)*z3"))
     assert cert is not None
     assert verify_farkas(cert)
+    assert _integer_rows(cert.rows)
+    assert json.dumps(certificate_to_data(cert)) == PAIR_NEEDS_MIXED_MONOMIAL_CERTIFICATE_JSON
+
+
+def test_lp_systems_have_integer_rows():
+    for tup in _four_input_sample()[:2]:
+        assert _integer_rows(_sigma_system(tup, (1, 2, 3, 4))[1])
+        for s in _product_structures(4):
+            assert _integer_rows(realizability._monomial_system(tup, s)[1])
 
 
 def test_farkas_none_when_witness_exists():
@@ -914,6 +940,10 @@ def test_orbit_members_share_one_decision(monkeypatch):
     decided = {}
     cached = check_class(canon, PISIGMA, decided=decided)
     assert check_class(canon, PISIGMA, decided=decided) is cached
+    # an equal grid that is another object finds the same entry
+    grid = SearchGrid(Fraction(1), DEFAULT_GRID.highs)
+    assert grid is not DEFAULT_GRID and hash(grid) == hash(DEFAULT_GRID)
+    assert check_class(canon, PISIGMA, grid, decided=decided) is cached
     for perm in permutations(3):
         member = relabel_tuple(canon, perm)
         verdict = check_class(member, PISIGMA, decided=decided)
@@ -952,3 +982,84 @@ def test_guards_fire_before_canonicalization():
     with pytest.raises(ValueError, match="sum decision guarded at arity 5"):
         check_class(wide, SIGMA)
     assert check_class(wide, "k").is_realizable
+
+
+# ---------------------------------------------------------------- collapse table
+
+def _reference_blocked(tup, s):
+    """The per-structure loop ``_structure_blocked`` ran before the collapse
+    table: every collapsed tuple and every collapse test is rebuilt for each
+    structure, with collapse pruning at four inputs."""
+    for f, g in realizability._pairs(tup):
+        cert = necessary_condition(f, g, s)
+        if cert is not None:
+            return cert
+    if tup.n == 4:
+        for ell in range(1, tup.n + 1):
+            shape = collapse_shape(s, ell)
+            for side in (FLOOR, CEILING):
+                collapsed = OrderedTuple(
+                    tuple(restrict_and_collapse(f, ell, side) for f in tup)
+                )
+                for f, g in realizability._pairs(collapsed):
+                    inner = necessary_condition(f, g, shape)
+                    if inner is not None:
+                        return CollapseCertificate(ell, side, shape.text(), inner)
+                inner = monomial_certificate(collapsed, shape)
+                if inner is not None:
+                    return CollapseCertificate(ell, side, shape.text(), inner)
+    return monomial_certificate(tup, s)
+
+
+def _four_input_sample():
+    unreachable = OrderedTuple(PAIR_UNREACHABLE_4)
+    sample = random.Random(4).sample(enumerate_ordered_pairs(4), 16)
+    return [unreachable, relabel_tuple(unreachable, (2, 3, 4, 1))] + [
+        OrderedTuple(pair) for pair in sample
+    ]
+
+
+def test_collapse_table_matches_per_structure_reference():
+    blocked = 0
+    for tup in _four_input_sample():
+        for class_tag in (PISIGMA, SIGMAPISIGMA):
+            # one table per decision, shared by the class's structures in order
+            table = realizability._CollapseTable(tup)
+            for s in enumerate_structures(4, class_tag):
+                expected = _reference_blocked(tup, s)
+                assert realizability._structure_blocked(tup, s, table) == expected, (tup, s.text())
+                blocked += isinstance(expected, CollapseCertificate)
+    assert blocked > 0
+
+
+def _counted_monomial_calls(monkeypatch):
+    calls = []
+    inner = realizability.monomial_certificate
+
+    def counted(tup, s):
+        calls.append((tup, s.text()))
+        return inner(tup, s)
+
+    monkeypatch.setattr(realizability, "monomial_certificate", counted)
+    return calls
+
+
+def test_decision_tests_each_collapsed_tuple_and_shape_once(monkeypatch):
+    calls = _counted_monomial_calls(monkeypatch)
+    for tup in _four_input_sample()[:4]:
+        for class_tag in (PISIGMA, SIGMAPISIGMA):
+            calls.clear()
+            realizability._decide(tup, class_tag, DEFAULT_GRID)
+            assert len(calls) == len(set(calls)), (tup, class_tag)
+            assert any(t.n == 3 for t, _ in calls)
+
+
+def test_collapse_table_lives_for_one_decision(monkeypatch):
+    calls = _counted_monomial_calls(monkeypatch)
+    # a canonical member, so that a lone call makes one decision
+    tup, _ = canonical_form(OrderedTuple(PAIR_UNREACHABLE_4))
+    first = check_class(tup, SIGMAPISIGMA)
+    once = list(calls)
+    assert any(t.n == 3 for t, _ in once)
+    assert check_class(tup, SIGMAPISIGMA) == first
+    assert calls == once + once
