@@ -425,6 +425,12 @@ def relabel_tuple(tup: OrderedTuple, perm: "tuple[int, ...]") -> OrderedTuple:
     return OrderedTuple(tuple(relabel(f, perm) for f in tup))
 
 
+def collapse_tuple(tup: OrderedTuple, direction: int, side: str) -> OrderedTuple:
+    """Every member restricted to one facet and collapsed alike
+    (``restrict_and_collapse``); implication is kept."""
+    return OrderedTuple(tuple(restrict_and_collapse(f, direction, side) for f in tup))
+
+
 def canonical_form(tup: OrderedTuple) -> "tuple[OrderedTuple, tuple[int, ...]]":
     """The canonical member of the tuple's relabeling orbit and a relabeling
     that maps the tuple onto it.

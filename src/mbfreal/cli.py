@@ -193,7 +193,7 @@ def _census_task(task, decided):
 
     ``decided`` holds the shard's canonical decisions (see ``check_class``).
     """
-    out_dir, n, class_tag, index, f_hex, g_hex = task
+    out_dir, class_tag, index, f_hex, g_hex = task
     out = Path(out_dir)
     result_path = out / "results" / f"{class_tag}_{index:05d}.json"
     cached = _cached_row(result_path)
@@ -240,6 +240,9 @@ def cmd_census(args) -> int:
         if c not in CENSUS_CLASSES:
             print(f"error: unknown class {c!r}", file=sys.stderr)
             return 2
+    if len(set(classes)) != len(classes):
+        print(f"error: repeated class in {args.classes!r}", file=sys.stderr)
+        return 2
     if args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
@@ -268,7 +271,7 @@ def cmd_census(args) -> int:
 
     pairs = enumerate_ordered_pairs(args.n)
     tasks = [
-        (str(out), args.n, class_tag, index, f.to_hex(), g.to_hex())
+        (str(out), class_tag, index, f.to_hex(), g.to_hex())
         for class_tag in classes
         for index, (f, g) in enumerate(pairs)
     ]

@@ -16,15 +16,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .boolean_core import CEILING, FLOOR
+
 SIGMA = "sigma"
 PISIGMA = "pisigma"
 SIGMAPISIGMA = "sigmapisigma"
 KCLASS = "k"
 
 CLASS_TAGS = (SIGMA, PISIGMA, SIGMAPISIGMA)
-
-FLOOR = "floor"
-CEILING = "ceiling"
 
 Groups = "tuple[tuple[frozenset[int], ...], ...]"
 

@@ -22,7 +22,7 @@ from .boolean_core import (
     is_monotone_positive,
 )
 from .interaction import CLASS_TAGS, KCLASS
-from .realizability import DEFAULT_GRID, Verdict, check_class
+from .realizability import Verdict, check_class
 
 MAX_FACTOR_INPUTS = 4
 MAX_FACTOR_OUTPUTS = 3
@@ -140,7 +140,7 @@ def build_parameter_graph(net) -> ParameterGraph:
 
 # ---------------------------------------------------------------- annotation
 
-def annotate_factor(factor: FactorGraph, class_tag: str, grid=DEFAULT_GRID):
+def annotate_factor(factor: FactorGraph, class_tag: str):
     """check_class verdict for every factor vertex, in vertex order.
 
     The vertices share one ``decided`` dict, so each relabeling orbit among
@@ -149,20 +149,18 @@ def annotate_factor(factor: FactorGraph, class_tag: str, grid=DEFAULT_GRID):
     decided = {}
     out = []
     for vertex in factor.vertices:
-        out.append(check_class(OrderedTuple(vertex), class_tag, grid, decided))
+        out.append(check_class(OrderedTuple(vertex), class_tag, decided=decided))
     return tuple(out)
 
 
-def annotate_realizability(pg: ParameterGraph, class_tag: str, grid=DEFAULT_GRID):
+def annotate_realizability(pg: ParameterGraph, class_tag: str):
     """Per-product-vertex status: realizable iff every factor verdict is.
 
     Returns (per-factor verdict tuples, per-vertex status strings).
     """
     if class_tag != KCLASS and class_tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {class_tag!r}")
-    factor_verdicts = tuple(
-        annotate_factor(factor, class_tag, grid) for factor in pg.factors
-    )
+    factor_verdicts = tuple(annotate_factor(factor, class_tag) for factor in pg.factors)
     statuses = []
     for vertex in pg.vertices:
         verdicts = [factor_verdicts[slot][pos] for slot, pos in enumerate(vertex)]

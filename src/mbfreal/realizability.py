@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from . import linear
@@ -29,6 +28,7 @@ from .boolean_core import (
     MbfFunction,
     OrderedTuple,
     canonical_form,
+    collapse_tuple,
     corner_insert_bit,
     eta,
     implies,
@@ -166,10 +166,10 @@ class Verdict:
 
 @dataclass(frozen=True)
 class SearchGrid:
-    """Grid for the witness search: lows stay fixed, highs range per variable.
+    """Grid for ``search_witness``: lows stay fixed, highs range per variable.
 
-    The hash is computed once per grid: ``check_class`` hashes its grid into
-    every ``decided`` key.  Equality compares the fields.
+    It is an input of the search alone; every class decision searches
+    ``DEFAULT_GRID``.
     """
 
     low: Fraction = Fraction(1)
@@ -183,13 +183,6 @@ class SearchGrid:
         Fraction(5),
         Fraction(6),
     )
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.low, self.highs))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 DEFAULT_GRID = SearchGrid()
@@ -385,8 +378,12 @@ def verify_direction_certificate(
     cert: DirectionCertificate,
 ) -> bool:
     """Check the four corners; with a structure, also that it exposes the
-    direction as a bare factor or standalone summand."""
+    direction as a bare factor or standalone summand.  A direction outside
+    1..n or a corner outside the cube fails."""
     ell = cert.direction
+    corners = (cert.f_true_corner, cert.g_false_corner, cert.g_true_corner, cert.f_false_corner)
+    if not 1 <= ell <= f.n or not all(c in range(1 << f.n) for c in corners):
+        return False
     if s is not None and not (has_factor(s, ell) or has_simple_term(s, ell)):
         return False
     bit = 1 << (ell - 1)
@@ -621,24 +618,20 @@ class _CollapseTable:
 
     def __init__(self, tup: OrderedTuple):
         self.collapsed = {
-            (ell, side): OrderedTuple(tuple(restrict_and_collapse(f, ell, side) for f in tup))
+            (ell, side): collapse_tuple(tup, ell, side)
             for ell in range(1, tup.n + 1)
             for side in (FLOOR, CEILING)
         }
         self.inner: "dict[tuple[OrderedTuple, str], object]" = {}
 
     def certificate(self, ell: int, side: str, shape: InteractionStructure, text: str):
-        """Direction certificate on a collapsed pair, else the monomial
-        certificate of the collapsed tuple under ``shape``, else None."""
+        """What ``_structure_blocked`` finds for the collapsed tuple under
+        ``shape`` without a table (direction, then monomial), or None."""
         collapsed = self.collapsed[ell, side]
         key = (collapsed, text)
-        if key in self.inner:
-            return self.inner[key]
-        cert = _direction_blocked(collapsed, shape)
-        if cert is None:
-            cert = monomial_certificate(collapsed, shape)
-        self.inner[key] = cert
-        return cert
+        if key not in self.inner:
+            self.inner[key] = _structure_blocked(collapsed, shape, None)
+        return self.inner[key]
 
 
 def _structure_blocked(
@@ -666,10 +659,7 @@ def _structure_blocked(
 
 
 def check_class(
-    tup: OrderedTuple,
-    class_tag: str,
-    grid: SearchGrid = DEFAULT_GRID,
-    decided: "dict | None" = None,
+    tup: OrderedTuple, class_tag: str, *, decided: "dict | None" = None
 ) -> Verdict:
     """Three-valued verdict for one algebraic class.
 
@@ -687,10 +677,11 @@ def check_class(
     census writes the same files however it is sharded.
 
     ``decided`` shares canonical decisions between calls: a dict from
-    (canonical tuple, class, grid) to verdict that this call reads and adds
-    to.  A caller deciding many tuples (a census shard, a parameter-graph
-    factor) passes one dict, so each orbit is decided once; without it a
-    call decides on its own.
+    (canonical tuple, class) to verdict that this call reads and adds to.
+    A caller deciding many tuples (a census shard, a parameter-graph factor)
+    passes one dict, so each orbit is decided once; without it a call
+    decides on its own.  There is no grid to key on: every decision searches
+    ``DEFAULT_GRID`` (see ``_decide``).
 
     The free class ``k`` is realized directly.  The tag and the arity guards
     are checked before the tuple is canonicalized.
@@ -708,30 +699,31 @@ def check_class(
     if decided is None:
         decided = {}
     canon, perm = canonical_form(tup)
-    key = (canon, class_tag, grid)
+    key = (canon, class_tag)
     verdict = decided.get(key)
     if verdict is None:
-        verdict = decided[key] = _decide(canon, class_tag, grid)
+        verdict = decided[key] = _decide(canon, class_tag)
     if canon is tup:
         return verdict
     if not verdict.is_realizable:
-        return _decide(tup, class_tag, grid)
+        return _decide(tup, class_tag)
     w = relabel_witness(verdict.witness, inverse_permutation(perm))
     if not verify_witness(tup, w):
         raise AssertionError("relabeled witness does not verify the tuple")
     return Verdict.realizable(w)
 
 
-def _decide(tup: OrderedTuple, class_tag: str, grid: SearchGrid) -> Verdict:
+def _decide(tup: OrderedTuple, class_tag: str) -> Verdict:
     """The verdict for this tuple itself.
 
     The sum class delegates to the exact decision, and so do the larger
     classes first: a sum witness is returned with its structure z1+...+zn
-    re-tagged for the class.  Otherwise every
-    structure is tried in turn: direction certificates, then (at four
-    inputs) facet-collapse pruning, then the monomial Farkas test, then grid
-    search.  The full-sum structure is not searched; the sum decision's
-    Farkas certificate rules it out unless a direction certificate does.
+    re-tagged for the class.  Otherwise every structure is tried in turn:
+    direction certificates, then (at four inputs) facet-collapse pruning,
+    then the monomial Farkas test, then ``search_witness`` over
+    ``DEFAULT_GRID``, the one grid every decision searches.  The full-sum
+    structure is not searched; the sum decision's Farkas certificate rules
+    it out unless a direction certificate does.
 
     At four inputs the decision builds one ``_CollapseTable``: each facet's
     collapsed tuple is built once, and each (collapsed tuple, collapse
@@ -764,7 +756,7 @@ def _decide(tup: OrderedTuple, class_tag: str, grid: SearchGrid) -> Verdict:
         if cert is not None:
             dead.append((s.text(), cert))
             continue
-        w = search_witness(tup, s, grid)
+        w = search_witness(tup, s)
         if w is not None:
             return Verdict.realizable(w)
         alive.append(s.text())
@@ -875,9 +867,7 @@ def collapse_witness(tup: OrderedTuple, w: Witness, ell: int, side: str):
     if not verify_witness(tup, w):
         raise WitnessError("witness does not verify the tuple")
     new_s, phi, offset = collapse_structure(w.structure, ell, side, w.phi)
-    collapsed = OrderedTuple(
-        tuple(restrict_and_collapse(f, ell, side) for f in tup)
-    )
+    collapsed = collapse_tuple(tup, ell, side)
     values = corner_table(new_s, phi)
     vmin = min(values)
     thresholds = []
@@ -1101,9 +1091,7 @@ def _replays(tup: OrderedTuple, structure_text: "str | None", cert) -> bool:
         shape = collapse_shape(parse_structure(structure_text, n), cert.direction)
         if cert.structure_text != shape.text():
             return False
-        collapsed = OrderedTuple(
-            tuple(restrict_and_collapse(f, cert.direction, cert.side) for f in tup)
-        )
+        collapsed = collapse_tuple(tup, cert.direction, cert.side)
         if isinstance(cert.inner, FarkasCertificate):
             return _farkas_replays(cert.inner, _monomial_system(collapsed, shape))
         return _replays(collapsed, cert.structure_text, cert.inner)
@@ -1156,4 +1144,6 @@ def witness_from_text(text: str):
     s = parse_structure(fields["structure"], tup.n)
     low = tuple(Fraction(tok) for tok in fields["low"].split())
     high = tuple(Fraction(tok) for tok in fields["high"].split())
+    if len(low) != tup.n:
+        raise ValueError(f"witness has {len(low)} low values for arity {tup.n}")
     return tup, Witness(s, PhiAssignment(low, high), thresholds)

@@ -14,6 +14,7 @@ from mbfreal.boolean_core import (
     OrderedTuple,
     beta_normalize,
     canonical_form,
+    collapse_tuple,
     enumerate_mbf_positive,
     enumerate_ordered_pairs,
     eta,
@@ -237,6 +238,7 @@ def test_collapse_four_to_three():
     f3, g3 = PAIR_NEEDS_MIXED
     assert restrict_and_collapse(f4, 4, FLOOR) == f3
     assert restrict_and_collapse(g4, 4, FLOOR) == g3
+    assert collapse_tuple(OrderedTuple(PAIR_UNREACHABLE_4), 4, FLOOR) == OrderedTuple((f3, g3))
 
 
 def test_collapse_rejects_arity_one():

@@ -112,6 +112,26 @@ def test_verify_corrupted_witness(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("kept", [0, 1, 2])
+def test_verify_witness_with_too_few_values(tmp_path, capsys, kept):
+    # low and high both cut short of the arity: a corrupted witness file,
+    # which exits 1 like any other, not 2
+    f, g = PAIR_NEEDS_MIXED
+    witness_path = tmp_path / "w.txt"
+    run(capsys, "realize", "--pair", f.to_hex(), g.to_hex(), "--class", "sigmapisigma",
+        "--out", str(witness_path))
+    broken = []
+    for line in witness_path.read_text().splitlines():
+        key, _, values = line.partition(": ")
+        if key in ("low", "high"):
+            line = " ".join([key + ":"] + values.split()[:kept])
+        broken.append(line)
+    witness_path.write_text("\n".join(broken) + "\n")
+    code, _, err = run(capsys, "verify", "--witness", str(witness_path))
+    assert code == 1
+    assert err.startswith("invalid witness: ")
+
+
 def test_verify_pair_mismatch(tmp_path, capsys):
     f, g = PAIR_NEEDS_PRODUCT
     witness_path = tmp_path / "w.txt"
@@ -340,6 +360,16 @@ def test_census_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert code == 2
     assert err.startswith("error: ") and "--jobs" in err
     assert not out_dir.exists()
+
+
+def test_census_rejects_a_repeated_class(tmp_path, capsys):
+    out_dir = tmp_path / "census"
+    out_dir.mkdir()
+    code, _, err = run(capsys, "census", "--n", "3", "--classes", "sigma,k,sigma",
+                       "--out", str(out_dir))
+    assert code == 2
+    assert err.startswith("error: ") and "repeated" in err
+    assert list(out_dir.iterdir()) == []
 
 
 def test_shard_plan_caps_workers():

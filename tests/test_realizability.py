@@ -300,11 +300,18 @@ def test_direction_certificate_rejects_every_changed_field():
         for value in range(8)
         if value != getattr(cert, name)
     ]
-    changed += [replace(cert, direction=d) for d in (2, 3)]
+    changed += [replace(cert, direction=d) for d in (2, 3, 0, -1, 4)]
+    # corners outside the cube that keep the bit relations of direction 1
+    outside = DirectionCertificate(1, -3, -4, -4, -3)
+    changed.append(outside)
     for bad in changed:
         assert not verify_direction_certificate(f, g, s, bad), bad
         assert not verify_direction_certificate(f, g, None, bad), bad
         assert not replay_certificate(tup, None, bad), bad
+    wrapped = ExhaustionCertificate(
+        tuple((t.text(), outside) for t in enumerate_structures(3, PISIGMA))
+    )
+    assert not replay_certificate(tup, None, wrapped)
 
 
 def test_no_direction_certificate_when_comparable():
@@ -895,7 +902,7 @@ def _chains_of_three(n):
 def _assert_matches_uncached(tup, class_tag):
     """check_class against the uncached decision of the member itself."""
     verdict = check_class(tup, class_tag)
-    direct = realizability._decide(tup, class_tag, DEFAULT_GRID)
+    direct = realizability._decide(tup, class_tag)
     assert verdict.status == direct.status, (tup, class_tag)
     if verdict.is_realizable:
         assert verify_witness(tup, verdict.witness)
@@ -940,17 +947,13 @@ def test_orbit_members_share_one_decision(monkeypatch):
     decided = {}
     cached = check_class(canon, PISIGMA, decided=decided)
     assert check_class(canon, PISIGMA, decided=decided) is cached
-    # an equal grid that is another object finds the same entry
-    grid = SearchGrid(Fraction(1), DEFAULT_GRID.highs)
-    assert grid is not DEFAULT_GRID and hash(grid) == hash(DEFAULT_GRID)
-    assert check_class(canon, PISIGMA, grid, decided=decided) is cached
     for perm in permutations(3):
         member = relabel_tuple(canon, perm)
         verdict = check_class(member, PISIGMA, decided=decided)
         assert verdict.witness == relabel_witness(cached.witness, perm)
         assert verify_witness(member, verdict.witness)
-    assert decisions == [(canon, PISIGMA, DEFAULT_GRID)]
-    assert decided == {(canon, PISIGMA, DEFAULT_GRID): cached}
+    assert decisions == [(canon, PISIGMA)]
+    assert decided == {(canon, PISIGMA): cached}
     # without a shared dict every call decides on its own
     check_class(canon, PISIGMA)
     check_class(canon, PISIGMA)
@@ -982,6 +985,9 @@ def test_guards_fire_before_canonicalization():
     with pytest.raises(ValueError, match="sum decision guarded at arity 5"):
         check_class(wide, SIGMA)
     assert check_class(wide, "k").is_realizable
+    # no grid is taken, so a stale positional one cannot land in ``decided``
+    with pytest.raises(TypeError):
+        check_class(OrderedTuple(PAIR_NEEDS_PRODUCT), PISIGMA, DEFAULT_GRID)
 
 
 # ---------------------------------------------------------------- collapse table
@@ -1049,7 +1055,7 @@ def test_decision_tests_each_collapsed_tuple_and_shape_once(monkeypatch):
     for tup in _four_input_sample()[:4]:
         for class_tag in (PISIGMA, SIGMAPISIGMA):
             calls.clear()
-            realizability._decide(tup, class_tag, DEFAULT_GRID)
+            realizability._decide(tup, class_tag)
             assert len(calls) == len(set(calls)), (tup, class_tag)
             assert any(t.n == 3 for t, _ in calls)
 
