@@ -236,6 +236,9 @@ def _shard_plan(tasks: list, jobs: int, cpus: "int | None") -> "list[list]":
 
 def cmd_census(args) -> int:
     classes = [c for c in args.classes.split(",") if c]
+    if not classes:
+        print(f"error: no class in {args.classes!r}", file=sys.stderr)
+        return 2
     for c in classes:
         if c not in CENSUS_CLASSES:
             print(f"error: unknown class {c!r}", file=sys.stderr)

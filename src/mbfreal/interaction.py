@@ -335,7 +335,9 @@ def scaled_corner_evaluator(s: InteractionStructure, scale: int, corners):
     weighted by ``scale ** (degree - m)``; every result is then exactly
     ``scale ** degree`` times the value ``corner_table`` gives, and the two
     orders agree.  Each block is compiled once into positions in the list
-    ``low + high``.
+    ``low + high``.  A variable sits in one block, so each result is affine
+    in any one variable's high: the witness search screens a grid row with
+    two calls, at that high 0 and 1.
     """
     n = s.n
     deg = s.degree()

@@ -526,51 +526,70 @@ def derive_thresholds(tup: OrderedTuple, values):
     return tuple(thresholds)
 
 
+def _screened_points(tup: OrderedTuple, s: InteractionStructure, grid: SearchGrid):
+    """Index tuples into ``grid.highs`` over the sorted support, in grid
+    order, of the points at which every function has a separating gap.
+
+    Grid values times scale, the LCM of their denominators, are integers, and
+    ``scaled_corner_evaluator`` gives corner values times a positive power of
+    scale.  Values grow with the corner bits, so a function has a gap exactly
+    when each maximal false corner is below each minimal true corner.  Each
+    variable sits in one block of one group, so with all highs but the last
+    fixed (one row) a scaled corner value is ``A + B*h`` in the last scaled
+    high h: two evaluations, at h = 0 and 1, give A and B, each (false, true)
+    corner pair bounds h by a strict integer inequality, and the row admits
+    the grid highs inside every bound.
+    """
+    for h in grid.highs:
+        if not 0 < grid.low < h:
+            raise ValueError(f"need 0 < low < high, got {grid.low}, {h}")
+    *prefix, last = sorted(s.support)
+    scale = math.lcm(grid.low.denominator, *(h.denominator for h in grid.highs))
+    int_low = [int(grid.low * scale)] * tup.n
+    int_highs = [int(h * scale) for h in grid.highs]
+    sides = [(maximal_false_corners(f), minimal_true_corners(f)) for f in tup]
+    corners = sorted({v for below, above in sides for v in below + above})
+    slot = {v: k for k, v in enumerate(corners)}
+    pairs = {(slot[x], slot[y]) for below, above in sides for x in below for y in above}
+    int_high = [max(int_highs)] * tup.n
+    scaled_values = scaled_corner_evaluator(s, scale, corners)
+    for row in itertools.product(range(len(int_highs)), repeat=len(prefix)):
+        for i, k in zip(prefix, row):
+            int_high[i - 1] = int_highs[k]
+        int_high[last - 1] = 0
+        a = scaled_values(int_low, int_high)
+        int_high[last - 1] = 1
+        b = [v - u for u, v in zip(a, scaled_values(int_low, int_high))]
+        lo, hi = min(int_highs), max(int_highs)
+        for x, y in pairs:
+            # a[x] + b[x]*h < a[y] + b[y]*h, that is c*h < d
+            c, d = b[x] - b[y], a[y] - a[x]
+            if c > 0:
+                hi = min(hi, (d - 1) // c)
+            elif c < 0:
+                lo = max(lo, d // c + 1)
+            elif d <= 0:
+                hi = lo - 1
+            if lo > hi:
+                break
+        else:
+            yield from (row + (k,) for k, h in enumerate(int_highs) if lo <= h <= hi)
+
+
 def search_witness(
     tup: OrderedTuple, s: InteractionStructure, grid: SearchGrid = DEFAULT_GRID
 ):
     """Enumerate the rational grid of high values over the structure support;
     thresholds are derived from the achieved value gaps, never searched.
 
-    Each grid point is screened in exact integers before any ``Fraction`` is
-    built.  Every grid value is a multiple of 1/scale, scale being the LCM of
-    the grid's denominators, so ``scaled_corner_evaluator`` gives each corner
-    value times scale**degree as an integer; a positive factor keeps every
-    comparison.  Values only grow with the corner bits, because every low is
-    below its high, so a function has a separating gap exactly when each of
-    its maximal false corners is below each of its minimal true corners.  A
-    point without a gap would fail ``derive_thresholds``; a point with one
-    goes through the exact path: ``PhiAssignment``, ``corner_table``,
-    ``derive_thresholds`` and ``verify_witness``.
+    Only the points that ``_screened_points`` admits, in grid order, get
+    ``Fraction`` values and go through ``PhiAssignment``, ``corner_table``,
+    ``derive_thresholds`` and ``verify_witness``; the others have no gap.
     """
-    for h in grid.highs:
-        if not 0 < grid.low < h:
-            raise ValueError(f"need 0 < low < high, got {grid.low}, {h}")
     n = tup.n
     support = sorted(s.support)
     spare_high = max(grid.highs)
-    scale = math.lcm(grid.low.denominator, *(h.denominator for h in grid.highs))
-    int_low = [int(grid.low * scale)] * n
-    int_highs = [int(h * scale) for h in grid.highs]
-    sides = [(maximal_false_corners(f), minimal_true_corners(f)) for f in tup]
-    corners = sorted({v for below, above in sides for v in below + above})
-    slot = {v: k for k, v in enumerate(corners)}
-    gaps = [
-        ([slot[v] for v in below], [slot[v] for v in above])
-        for below, above in sides
-        if below and above
-    ]
-    int_high = [int(spare_high * scale)] * n
-    scaled_values = scaled_corner_evaluator(s, scale, corners)
-    for point in itertools.product(range(len(grid.highs)), repeat=len(support)):
-        for i, k in zip(support, point):
-            int_high[i - 1] = int_highs[k]
-        values = scaled_values(int_low, int_high)
-        if any(
-            max(values[k] for k in below) >= min(values[k] for k in above)
-            for below, above in gaps
-        ):
-            continue
+    for point in _screened_points(tup, s, grid):
         low = [grid.low] * n
         high = [spare_high] * n
         for i, k in zip(support, point):

@@ -178,3 +178,30 @@ PAIR_NEEDS_MIXED_MONOMIAL_CERTIFICATE_JSON = (
     '], "multipliers": ["1", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0", '
     '"0", "0", "0", "0", "0", "0", "0", "0", "0", "1"]}'
 )
+
+# witness_to_text of the grid-search witnesses of three four-input decisions,
+# keyed by (f, g, class): the first point in grid order of the first
+# structure that no certificate blocks.
+FOUR_INPUT_SEARCH_WITNESSES = {
+    ("8880", "f8a8", "sigmapisigma"): (
+        "tuple: mbf:4:8880 mbf:4:f8a8\n"
+        "structure: (z1+z4)*z2+z3\n"
+        "low: 1 1 1 1\n"
+        "high: 31/10 3/2 4 3\n"
+        "thresholds: 81/8 57/8\n"
+    ),
+    ("8880", "e8e0", "pisigma"): (
+        "tuple: mbf:4:8880 mbf:4:e8e0\n"
+        "structure: (z1+z2)*(z3+z4)\n"
+        "low: 1 1 1 1\n"
+        "high: 4 4 31/10 3\n"
+        "thresholds: 125/4 81/4\n"
+    ),
+    ("e8a8", "fefc", "pisigma"): (
+        "tuple: mbf:4:e8a8 mbf:4:fefc\n"
+        "structure: (z1+z4)*(z2+z3)\n"
+        "low: 1 1 1 1\n"
+        "high: 3 31/10 31/10 3/2\n"
+        "thresholds: 279/20 81/10\n"
+    ),
+}

@@ -372,6 +372,17 @@ def test_census_rejects_a_repeated_class(tmp_path, capsys):
     assert list(out_dir.iterdir()) == []
 
 
+def test_census_rejects_an_empty_class_list(tmp_path, capsys):
+    out_dir = tmp_path / "census"
+    out_dir.mkdir()
+    for classes in (",", ""):
+        code, _, err = run(capsys, "census", "--n", "3", "--classes", classes,
+                           "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith("error: ") and "no class" in err
+        assert list(out_dir.iterdir()) == []
+
+
 def test_shard_plan_caps_workers():
     tasks = list(range(10))
     # never more workers than jobs, tasks or CPUs; an unknown CPU count is one

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -17,6 +18,8 @@ from mbfreal.boolean_core import (
     enumerate_ordered_pairs,
     eta,
     implies,
+    maximal_false_corners,
+    minimal_true_corners,
     monotone_closure,
     permutations,
     relabel_tuple,
@@ -31,6 +34,7 @@ from mbfreal.interaction import (
     corner_table,
     enumerate_structures,
     parse_structure,
+    scaled_corner_evaluator,
     sum_structure,
 )
 from mbfreal import realizability
@@ -73,6 +77,7 @@ from mbfreal.realizability import (
 )
 
 from goldens import (
+    FOUR_INPUT_SEARCH_WITNESSES,
     PAIR_NEEDS_MIXED,
     PAIR_NEEDS_MIXED_MONOMIAL_CERTIFICATE_JSON,
     PAIR_NEEDS_MIXED_WITNESS,
@@ -468,18 +473,107 @@ def test_search_witness_matches_reference_on_other_grids():
         ),
         SearchGrid(Fraction(6, 5), (Fraction(9, 7), Fraction(3, 2), Fraction(21, 10), Fraction(4))),
         SearchGrid(Fraction(1), (Fraction(8, 7), Fraction(13, 10), Fraction(2), Fraction(22, 7))),
+        # highs out of order, with a repeated value
+        SearchGrid(Fraction(1), (Fraction(4), Fraction(3, 2), Fraction(4), Fraction(2), Fraction(3))),
+        SearchGrid(Fraction(1), (Fraction(6), Fraction(5), Fraction(3), Fraction(2), Fraction(3, 2))),
+        SearchGrid(Fraction(5, 2), (Fraction(3), Fraction(11, 4), Fraction(7), Fraction(4))),
+        SearchGrid(Fraction(1), (Fraction(3),)),
     ]
     pairs = [PAIR_NEEDS_PRODUCT, PAIR_NEEDS_MIXED] + _orbit_representatives(3)[::6]
+    # full support (every product structure) and one-variable support, where
+    # the screen's row prefix is empty and the grid is one row
+    structures = _product_structures(3) + [sum_structure({i}, 3) for i in (1, 2, 3)]
+    const_pair = (MbfFunction.const(1, 0), MbfFunction.const(1, 1))
     found = 0
     for grid in grids:
         tables = {}
-        for f, g in pairs:
+        for f, g in pairs + [const_pair]:
             tup = OrderedTuple((f, g))
-            for s in _product_structures(3):
+            for s in structures if f.n == 3 else [parse_structure("z1", 1)]:
+                _assert_same_screen(tup, s, grid)
                 expected = _reference_search(tup, s, grid, tables)
                 assert search_witness(tup, s, grid) == expected, (f, g, s.text(), grid)
                 found += expected is not None
     assert found > 0
+
+
+def _per_point_screen(tup, s, grid):
+    """The integer screen one grid point at a time: the index tuples of the
+    points at which each function's maximal false corners are all below its
+    minimal true corners, scaled corner values evaluated at every point."""
+    n = tup.n
+    support = sorted(s.support)
+    scale = math.lcm(grid.low.denominator, *(h.denominator for h in grid.highs))
+    int_low = [int(grid.low * scale)] * n
+    int_highs = [int(h * scale) for h in grid.highs]
+    sides = [(maximal_false_corners(f), minimal_true_corners(f)) for f in tup]
+    corners = sorted({v for below, above in sides for v in below + above})
+    slot = {v: k for k, v in enumerate(corners)}
+    gaps = [
+        ([slot[v] for v in below], [slot[v] for v in above])
+        for below, above in sides
+        if below and above
+    ]
+    int_high = [max(int_highs)] * n
+    scaled_values = scaled_corner_evaluator(s, scale, corners)
+    admitted = []
+    for point in itertools.product(range(len(grid.highs)), repeat=len(support)):
+        for i, k in zip(support, point):
+            int_high[i - 1] = int_highs[k]
+        values = scaled_values(int_low, int_high)
+        if all(
+            max(values[k] for k in below) < min(values[k] for k in above)
+            for below, above in gaps
+        ):
+            admitted.append(point)
+    return admitted
+
+
+def _assert_same_screen(tup, s, grid=DEFAULT_GRID):
+    expected = _per_point_screen(tup, s, grid)
+    assert list(realizability._screened_points(tup, s, grid)) == expected, (
+        [f.to_hex() for f in tup], s.text(), grid,
+    )
+    return expected
+
+
+def test_row_screen_matches_per_point_screen():
+    # every orbit representative at n <= 3 against every product structure
+    admitted = 0
+    for n in (1, 2, 3):
+        for f, g in _orbit_representatives(n):
+            for s in _product_structures(n):
+                admitted += len(_assert_same_screen(OrderedTuple((f, g)), s))
+    assert admitted > 0
+
+
+def test_row_screen_matches_per_point_screen_at_four_inputs():
+    rng = random.Random(11)
+    pairs = enumerate_ordered_pairs(4)
+    structures = _product_structures(4)
+    admitted = 0
+    for _ in range(30):
+        f, g = rng.choice(pairs)
+        admitted += len(_assert_same_screen(OrderedTuple((f, g)), rng.choice(structures)))
+    assert admitted > 0
+
+
+def test_four_input_search_witnesses_are_pinned():
+    for (f, g, class_tag), text in FOUR_INPUT_SEARCH_WITNESSES.items():
+        tup = OrderedTuple((MbfFunction.from_hex(f"mbf:4:{f}"), MbfFunction.from_hex(f"mbf:4:{g}")))
+        w = check_class(tup, class_tag).witness
+        assert witness_to_text(tup, w) == text
+        assert search_witness(tup, w.structure) == w
+
+
+def test_structures_put_each_variable_in_one_block():
+    # a corner value is affine in any one variable's high, which the row
+    # screen of search_witness relies on
+    for n in (1, 2, 3, 4):
+        for class_tag in (SIGMA, PISIGMA, SIGMAPISIGMA):
+            for s in enumerate_structures(n, class_tag):
+                members = [i for blocks in s.groups for b in blocks for i in b]
+                assert len(members) == len(set(members)), s.text()
 
 
 def test_search_grid_needs_every_high_above_low():
@@ -493,6 +587,8 @@ def test_search_grid_needs_every_high_above_low():
     ):
         with pytest.raises(ValueError, match="need 0 < low < high"):
             search_witness(tup, s, grid)
+    with pytest.raises(ValueError):
+        search_witness(tup, s, SearchGrid(highs=()))
 
 
 def test_search_builds_fractions_only_for_screened_points(monkeypatch):
