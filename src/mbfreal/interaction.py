@@ -316,13 +316,26 @@ def evaluate(s: InteractionStructure, z) -> Fraction:
     return total
 
 
-def evaluate_at_corner(s: InteractionStructure, phi: PhiAssignment, v: int) -> Fraction:
-    return evaluate(s, phi.corner(v))
-
-
 def corner_table(s: InteractionStructure, phi: PhiAssignment) -> "tuple[Fraction, ...]":
-    """Values at all 2**n corners, indexed by corner bitmask."""
-    return tuple(evaluate_at_corner(s, phi, v) for v in range(1 << s.n))
+    """Values at all 2**n corners, indexed by corner bitmask.
+
+    ``PhiAssignment`` has already checked that its values are positive, so
+    each corner is summed and multiplied as it stands, without the checks
+    and conversions of ``evaluate``.
+    """
+    if phi.n != s.n:
+        raise ValueError(f"expected {s.n} values, got {phi.n}")
+    out = []
+    for v in range(1 << s.n):
+        z = phi.corner(v)
+        total = 0
+        for blocks in s.groups:
+            prod = 1
+            for b in blocks:
+                prod *= sum(z[i - 1] for i in b)
+            total += prod
+        out.append(total)
+    return tuple(out)
 
 
 def scaled_corner_evaluator(s: InteractionStructure, scale: int, corners):

@@ -5,8 +5,9 @@ value per corner separates every function at its own threshold: f_j is 1
 exactly where the value exceeds threshold_j.  The unrestricted class always
 works (sum the functions); the algebraic classes are decided or searched:
 
-* sums: exact decision by Fourier-Motzkin elimination over the rationals,
-  with a Farkas certificate on the infeasible side;
+* sums: exact decision by Fourier-Motzkin elimination over the rationals
+  on the monomial system of the full sum z1+...+zn, which for a sum is the
+  exact separation LP, with a Farkas certificate on the infeasible side;
 * products of sums and sums of products of sums: three-valued verdicts from
   (i) facet-comparability certificates for directions appearing as a bare
   factor or standalone summand, (ii) monomial-linearization Farkas
@@ -169,7 +170,8 @@ class SearchGrid:
     """Grid for ``search_witness``: lows stay fixed, highs range per variable.
 
     It is an input of the search alone; every class decision searches
-    ``DEFAULT_GRID``.
+    ``DEFAULT_GRID``.  A grid without highs, or with a high not above a
+    positive low, is refused when it is built.
     """
 
     low: Fraction = Fraction(1)
@@ -183,6 +185,13 @@ class SearchGrid:
         Fraction(5),
         Fraction(6),
     )
+
+    def __post_init__(self) -> None:
+        if not self.highs:
+            raise ValueError("search grid needs at least one high value")
+        for h in self.highs:
+            if not 0 < self.low < h:
+                raise ValueError(f"need 0 < low < high, got {self.low}, {h}")
 
 
 DEFAULT_GRID = SearchGrid()
@@ -250,85 +259,42 @@ def realize_k(tup: OrderedTuple) -> KWitness:
 
 # ---------------------------------------------------------------- sums (exact)
 
-def _sigma_system(tup: OrderedTuple, members: "tuple[int, ...]"):
-    """LP deciding separation by a sum over the member variables.
-
-    The strict-inequality margin is normalized to 1; feasibility is
-    scale-invariant, so this loses nothing.  Coefficients and constants are
-    ``int``s.
-    """
-    n = tup.n
-    k = len(tup)
-    columns = [f"l{i}" for i in members] + [f"u{i}" for i in members] + [
-        f"th{j + 1}" for j in range(k)
-    ]
-    index = {name: pos for pos, name in enumerate(columns)}
-    width = len(columns)
-    rows = []
-
-    def blank():
-        return [0] * width
-
-    for i in members:
-        r = blank()
-        r[index[f"l{i}"]] = 1
-        rows.append(linear.Row(tuple(r), 1))
-        r = blank()
-        r[index[f"u{i}"]] = 1
-        r[index[f"l{i}"]] = -1
-        rows.append(linear.Row(tuple(r), 1))
-    r = blank()
-    r[index[f"th{k}"]] = 1
-    rows.append(linear.Row(tuple(r), 1))
-    for j in range(1, k):
-        r = blank()
-        r[index[f"th{j}"]] = 1
-        r[index[f"th{j + 1}"]] = -1
-        rows.append(linear.Row(tuple(r), 1))
-
-    def value_coeffs(v: int):
-        r = blank()
-        for i in members:
-            name = f"u{i}" if v >> (i - 1) & 1 else f"l{i}"
-            r[index[name]] += 1
-        return r
-
-    for j, f in enumerate(tup, start=1):
-        for v in minimal_true_corners(f):
-            r = value_coeffs(v)
-            r[index[f"th{j}"]] -= 1
-            rows.append(linear.Row(tuple(r), 1))
-        for v in maximal_false_corners(f):
-            r = [-c for c in value_coeffs(v)]
-            r[index[f"th{j}"]] += 1
-            rows.append(linear.Row(tuple(r), 1))
-    return columns, rows
-
-
 def check_sigma(tup: OrderedTuple) -> Verdict:
     """Exact decision for the sum class by one LP; never Unknown.
 
-    The LP asks for a sum over all n variables.  Fixing the support loses
-    nothing: a sum over a subset of the variables separates the tuple exactly
-    when the full sum does, because each missing variable can be added with
-    low 1, a spread below every separation margin, and every threshold raised
-    by 1.  The verdict carries the LP's point as a witness, or its Farkas
-    certificate.
+    The LP is the monomial system of the full sum z1+...+zn
+    (``_monomial_system``).  For a sum every monomial is a single low or
+    high symbol, so the system is not a relaxation: its columns are
+    l1..ln, u1..un and its strict homogeneous rows say that every maximal
+    false corner of each function lies below each of its minimal true
+    corners, that every value is positive and that u_i > l_i.  Any point
+    gives every function a gap between its false and its true values.  Where
+    two functions of the implication chain differ, a corner false for the
+    first and true for the second puts the first gap wholly above the
+    second, so ``derive_thresholds`` always finds strictly decreasing
+    thresholds.
+
+    Fixing the support loses nothing: a sum over a subset of the variables
+    separates the tuple exactly when the full sum does, because each missing
+    variable can be added with low 1, a spread below every separation
+    margin, and every threshold raised by 1.  The verdict carries the
+    derived witness, or the LP's Farkas certificate.
     """
     n = tup.n
     if n > 5:
         raise ValueError("sum decision guarded at arity 5")
-    members = tuple(range(1, n + 1))
-    columns, rows = _sigma_system(tup, members)
+    s = sum_structure(range(1, n + 1), n)
+    columns, rows = _monomial_system(tup, s)
     out = linear.solve(len(columns), rows)
     if isinstance(out, linear.Infeasible):
         return Verdict.not_realizable(
             FarkasCertificate(tuple(columns), tuple(rows), out.multipliers)
         )
-    # columns are l1..ln, u1..un, th1..thk
-    p = out.point
-    w = Witness(sum_structure(members, n), PhiAssignment(p[:n], p[n:2 * n]), p[2 * n:])
-    if not verify_witness(tup, w):
+    # columns are l1..ln (corner 0), then u1..un (the unit corners in order)
+    phi = PhiAssignment(out.point[:n], out.point[n:])
+    thresholds = derive_thresholds(tup, corner_table(s, phi))
+    w = Witness(s, phi, thresholds)
+    if thresholds is None or not verify_witness(tup, w):
         raise AssertionError("feasible sum system produced a bad witness")
     return Verdict.realizable(w)
 
@@ -540,9 +506,6 @@ def _screened_points(tup: OrderedTuple, s: InteractionStructure, grid: SearchGri
     corner pair bounds h by a strict integer inequality, and the row admits
     the grid highs inside every bound.
     """
-    for h in grid.highs:
-        if not 0 < grid.low < h:
-            raise ValueError(f"need 0 < low < high, got {grid.low}, {h}")
     *prefix, last = sorted(s.support)
     scale = math.lcm(grid.low.denominator, *(h.denominator for h in grid.highs))
     int_low = [int(grid.low * scale)] * tup.n
@@ -1077,13 +1040,14 @@ def replay_certificate(tup: OrderedTuple, structure_text: "str | None", cert) ->
     """Re-derive the contradiction against the claim it makes.
 
     Nothing stored is trusted that can be rebuilt from the tuple and the
-    structure.  A Farkas certificate must hold the sum LP (no structure, or
-    the full sum) or the monomial system of the structure, row for row.  An
-    exhaustion must name every ``pisigma`` or ``sigmapisigma`` structure in
-    enumeration order.  A collapse must name the shape its direction leaves
-    of the parent structure; its Farkas certificate holds that shape's
-    monomial system, as ``_structure_blocked`` builds it.  Structure text
-    that does not parse names no claim, so nothing replays against it.
+    structure.  A Farkas certificate must hold the monomial system of the
+    structure, or of the full sum z1+...+zn when there is no structure (the
+    sum decision's claim), row for row.  An exhaustion must name every
+    ``pisigma`` or ``sigmapisigma`` structure in enumeration order.  A
+    collapse must name the shape its direction leaves of the parent
+    structure, and its inner certificate replays against the collapsed tuple
+    and that shape.  Structure text that does not parse names no claim, so
+    nothing replays against it.
     """
     try:
         return _replays(tup, structure_text, cert)
@@ -1094,9 +1058,11 @@ def replay_certificate(tup: OrderedTuple, structure_text: "str | None", cert) ->
 def _replays(tup: OrderedTuple, structure_text: "str | None", cert) -> bool:
     n = tup.n
     if isinstance(cert, FarkasCertificate):
-        if structure_text is None or structure_text == sum_structure(range(1, n + 1), n).text():
-            return _farkas_replays(cert, _sigma_system(tup, tuple(range(1, n + 1))))
-        return _farkas_replays(cert, _monomial_system(tup, parse_structure(structure_text, n)))
+        if structure_text is None:
+            s = sum_structure(range(1, n + 1), n)
+        else:
+            s = parse_structure(structure_text, n)
+        return _farkas_replays(cert, _monomial_system(tup, s))
     if isinstance(cert, DirectionCertificate):
         if len(tup) < 2:
             return False
@@ -1111,8 +1077,6 @@ def _replays(tup: OrderedTuple, structure_text: "str | None", cert) -> bool:
         if cert.structure_text != shape.text():
             return False
         collapsed = collapse_tuple(tup, cert.direction, cert.side)
-        if isinstance(cert.inner, FarkasCertificate):
-            return _farkas_replays(cert.inner, _monomial_system(collapsed, shape))
         return _replays(collapsed, cert.structure_text, cert.inner)
     if isinstance(cert, ExhaustionCertificate):
         texts = [text for text, _ in cert.entries]

@@ -125,27 +125,28 @@ REFERENCE_WITNESSES = [
 
 
 # json.dumps(certificate_to_data(...)) of two Farkas certificates, as census
-# and realize files hold them: the full-support sum LP of PAIR_NEEDS_PRODUCT,
-# and the monomial system of PAIR_NEEDS_MIXED under (z1+z2)*z3.
+# and realize files hold them: the sum decision's monomial system of
+# z1+z2+z3 for PAIR_NEEDS_PRODUCT, and the monomial system of
+# PAIR_NEEDS_MIXED under (z1+z2)*z3.
 PAIR_NEEDS_PRODUCT_SUM_CERTIFICATE_JSON = (
-    '{"type": "farkas", "columns": ["l1", "l2", "l3", "u1", "u2", "u3", "th1", "th2"], "rows": ['
-    '{"coeffs": ["1", "0", "0", "0", "0", "0", "0", "0"], "const": "1", "strict": false}, '
-    '{"coeffs": ["-1", "0", "0", "1", "0", "0", "0", "0"], "const": "1", "strict": false}, '
-    '{"coeffs": ["0", "1", "0", "0", "0", "0", "0", "0"], "const": "1", "strict": false}, '
-    '{"coeffs": ["0", "-1", "0", "0", "1", "0", "0", "0"], "const": "1", "strict": false}, '
-    '{"coeffs": ["0", "0", "1", "0", "0", "0", "0", "0"], "const": "1", "strict": false}, '
-    '{"coeffs": ["0", "0", "-1", "0", "0", "1", "0", "0"], "const": "1", "strict": false}, '
-    '{"coeffs": ["0", "0", "0", "0", "0", "0", "0", "1"], "const": "1", "strict": false}, '
-    '{"coeffs": ["0", "0", "0", "0", "0", "0", "1", "-1"], "const": "1", "strict": false}, '
-    '{"coeffs": ["0", "1", "0", "1", "0", "1", "-1", "0"], "const": "1", "strict": false}, '
-    '{"coeffs": ["1", "0", "0", "0", "1", "1", "-1", "0"], "const": "1", "strict": false}, '
-    '{"coeffs": ["0", "0", "-1", "-1", "-1", "0", "1", "0"], "const": "1", "strict": false}, '
-    '{"coeffs": ["-1", "-1", "0", "0", "0", "-1", "1", "0"], "const": "1", "strict": false}, '
-    '{"coeffs": ["0", "1", "1", "1", "0", "0", "0", "-1"], "const": "1", "strict": false}, '
-    '{"coeffs": ["1", "0", "1", "0", "1", "0", "0", "-1"], "const": "1", "strict": false}, '
-    '{"coeffs": ["-1", "-1", "0", "0", "0", "-1", "0", "1"], "const": "1", "strict": false}'
-    '], "multipliers": ["0", "0", "0", "0", "0", "0", "0", "0", "0", "1/4", "1/4", "0", "1/4", '
-    '"0", "1/4"]}'
+    '{"type": "farkas", "columns": ["l1", "l2", "l3", "u1", "u2", "u3"], "rows": ['
+    '{"coeffs": ["0", "1", "-1", "0", "-1", "1"], "const": "0", "strict": true}, '
+    '{"coeffs": ["1", "0", "-1", "-1", "0", "1"], "const": "0", "strict": true}, '
+    '{"coeffs": ["-1", "0", "0", "1", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "-1", "0", "0", "1", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["-1", "0", "1", "1", "0", "-1"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "-1", "1", "0", "1", "-1"], "const": "0", "strict": true}, '
+    '{"coeffs": ["1", "0", "0", "0", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "1", "0", "0", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "0", "1", "0", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "0", "0", "1", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "0", "0", "0", "1", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "0", "0", "0", "0", "1"], "const": "0", "strict": true}, '
+    '{"coeffs": ["-1", "0", "0", "1", "0", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "-1", "0", "0", "1", "0"], "const": "0", "strict": true}, '
+    '{"coeffs": ["0", "0", "-1", "0", "0", "1"], "const": "0", "strict": true}'
+    '], "multipliers": ["0", "1", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0", "0", '
+    '"0"]}'
 )
 
 PAIR_NEEDS_MIXED_MONOMIAL_CERTIFICATE_JSON = (
@@ -177,6 +178,17 @@ PAIR_NEEDS_MIXED_MONOMIAL_CERTIFICATE_JSON = (
     '{"coeffs": ["1", "0", "-1", "0", "-1", "0", "1", "0"], "const": "0", "strict": true}'
     '], "multipliers": ["1", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0", '
     '"0", "0", "0", "0", "0", "0", "0", "0", "0", "1"]}'
+)
+
+# The pairs of the products-n4 benchmark workload, as (f, g) hex masks on
+# four inputs.
+PRODUCTS_N4_PAIRS = (
+    ("8880", "f8a8"), ("8080", "a8a8"), ("a888", "ece8"), ("8880", "e8e0"),
+    ("e8e8", "fee8"), ("eaa8", "fffc"), ("e888", "e8e8"), ("a880", "eaa8"),
+    ("8080", "feee"), ("0000", "ffff"), ("e8a8", "fefc"), ("0000", "8080"),
+    ("e8e8", "eaea"), ("a880", "fce8"), ("feea", "feea"), ("a8a8", "feee"),
+    ("8000", "8080"), ("0000", "eeea"), ("0000", "feee"), ("eaea", "feea"),
+    ("0000", "aaaa"), ("a880", "ecc8"), ("e8a8", "eeee"),
 )
 
 # witness_to_text of the grid-search witnesses of three four-input decisions,

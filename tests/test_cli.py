@@ -93,6 +93,30 @@ def test_realize_rejects_unordered(capsys):
     assert "imply" in err
 
 
+def test_realize_refuses_functions_without_variables(tmp_path, capsys):
+    # the constant pair on zero inputs has no variable to sum or multiply
+    for class_tag in ("sigma", "pisigma", "sigmapisigma"):
+        out_path = tmp_path / f"{class_tag}.out"
+        code, out, err = run(
+            capsys,
+            "realize",
+            "--pair", "mbf:0:0", "mbf:0:1",
+            "--class", class_tag,
+            "--out", str(out_path),
+        )
+        assert code == 2, class_tag
+        assert out == ""
+        assert err == "error: need at least one variable\n"
+        assert not out_path.exists()
+    out_path = tmp_path / "k.out"
+    code, out, _ = run(
+        capsys, "realize", "--pair", "mbf:0:0", "mbf:0:1", "--class", "k", "--out", str(out_path)
+    )
+    assert code == 0
+    assert out.startswith("realizable")
+    assert out_path.exists()
+
+
 def test_verify_corrupted_witness(tmp_path, capsys):
     f, g = PAIR_NEEDS_MIXED
     witness_path = tmp_path / "w.txt"

@@ -17,7 +17,6 @@ from mbfreal.interaction import (
     corner_monomials,
     enumerate_structures,
     evaluate,
-    evaluate_at_corner,
     has_factor,
     has_simple_term,
     corner_table,
@@ -51,6 +50,25 @@ def test_evaluate_rejects_nonpositive():
 def test_evaluate_arity():
     with pytest.raises(ValueError):
         evaluate(S("z1+z2"), (1, 2, 3))
+
+
+def test_corner_table_matches_evaluate():
+    for n in (1, 2, 3, 4):
+        phi = phi_for(n)
+        for tag in (SIGMA, PISIGMA, SIGMAPISIGMA):
+            for s in enumerate_structures(n, tag):
+                values = corner_table(s, phi)
+                assert len(values) == 1 << n
+                for v, value in enumerate(values):
+                    assert type(value) is Fraction
+                    assert value == evaluate(s, phi.corner(v))
+
+
+def test_corner_table_arity():
+    with pytest.raises(ValueError, match="expected 2 values, got 3"):
+        corner_table(S("z1+z2"), phi_for(3))
+    with pytest.raises(ValueError, match="expected 3 values, got 2"):
+        corner_table(S("z1+z2+z3"), phi_for(2))
 
 
 @given(st.data())
@@ -220,7 +238,7 @@ def test_collapse_scale_sibling():
     # replay on every ceiling corner
     for w in range(4):
         v = w | 4
-        assert evaluate_at_corner(s, phi, v) == evaluate_at_corner(out, phi2, w)
+        assert corner_table(s, phi)[v] == corner_table(out, phi2)[w]
 
 
 def test_collapse_survivor_absorbs():
@@ -232,7 +250,7 @@ def test_collapse_survivor_absorbs():
     assert phi2.low == (2, 1) and phi2.high == (3, 4)
     for w in range(4):
         v = (w & 1) | (w & 2) << 1  # y2 = 0
-        assert evaluate_at_corner(s, phi, v) == evaluate_at_corner(out, phi2, w)
+        assert corner_table(s, phi)[v] == corner_table(out, phi2)[w]
 
 
 def test_collapse_direction_outside_support():
@@ -266,12 +284,11 @@ def test_collapse_replay_exhaustive():
                         continue
                     assert collapse_shape(s, ell).normal_form() == out.normal_form()
                     low = (1 << (ell - 1)) - 1
+                    values = corner_table(s, phi)
+                    collapsed = corner_table(out, phi2)
                     for w in range(1 << (n - 1)):
                         v = (w & low) | ((w & ~low) << 1) | bit << (ell - 1)
-                        assert (
-                            evaluate_at_corner(s, phi, v)
-                            == evaluate_at_corner(out, phi2, w) + offset
-                        )
+                        assert values[v] == collapsed[w] + offset
 
 
 # ---------------------------------------------------------------- monomials
@@ -287,7 +304,7 @@ def test_corner_monomials_match_value():
                 for i, bit in mono:
                     prod *= phi.value(i, bit)
                 total += prod
-            assert total == evaluate_at_corner(s, phi, v)
+            assert total == corner_table(s, phi)[v]
 
 
 # ---------------------------------------------------------------- misc

@@ -49,7 +49,6 @@ from mbfreal.realizability import (
     Verdict,
     Witness,
     WitnessError,
-    _sigma_system,
     certificate_from_data,
     certificate_to_data,
     check_class,
@@ -86,6 +85,7 @@ from goldens import (
     PAIR_NEEDS_PRODUCT_WITNESS,
     PAIR_UNREACHABLE_4,
     PRINTED_DIRECTION_ERRATA,
+    PRODUCTS_N4_PAIRS,
     REFERENCE_WITNESSES,
     nonseparable_pairs,
 )
@@ -186,8 +186,8 @@ def test_product_pair_not_sum_realizable():
     verdict = check_sigma(pair_tuple(PAIR_NEEDS_PRODUCT))
     assert verdict.is_not_realizable
     cert = verdict.certificate
-    assert isinstance(cert, FarkasCertificate)  # one for the full-support LP
-    assert cert.columns == ("l1", "l2", "l3", "u1", "u2", "u3", "th1", "th2")
+    assert isinstance(cert, FarkasCertificate)  # one for the full-sum system
+    assert cert.columns == ("l1", "l2", "l3", "u1", "u2", "u3")
     assert verify_farkas(cert)
     assert _integer_rows(cert.rows)
     assert json.dumps(certificate_to_data(cert)) == PAIR_NEEDS_PRODUCT_SUM_CERTIFICATE_JSON
@@ -227,8 +227,50 @@ def test_farkas_certificate_bound_to_its_tuple_and_structure():
 
 
 def _sum_lp_feasible(tup, members):
-    columns, rows = _sigma_system(tup, members)
+    columns, rows = realizability._monomial_system(tup, sum_structure(members, tup.n))
     return isinstance(linear.solve(len(columns), rows), linear.Feasible)
+
+
+def _threshold_sum_system(tup):
+    """The sum LP with a column per threshold, as the sum decision once
+    solved it: columns l1..ln, u1..un, th1..thk and margin 1, with
+    l_i >= 1, u_i - l_i >= 1, th_k >= 1 and th_j - th_{j+1} >= 1, and each
+    function's minimal true corners above and maximal false corners below
+    its threshold.  The reference for ``check_sigma``."""
+    n = tup.n
+    k = len(tup)
+    width = 2 * n + k
+
+    def row(terms):
+        coeffs = [0] * width
+        for pos, c in terms:
+            coeffs[pos] += c
+        return linear.Row(tuple(coeffs), 1)
+
+    def value(v):
+        return [(i + n if v >> i & 1 else i, 1) for i in range(n)]
+
+    rows = []
+    for i in range(n):
+        rows.append(row([(i, 1)]))
+        rows.append(row([(i + n, 1), (i, -1)]))
+    rows.append(row([(2 * n + k - 1, 1)]))
+    for j in range(k - 1):
+        rows.append(row([(2 * n + j, 1), (2 * n + j + 1, -1)]))
+    for j, f in enumerate(tup):
+        for v in minimal_true_corners(f):
+            rows.append(row(value(v) + [(2 * n + j, -1)]))
+        for v in maximal_false_corners(f):
+            rows.append(row([(pos, -c) for pos, c in value(v)] + [(2 * n + j, 1)]))
+    return width, rows
+
+
+def _chains_of_three(n):
+    functions = enumerate_mbf_positive(n)
+    for f, g in enumerate_ordered_pairs(n):
+        for h in functions:
+            if implies(g, h):
+                yield OrderedTuple((f, g, h))
 
 
 def _small_tuples():
@@ -238,10 +280,7 @@ def _small_tuples():
         for f, g in enumerate_ordered_pairs(n):
             yield OrderedTuple((f, g))
     for n in (1, 2):
-        for f, g in enumerate_ordered_pairs(n):
-            for h in enumerate_mbf_positive(n):
-                if implies(g, h):
-                    yield OrderedTuple((f, g, h))
+        yield from _chains_of_three(n)
 
 
 def test_sum_lp_of_f880_pair_is_realizable():
@@ -266,6 +305,25 @@ def test_full_support_sum_lp_decides_every_support():
             for members in itertools.combinations(range(1, n + 1), r):
                 assert not _sum_lp_feasible(tup, members), (tup, members)
     assert infeasible == 18  # the 18 non-separable n=3 pairs
+
+
+def test_sum_decision_matches_threshold_lp():
+    # the full-sum monomial system has no threshold columns; the thresholds
+    # derived from its point must decide exactly what the LP with them does
+    tuples = list(_small_tuples()) + list(_chains_of_three(3))
+    tuples += [
+        OrderedTuple((MbfFunction(4, int(f, 16)), MbfFunction(4, int(g, 16))))
+        for f, g in PRODUCTS_N4_PAIRS + (("f880", "f880"),)
+    ]
+    # check_sigma verifies its own witness; the sum decision's certificates
+    # are replayed elsewhere
+    realizable = 0
+    for tup in tuples:
+        width, rows = _threshold_sum_system(tup)
+        expected = isinstance(linear.solve(width, rows), linear.Feasible)
+        assert check_sigma(tup).is_realizable == expected, tup
+        realizable += expected
+    assert 0 < realizable < len(tuples)
 
 
 def test_first_nonseparable_row_rejected():
@@ -373,7 +431,6 @@ def test_farkas_kills_product_for_mixed_pair():
 
 def test_lp_systems_have_integer_rows():
     for tup in _four_input_sample()[:2]:
-        assert _integer_rows(_sigma_system(tup, (1, 2, 3, 4))[1])
         for s in _product_structures(4):
             assert _integer_rows(realizability._monomial_system(tup, s)[1])
 
@@ -577,18 +634,16 @@ def test_structures_put_each_variable_in_one_block():
 
 
 def test_search_grid_needs_every_high_above_low():
-    tup = OrderedTuple((MbfFunction.const(1, 0), MbfFunction.const(1, 1)))
-    s = parse_structure("z1", 1)
-    # the first point, high 3, already separates; the grid is still refused
-    for grid in (
-        SearchGrid(Fraction(2), (Fraction(3), Fraction(2))),
-        SearchGrid(Fraction(2), (Fraction(3), Fraction(1))),
-        SearchGrid(Fraction(0), (Fraction(3),)),
+    # a grid is refused when it is built, before any search sees it
+    for low, highs in (
+        (Fraction(2), (Fraction(3), Fraction(2))),
+        (Fraction(2), (Fraction(3), Fraction(1))),
+        (Fraction(0), (Fraction(3),)),
     ):
         with pytest.raises(ValueError, match="need 0 < low < high"):
-            search_witness(tup, s, grid)
-    with pytest.raises(ValueError):
-        search_witness(tup, s, SearchGrid(highs=()))
+            SearchGrid(low, highs)
+    with pytest.raises(ValueError, match="search grid needs at least one high value"):
+        SearchGrid(highs=())
 
 
 def test_search_builds_fractions_only_for_screened_points(monkeypatch):
