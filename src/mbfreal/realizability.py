@@ -21,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linear
 from .boolean_core import (
@@ -207,14 +208,19 @@ def verify_witness(tup: OrderedTuple, w: Witness) -> bool:
     """
     if w.structure.n != tup.n or w.phi.n != tup.n:
         raise ValueError("witness arity does not match the tuple")
-    if len(w.thresholds) != len(tup):
+    return _separates(tup, w.thresholds, corner_table(w.structure, w.phi))
+
+
+def _separates(tup: OrderedTuple, thresholds, values) -> bool:
+    """``verify_witness`` after its arity check, on the witness's corner
+    values, for callers that already hold them."""
+    if len(thresholds) != len(tup):
         return False
-    if any(t <= 0 for t in w.thresholds):
+    if any(t <= 0 for t in thresholds):
         return False
-    if any(a <= b for a, b in zip(w.thresholds, w.thresholds[1:])):
+    if any(a <= b for a, b in zip(thresholds, thresholds[1:])):
         return False
-    values = corner_table(w.structure, w.phi)
-    for f, theta in zip(tup, w.thresholds):
+    for f, theta in zip(tup, thresholds):
         for v, value in enumerate(values):
             if value == theta:
                 raise WitnessError(f"value at corner {v} equals threshold {theta}")
@@ -292,11 +298,11 @@ def check_sigma(tup: OrderedTuple) -> Verdict:
         )
     # columns are l1..ln (corner 0), then u1..un (the unit corners in order)
     phi = PhiAssignment(out.point[:n], out.point[n:])
-    thresholds = derive_thresholds(tup, corner_table(s, phi))
-    w = Witness(s, phi, thresholds)
-    if thresholds is None or not verify_witness(tup, w):
+    values = corner_table(s, phi)
+    thresholds = derive_thresholds(tup, values)
+    if thresholds is None or not _separates(tup, thresholds, values):
         raise AssertionError("feasible sum system produced a bad witness")
-    return Verdict.realizable(w)
+    return Verdict.realizable(Witness(s, phi, thresholds))
 
 
 # ---------------------------------------------------------------- direction test
@@ -373,18 +379,16 @@ def _monomial_label(mono) -> str:
     )
 
 
-def _monomial_system(tup: OrderedTuple, s: InteractionStructure):
-    """Columns and rows of the linearized corner-separation system.
-
-    Every multilinear monomial of the expression becomes an independent
-    positive variable; separation constraints plus linearized products of the
-    elementary facts (low < high, positivity) make a homogeneous strict
-    system with ``int`` coefficients.
+@lru_cache(maxsize=None)
+def _structure_system(s: InteractionStructure):
+    """The part of ``_monomial_system`` that depends on the structure alone,
+    built once per process (structures are finitely many): column labels,
+    one monomial-count vector per corner, then the positivity rows and the
+    sorted fact rows, all as tuples.
     """
-    n = tup.n
     universe: "dict[frozenset, int]" = {}
     expansions = []
-    for v in range(1 << n):
+    for v in range(1 << s.n):
         monos = corner_monomials(s, v)
         for m in monos:
             universe.setdefault(m, len(universe))
@@ -393,21 +397,13 @@ def _monomial_system(tup: OrderedTuple, s: InteractionStructure):
     for m, pos in universe.items():
         columns[pos] = _monomial_label(m)
     width = len(universe)
-    rows = []
-
-    def corner_diff(w_corner: int, v_corner: int):
+    corners = []
+    for monos in expansions:
         coeffs = [0] * width
-        for m in expansions[w_corner]:
+        for m in monos:
             coeffs[universe[m]] += 1
-        for m in expansions[v_corner]:
-            coeffs[universe[m]] -= 1
-        return coeffs
-
-    for f in tup:
-        for v in maximal_false_corners(f):
-            for w in minimal_true_corners(f):
-                rows.append(linear.Row(tuple(corner_diff(w, v)), 0, strict=True))
-
+        corners.append(tuple(coeffs))
+    rows = []
     for m, pos in universe.items():
         coeffs = [0] * width
         coeffs[pos] = 1
@@ -437,7 +433,29 @@ def _monomial_system(tup: OrderedTuple, s: InteractionStructure):
                         fact_rows.add(tuple(coeffs))
     for coeffs in sorted(fact_rows):
         rows.append(linear.Row(coeffs, 0, strict=True))
-    return columns, rows
+    return tuple(columns), tuple(corners), tuple(rows)
+
+
+def _monomial_system(tup: OrderedTuple, s: InteractionStructure):
+    """Columns and rows of the linearized corner-separation system.
+
+    Every multilinear monomial of the expression becomes an independent
+    positive variable; separation constraints plus linearized products of the
+    elementary facts (low < high, positivity) make a homogeneous strict
+    system with ``int`` coefficients.  Only the separation rows, one per
+    (maximal false, minimal true) corner pair of each function, depend on the
+    tuple; the columns and the other rows come from ``_structure_system``.
+    The lists returned are fresh, so a caller may change them.
+    """
+    columns, corners, structure_rows = _structure_system(s)
+    rows = [
+        linear.Row(tuple([a - b for a, b in zip(corners[w], corners[v])]), 0, strict=True)
+        for f in tup
+        for v in maximal_false_corners(f)
+        for w in minimal_true_corners(f)
+    ]
+    rows.extend(structure_rows)
+    return list(columns), rows
 
 
 def monomial_certificate(tup: OrderedTuple, s: InteractionStructure):
@@ -547,7 +565,8 @@ def search_witness(
 
     Only the points that ``_screened_points`` admits, in grid order, get
     ``Fraction`` values and go through ``PhiAssignment``, ``corner_table``,
-    ``derive_thresholds`` and ``verify_witness``; the others have no gap.
+    ``derive_thresholds`` and ``verify_witness``'s checks on that one corner
+    table; the others have no gap.
     """
     n = tup.n
     support = sorted(s.support)
@@ -562,9 +581,8 @@ def search_witness(
         thresholds = derive_thresholds(tup, values)
         if thresholds is None:
             continue
-        w = Witness(s, phi, thresholds)
-        if verify_witness(tup, w):
-            return w
+        if _separates(tup, thresholds, values):
+            return Witness(s, phi, thresholds)
     return None
 
 
@@ -585,58 +603,36 @@ def _direction_blocked(tup: OrderedTuple, s: InteractionStructure):
     return None
 
 
-class _CollapseTable:
-    """The facet-collapse tests of one four-input decision, each run once.
+@lru_cache(maxsize=None)
+def _collapsed_blocked(collapsed: OrderedTuple, shape: InteractionStructure):
+    """What ``_structure_blocked`` finds for a collapsed three-input tuple
+    under a collapse shape (direction, then monomial), or None.
 
-    ``collapsed`` holds the tuple restricted to each facet z_ell = side and
-    collapsed, built once per (direction, side).  ``inner`` maps (collapsed
-    tuple, collapse-shape text) to the first inner certificate for that
-    shape, or None: many structures collapse to the same shape, and
-    different facets can leave the same tuple, so each such test is run
-    once per decision.  A table lives for one ``_decide`` call.
+    Many structures, facets, tuples and classes meet the same pair, so each
+    is tested once per process; both keys are three-input objects, so the
+    memo stays bounded however many tuples are decided.
     """
-
-    __slots__ = ("collapsed", "inner")
-
-    def __init__(self, tup: OrderedTuple):
-        self.collapsed = {
-            (ell, side): collapse_tuple(tup, ell, side)
-            for ell in range(1, tup.n + 1)
-            for side in (FLOOR, CEILING)
-        }
-        self.inner: "dict[tuple[OrderedTuple, str], object]" = {}
-
-    def certificate(self, ell: int, side: str, shape: InteractionStructure, text: str):
-        """What ``_structure_blocked`` finds for the collapsed tuple under
-        ``shape`` without a table (direction, then monomial), or None."""
-        collapsed = self.collapsed[ell, side]
-        key = (collapsed, text)
-        if key not in self.inner:
-            self.inner[key] = _structure_blocked(collapsed, shape, None)
-        return self.inner[key]
+    return _structure_blocked(collapsed, shape)
 
 
-def _structure_blocked(
-    tup: OrderedTuple, s: InteractionStructure, table: "_CollapseTable | None"
-):
+def _structure_blocked(tup: OrderedTuple, s: InteractionStructure):
     """First impossibility certificate for this structure, or None.
 
-    Direction certificates on the tuple's pairs come first.  With a collapse
-    table (four inputs), each direction's collapse shape is then tested on
-    the floor and the ceiling facet, in that order, through the table.  The
+    Direction certificates on the tuple's pairs come first.  At four inputs,
+    each direction's collapse shape is then tested on the floor and the
+    ceiling facet, in that order, through ``_collapsed_blocked``.  The
     structure's own monomial Farkas test comes last.
     """
     cert = _direction_blocked(tup, s)
     if cert is not None:
         return cert
-    if table is not None:
+    if tup.n == 4:
         for ell in range(1, tup.n + 1):
             shape = collapse_shape(s, ell)
-            text = shape.text()
             for side in (FLOOR, CEILING):
-                inner = table.certificate(ell, side, shape, text)
+                inner = _collapsed_blocked(collapse_tuple(tup, ell, side), shape)
                 if inner is not None:
-                    return CollapseCertificate(ell, side, text, inner)
+                    return CollapseCertificate(ell, side, shape.text(), inner)
     return monomial_certificate(tup, s)
 
 
@@ -662,8 +658,10 @@ def check_class(
     (canonical tuple, class) to verdict that this call reads and adds to.
     A caller deciding many tuples (a census shard, a parameter-graph factor)
     passes one dict, so each orbit is decided once; without it a call
-    decides on its own.  There is no grid to key on: every decision searches
-    ``DEFAULT_GRID`` (see ``_decide``).
+    keeps no verdict.  There is no grid to key on: every decision searches
+    ``DEFAULT_GRID`` (see ``_decide``).  Any call keeps only bounded facts:
+    structure rows (``_structure_system``) and three-input collapse facts
+    (``_collapsed_blocked``).
 
     The free class ``k`` is realized directly.  The tag and the arity guards
     are checked before the tuple is canonicalized.
@@ -707,10 +705,9 @@ def _decide(tup: OrderedTuple, class_tag: str) -> Verdict:
     structure is not searched; the sum decision's Farkas certificate rules
     it out unless a direction certificate does.
 
-    At four inputs the decision builds one ``_CollapseTable``: each facet's
-    collapsed tuple is built once, and each (collapsed tuple, collapse
-    shape) is tested once, however many structures collapse to it.  The
-    table is dropped when the decision returns.
+    At four inputs each (collapsed tuple, collapse shape) is tested once per
+    process (``_collapsed_blocked``), however many structures, decisions and
+    classes reach it.
     """
     if class_tag == SIGMA:
         return check_sigma(tup)
@@ -726,7 +723,6 @@ def _decide(tup: OrderedTuple, class_tag: str) -> Verdict:
 
     dead = []
     alive = []
-    table = _CollapseTable(tup) if n == 4 else None
     for s in enumerate_structures(n, class_tag):
         if s.text() == sum_text:
             # direction test first, like every structure; the exact sum
@@ -734,7 +730,7 @@ def _decide(tup: OrderedTuple, class_tag: str) -> Verdict:
             cert = _direction_blocked(tup, s)
             dead.append((s.text(), cert if cert is not None else sigma.certificate))
             continue
-        cert = _structure_blocked(tup, s, table)
+        cert = _structure_blocked(tup, s)
         if cert is not None:
             dead.append((s.text(), cert))
             continue

@@ -31,6 +31,7 @@ from mbfreal.interaction import (
     SIGMAPISIGMA,
     PhiAssignment,
     collapse_shape,
+    corner_monomials,
     corner_table,
     enumerate_structures,
     parse_structure,
@@ -429,6 +430,107 @@ def test_farkas_kills_product_for_mixed_pair():
     assert json.dumps(certificate_to_data(cert)) == PAIR_NEEDS_MIXED_MONOMIAL_CERTIFICATE_JSON
 
 
+def _reference_monomial_system(tup, s):
+    """The monomial system built in one pass from the tuple and the
+    structure, as before the structure rows were kept per process: the
+    reference for ``_monomial_system``."""
+    universe = {}
+    expansions = []
+    for v in range(1 << tup.n):
+        monos = corner_monomials(s, v)
+        for m in monos:
+            universe.setdefault(m, len(universe))
+        expansions.append(monos)
+    columns = [None] * len(universe)
+    for m, pos in universe.items():
+        columns[pos] = realizability._monomial_label(m)
+    width = len(universe)
+    rows = []
+
+    def corner_diff(w_corner, v_corner):
+        coeffs = [0] * width
+        for m in expansions[w_corner]:
+            coeffs[universe[m]] += 1
+        for m in expansions[v_corner]:
+            coeffs[universe[m]] -= 1
+        return coeffs
+
+    for f in tup:
+        for v in maximal_false_corners(f):
+            for w in minimal_true_corners(f):
+                rows.append(linear.Row(tuple(corner_diff(w, v)), 0, strict=True))
+    for m, pos in universe.items():
+        coeffs = [0] * width
+        coeffs[pos] = 1
+        rows.append(linear.Row(tuple(coeffs), 0, strict=True))
+    shapes = {frozenset(i for i, _ in m) for m in universe}
+    fact_rows = set()
+    for shape in shapes:
+        shape = tuple(sorted(shape))
+        for r in range(1, len(shape) + 1):
+            for diff_vars in itertools.combinations(shape, r):
+                others = [i for i in shape if i not in diff_vars]
+                for bits in itertools.product((0, 1), repeat=len(others)):
+                    base = tuple(zip(others, bits))
+                    coeffs = [0] * width
+                    ok = True
+                    for choice in itertools.product((0, 1), repeat=r):
+                        mono = frozenset(base + tuple(zip(diff_vars, choice)))
+                        if mono not in universe:
+                            ok = False
+                            break
+                        coeffs[universe[mono]] += (-1) ** (r - sum(choice))
+                    if ok:
+                        fact_rows.add(tuple(coeffs))
+    for coeffs in sorted(fact_rows):
+        rows.append(linear.Row(coeffs, 0, strict=True))
+    return columns, rows
+
+
+def _assert_system_matches_reference(tup, s):
+    expected = _reference_monomial_system(tup, s)
+    got = realizability._monomial_system(tup, s)
+    assert got == expected, (tup, s.text())
+    # rows equal as numbers could hide a Fraction; the rows stay int
+    assert _integer_rows(got[1])
+
+
+def test_monomial_system_matches_one_pass_reference():
+    for tup in _small_tuples():
+        n = tup.n
+        for class_tag in (SIGMA, PISIGMA, SIGMAPISIGMA):
+            for s in enumerate_structures(n, class_tag):
+                _assert_system_matches_reference(tup, s)
+    n4 = [
+        OrderedTuple((MbfFunction(4, int(f, 16)), MbfFunction(4, int(g, 16))))
+        for f, g in PRODUCTS_N4_PAIRS
+    ]
+    structures = [sum_structure(range(1, 5), 4)] + [
+        s for c in (PISIGMA, SIGMAPISIGMA) for s in enumerate_structures(4, c)
+    ]
+    for tup in n4:
+        for s in structures:
+            _assert_system_matches_reference(tup, s)
+    # the structure rows are built once per structure and kept
+    info = realizability._structure_system.cache_info()
+    assert info.misses == info.currsize and info.hits > info.misses
+
+
+def test_monomial_system_returns_fresh_lists():
+    tup = pair_tuple(PAIR_NEEDS_MIXED)
+    s = parse_structure("(z1+z2)*z3")
+    expected = _reference_monomial_system(tup, s)
+    columns, rows = realizability._monomial_system(tup, s)
+    columns.append("x")
+    rows.append(linear.Row((1,) * len(rows[0].coeffs), 0, strict=True))
+    del rows[0]
+    assert realizability._monomial_system(tup, s) == expected
+    # another tuple on the same structure gets its own separation rows
+    other = pair_tuple(PAIR_NEEDS_PRODUCT)
+    assert realizability._monomial_system(other, s) == _reference_monomial_system(other, s)
+    assert realizability._monomial_system(tup, s) == expected
+
+
 def test_lp_systems_have_integer_rows():
     for tup in _four_input_sample()[:2]:
         for s in _product_structures(4):
@@ -657,8 +759,11 @@ def test_search_builds_fractions_only_for_screened_points(monkeypatch):
     tup = pair_tuple(PAIR_NEEDS_PRODUCT)
     w = search_witness(tup, parse_structure("(z1+z2)*z3"))
     assert w is not None
-    # the winning point, once in the loop and once in verify_witness
-    assert calls == [w.phi, w.phi]
+    # the winning point, once: the search verifies on the table it built
+    assert calls == [w.phi]
+    calls.clear()
+    verdict = check_sigma(OrderedTuple((MbfFunction.const(3, 0), MbfFunction.const(3, 1))))
+    assert verdict.is_realizable and calls == [verdict.witness.phi]
 
 
 def test_derive_thresholds_shared_gap():
@@ -1141,12 +1246,12 @@ def test_guards_fire_before_canonicalization():
         check_class(OrderedTuple(PAIR_NEEDS_PRODUCT), PISIGMA, DEFAULT_GRID)
 
 
-# ---------------------------------------------------------------- collapse table
+# ---------------------------------------------------------------- collapse facts
 
 def _reference_blocked(tup, s):
-    """The per-structure loop ``_structure_blocked`` ran before the collapse
-    table: every collapsed tuple and every collapse test is rebuilt for each
-    structure, with collapse pruning at four inputs."""
+    """The per-structure loop ``_structure_blocked`` ran before collapse
+    facts were kept: every collapsed tuple and every collapse test is
+    rebuilt for each structure, with collapse pruning at four inputs."""
     for f, g in realizability._pairs(tup):
         cert = necessary_condition(f, g, s)
         if cert is not None:
@@ -1180,11 +1285,9 @@ def test_collapse_table_matches_per_structure_reference():
     blocked = 0
     for tup in _four_input_sample():
         for class_tag in (PISIGMA, SIGMAPISIGMA):
-            # one table per decision, shared by the class's structures in order
-            table = realizability._CollapseTable(tup)
             for s in enumerate_structures(4, class_tag):
                 expected = _reference_blocked(tup, s)
-                assert realizability._structure_blocked(tup, s, table) == expected, (tup, s.text())
+                assert realizability._structure_blocked(tup, s) == expected, (tup, s.text())
                 blocked += isinstance(expected, CollapseCertificate)
     assert blocked > 0
 
@@ -1204,19 +1307,28 @@ def _counted_monomial_calls(monkeypatch):
 def test_decision_tests_each_collapsed_tuple_and_shape_once(monkeypatch):
     calls = _counted_monomial_calls(monkeypatch)
     for tup in _four_input_sample()[:4]:
+        # each tuple starts without collapse facts; its two product-class
+        # decisions then test each (collapsed tuple, shape) once between them
+        realizability._collapsed_blocked.cache_clear()
+        collapsed = []
         for class_tag in (PISIGMA, SIGMAPISIGMA):
             calls.clear()
             realizability._decide(tup, class_tag)
-            assert len(calls) == len(set(calls)), (tup, class_tag)
-            assert any(t.n == 3 for t, _ in calls)
+            own = [call for call in calls if call[0].n == 4]
+            assert len(own) == len(set(own)), (tup, class_tag)
+            collapsed += [call for call in calls if call[0].n == 3]
+        assert collapsed and len(collapsed) == len(set(collapsed)), tup
 
 
-def test_collapse_table_lives_for_one_decision(monkeypatch):
+def test_lone_calls_share_collapse_facts_but_no_verdict(monkeypatch):
     calls = _counted_monomial_calls(monkeypatch)
     # a canonical member, so that a lone call makes one decision
     tup, _ = canonical_form(OrderedTuple(PAIR_UNREACHABLE_4))
     first = check_class(tup, SIGMAPISIGMA)
     once = list(calls)
     assert any(t.n == 3 for t, _ in once)
+    calls.clear()
     assert check_class(tup, SIGMAPISIGMA) == first
-    assert calls == once + once
+    # the second call is decided again, structure by structure, but makes
+    # no three-input test: those facts were kept
+    assert calls == [call for call in once if call[0].n == 4]
