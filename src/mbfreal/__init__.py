@@ -42,7 +42,6 @@ from .ksystem import (
 from .paramgraph import build_factor, build_parameter_graph
 from .realizability import (
     KWitness,
-    SearchGrid,
     Verdict,
     Witness,
     check_class,

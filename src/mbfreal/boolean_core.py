@@ -279,15 +279,16 @@ def eta_inverse(h: MbfFunction) -> "tuple[MbfFunction, MbfFunction]":
     return f, g
 
 
-def enumerate_mbf_positive(n: int, limit: int = MAX_ENUM_ARITY) -> "list[MbfFunction]":
+def enumerate_mbf_positive(n: int) -> "list[MbfFunction]":
     """All positive monotone functions of arity n, ascending by truth mask.
 
     Enumeration recurses through the floor/ceiling pairing from arity n-1
     rather than filtering all 2**(2**n) tables, which keeps n = 5 feasible.
-    ``limit`` is a combinatorial-blowup guard.
+    Arities above ``MAX_ENUM_ARITY`` are refused: arity 6 alone has
+    7828354 functions.
     """
-    if n > limit:
-        raise ArityError(f"arity {n} above enumeration guard {limit}; raise limit to override")
+    if n > MAX_ENUM_ARITY:
+        raise ArityError(f"arity {n} above enumeration guard {MAX_ENUM_ARITY}")
     return list(_enumerate_cached(n))
 
 
@@ -308,18 +309,16 @@ def _enumerate_cached(n: int) -> "tuple[MbfFunction, ...]":
     return tuple(out)
 
 
-def enumerate_ordered_pairs(
-    n: int, limit: int = MAX_ENUM_ARITY - 1
-) -> "list[tuple[MbfFunction, MbfFunction]]":
+def enumerate_ordered_pairs(n: int) -> "list[tuple[MbfFunction, MbfFunction]]":
     """All pairs (f, g) of arity n with f implying g, ascending by masks.
 
     Equal pairs are included: implication is containment, not strict
     containment.  The count equals the number of positive monotone functions
-    of arity n+1.
+    of arity n+1, so the guard is one below ``MAX_ENUM_ARITY``.
     """
-    if n > limit:
-        raise ArityError(f"arity {n} above pair-enumeration guard {limit}")
-    funcs = enumerate_mbf_positive(n, limit=max(n, MAX_ENUM_ARITY))
+    if n > MAX_ENUM_ARITY - 1:
+        raise ArityError(f"arity {n} above pair-enumeration guard {MAX_ENUM_ARITY - 1}")
+    funcs = enumerate_mbf_positive(n)
     return [(f, g) for f in funcs for g in funcs if f.truth & ~g.truth == 0]
 
 

@@ -575,7 +575,8 @@ def _field(obj, key: str, kind, what: str):
 
 
 def _number(value, what: str) -> Fraction:
-    if not isinstance(value, (str, int, float)):
+    # JSON true and false load as bool, which is an int
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise NetworkError(f"{what} must be a number or a number string")
     try:
         return Fraction(value)

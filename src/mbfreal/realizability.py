@@ -166,38 +166,6 @@ class Verdict:
         return self.status == NOT_REALIZABLE
 
 
-@dataclass(frozen=True)
-class SearchGrid:
-    """Grid for ``search_witness``: lows stay fixed, highs range per variable.
-
-    It is an input of the search alone; every class decision searches
-    ``DEFAULT_GRID``.  A grid without highs, or with a high not above a
-    positive low, is refused when it is built.
-    """
-
-    low: Fraction = Fraction(1)
-    highs: "tuple[Fraction, ...]" = (
-        Fraction(3, 2),
-        Fraction(2),
-        Fraction(3),
-        Fraction(31, 10),
-        Fraction(4),
-        Fraction(41, 10),
-        Fraction(5),
-        Fraction(6),
-    )
-
-    def __post_init__(self) -> None:
-        if not self.highs:
-            raise ValueError("search grid needs at least one high value")
-        for h in self.highs:
-            if not 0 < self.low < h:
-                raise ValueError(f"need 0 < low < high, got {self.low}, {h}")
-
-
-DEFAULT_GRID = SearchGrid()
-
-
 # ---------------------------------------------------------------- verification
 
 def verify_witness(tup: OrderedTuple, w: Witness) -> bool:
@@ -212,8 +180,8 @@ def verify_witness(tup: OrderedTuple, w: Witness) -> bool:
 
 
 def _separates(tup: OrderedTuple, thresholds, values) -> bool:
-    """``verify_witness`` after its arity check, on the witness's corner
-    values, for callers that already hold them."""
+    """The threshold and separation checks of ``verify_witness`` and
+    ``verify_k_witness``, on corner values the caller already holds."""
     if len(thresholds) != len(tup):
         return False
     if any(t <= 0 for t in thresholds):
@@ -230,6 +198,8 @@ def _separates(tup: OrderedTuple, thresholds, values) -> bool:
 
 
 def verify_k_witness(tup: OrderedTuple, kw: KWitness) -> bool:
+    """One non-negative value per corner, never falling along an edge of the
+    cube, that separates every function like ``verify_witness``."""
     if len(kw.values) != 1 << tup.n:
         return False
     if any(val < 0 for val in kw.values):
@@ -238,19 +208,7 @@ def verify_k_witness(tup: OrderedTuple, kw: KWitness) -> bool:
         for i in range(tup.n):
             if not v >> i & 1 and val > kw.values[v | 1 << i]:
                 return False
-    if any(t <= 0 for t in kw.thresholds):
-        return False
-    if any(a <= b for a, b in zip(kw.thresholds, kw.thresholds[1:])):
-        return False
-    if len(kw.thresholds) != len(tup):
-        return False
-    for f, theta in zip(tup, kw.thresholds):
-        for v, val in enumerate(kw.values):
-            if val == theta:
-                raise WitnessError(f"value at corner {v} equals threshold {theta}")
-            if (val > theta) != bool(f.truth >> v & 1):
-                return False
-    return True
+    return _separates(tup, kw.thresholds, kw.values)
 
 
 def realize_k(tup: OrderedTuple) -> KWitness:
@@ -478,6 +436,25 @@ def verify_farkas(cert: FarkasCertificate) -> bool:
 
 # ---------------------------------------------------------------- grid search
 
+# The grid ``search_witness`` searches: every variable has low 1 and one of
+# these highs, tried in this order.  Times the LCM of the denominators (10)
+# every value is an integer, which the screen evaluates instead.
+_GRID_LOW = Fraction(1)
+_GRID_HIGHS = (
+    Fraction(3, 2),
+    Fraction(2),
+    Fraction(3),
+    Fraction(31, 10),
+    Fraction(4),
+    Fraction(41, 10),
+    Fraction(5),
+    Fraction(6),
+)
+_GRID_SCALE = math.lcm(_GRID_LOW.denominator, *(h.denominator for h in _GRID_HIGHS))
+_INT_LOW = int(_GRID_LOW * _GRID_SCALE)
+_INT_HIGHS = tuple(int(h * _GRID_SCALE) for h in _GRID_HIGHS)
+
+
 def derive_thresholds(tup: OrderedTuple, values):
     """Midpoints of each function's separating gap; shared gaps are split
     into descending fractions.  None when some function has no gap."""
@@ -510,38 +487,35 @@ def derive_thresholds(tup: OrderedTuple, values):
     return tuple(thresholds)
 
 
-def _screened_points(tup: OrderedTuple, s: InteractionStructure, grid: SearchGrid):
-    """Index tuples into ``grid.highs`` over the sorted support, in grid
+def _screened_points(tup: OrderedTuple, s: InteractionStructure):
+    """Index tuples into ``_GRID_HIGHS`` over the sorted support, in grid
     order, of the points at which every function has a separating gap.
 
-    Grid values times scale, the LCM of their denominators, are integers, and
     ``scaled_corner_evaluator`` gives corner values times a positive power of
-    scale.  Values grow with the corner bits, so a function has a gap exactly
-    when each maximal false corner is below each minimal true corner.  Each
-    variable sits in one block of one group, so with all highs but the last
-    fixed (one row) a scaled corner value is ``A + B*h`` in the last scaled
-    high h: two evaluations, at h = 0 and 1, give A and B, each (false, true)
-    corner pair bounds h by a strict integer inequality, and the row admits
-    the grid highs inside every bound.
+    ``_GRID_SCALE`` from the integer grid.  Values grow with the corner bits,
+    so a function has a gap exactly when each maximal false corner is below
+    each minimal true corner.  Each variable sits in one block of one group,
+    so with all highs but the last fixed (one row) a scaled corner value is
+    ``A + B*h`` in the last scaled high h: two evaluations, at h = 0 and 1,
+    give A and B, each (false, true) corner pair bounds h by a strict integer
+    inequality, and the row admits the grid highs inside every bound.
     """
     *prefix, last = sorted(s.support)
-    scale = math.lcm(grid.low.denominator, *(h.denominator for h in grid.highs))
-    int_low = [int(grid.low * scale)] * tup.n
-    int_highs = [int(h * scale) for h in grid.highs]
+    int_low = [_INT_LOW] * tup.n
     sides = [(maximal_false_corners(f), minimal_true_corners(f)) for f in tup]
     corners = sorted({v for below, above in sides for v in below + above})
     slot = {v: k for k, v in enumerate(corners)}
     pairs = {(slot[x], slot[y]) for below, above in sides for x in below for y in above}
-    int_high = [max(int_highs)] * tup.n
-    scaled_values = scaled_corner_evaluator(s, scale, corners)
-    for row in itertools.product(range(len(int_highs)), repeat=len(prefix)):
+    int_high = [max(_INT_HIGHS)] * tup.n
+    scaled_values = scaled_corner_evaluator(s, _GRID_SCALE, corners)
+    for row in itertools.product(range(len(_INT_HIGHS)), repeat=len(prefix)):
         for i, k in zip(prefix, row):
-            int_high[i - 1] = int_highs[k]
+            int_high[i - 1] = _INT_HIGHS[k]
         int_high[last - 1] = 0
         a = scaled_values(int_low, int_high)
         int_high[last - 1] = 1
         b = [v - u for u, v in zip(a, scaled_values(int_low, int_high))]
-        lo, hi = min(int_highs), max(int_highs)
+        lo, hi = min(_INT_HIGHS), max(_INT_HIGHS)
         for x, y in pairs:
             # a[x] + b[x]*h < a[y] + b[y]*h, that is c*h < d
             c, d = b[x] - b[y], a[y] - a[x]
@@ -554,14 +528,14 @@ def _screened_points(tup: OrderedTuple, s: InteractionStructure, grid: SearchGri
             if lo > hi:
                 break
         else:
-            yield from (row + (k,) for k, h in enumerate(int_highs) if lo <= h <= hi)
+            yield from (row + (k,) for k, h in enumerate(_INT_HIGHS) if lo <= h <= hi)
 
 
-def search_witness(
-    tup: OrderedTuple, s: InteractionStructure, grid: SearchGrid = DEFAULT_GRID
-):
-    """Enumerate the rational grid of high values over the structure support;
-    thresholds are derived from the achieved value gaps, never searched.
+def search_witness(tup: OrderedTuple, s: InteractionStructure):
+    """Enumerate the fixed rational grid of high values (``_GRID_HIGHS``,
+    every low ``_GRID_LOW``) over the structure support; a variable outside
+    the support gets the largest high.  Thresholds are derived from the
+    achieved value gaps, never searched.
 
     Only the points that ``_screened_points`` admits, in grid order, get
     ``Fraction`` values and go through ``PhiAssignment``, ``corner_table``,
@@ -570,13 +544,13 @@ def search_witness(
     """
     n = tup.n
     support = sorted(s.support)
-    spare_high = max(grid.highs)
-    for point in _screened_points(tup, s, grid):
-        low = [grid.low] * n
+    low = (_GRID_LOW,) * n
+    spare_high = max(_GRID_HIGHS)
+    for point in _screened_points(tup, s):
         high = [spare_high] * n
         for i, k in zip(support, point):
-            high[i - 1] = grid.highs[k]
-        phi = PhiAssignment(tuple(low), tuple(high))
+            high[i - 1] = _GRID_HIGHS[k]
+        phi = PhiAssignment(low, tuple(high))
         values = corner_table(s, phi)
         thresholds = derive_thresholds(tup, values)
         if thresholds is None:
@@ -658,10 +632,10 @@ def check_class(
     (canonical tuple, class) to verdict that this call reads and adds to.
     A caller deciding many tuples (a census shard, a parameter-graph factor)
     passes one dict, so each orbit is decided once; without it a call
-    keeps no verdict.  There is no grid to key on: every decision searches
-    ``DEFAULT_GRID`` (see ``_decide``).  Any call keeps only bounded facts:
-    structure rows (``_structure_system``) and three-input collapse facts
-    (``_collapsed_blocked``).
+    keeps no verdict.  There is no grid to key on: the search grid is fixed
+    in the module (see ``search_witness``).  Any call keeps only bounded
+    facts: structure rows (``_structure_system``) and three-input collapse
+    facts (``_collapsed_blocked``).
 
     The free class ``k`` is realized directly.  The tag and the arity guards
     are checked before the tuple is canonicalized.
@@ -700,10 +674,9 @@ def _decide(tup: OrderedTuple, class_tag: str) -> Verdict:
     classes first: a sum witness is returned with its structure z1+...+zn
     re-tagged for the class.  Otherwise every structure is tried in turn:
     direction certificates, then (at four inputs) facet-collapse pruning,
-    then the monomial Farkas test, then ``search_witness`` over
-    ``DEFAULT_GRID``, the one grid every decision searches.  The full-sum
-    structure is not searched; the sum decision's Farkas certificate rules
-    it out unless a direction certificate does.
+    then the monomial Farkas test, then ``search_witness`` on its fixed
+    grid.  The full-sum structure is not searched; the sum decision's Farkas
+    certificate rules it out unless a direction certificate does.
 
     At four inputs each (collapsed tuple, collapse shape) is tested once per
     process (``_collapsed_blocked``), however many structures, decisions and
@@ -1114,15 +1087,26 @@ def witness_from_text(text: str):
         raise ValueError("witness file needs 'tuple' and 'thresholds'")
     functions = tuple(MbfFunction.from_hex(tok) for tok in fields["tuple"].split())
     tup = OrderedTuple(functions)
-    thresholds = tuple(Fraction(tok) for tok in fields["thresholds"].split())
+    thresholds = _rationals(fields, "thresholds")
     if "rvalues" in fields:
-        values = tuple(Fraction(tok) for tok in fields["rvalues"].split())
-        return tup, KWitness(values, thresholds)
+        return tup, KWitness(_rationals(fields, "rvalues"), thresholds)
     if "structure" not in fields or "low" not in fields or "high" not in fields:
         raise ValueError("witness file needs structure, low, and high")
     s = parse_structure(fields["structure"], tup.n)
-    low = tuple(Fraction(tok) for tok in fields["low"].split())
-    high = tuple(Fraction(tok) for tok in fields["high"].split())
+    low = _rationals(fields, "low")
+    high = _rationals(fields, "high")
     if len(low) != tup.n:
         raise ValueError(f"witness has {len(low)} low values for arity {tup.n}")
     return tup, Witness(s, PhiAssignment(low, high), thresholds)
+
+
+def _rationals(fields: dict, key: str) -> "tuple[Fraction, ...]":
+    """The witness field's values; a token that is not a rational (a zero
+    denominator included) raises ``ValueError`` naming the field."""
+    values = []
+    for tok in fields[key].split():
+        try:
+            values.append(Fraction(tok))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"witness field {key!r} has a bad value {tok!r}") from None
+    return tuple(values)

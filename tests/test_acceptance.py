@@ -4,6 +4,7 @@ its runtime (visible with ``pytest -v -s tests/test_acceptance.py``).
 All numeric comparisons are exact rational arithmetic.
 """
 
+import itertools
 import random
 import time
 from contextlib import contextmanager
@@ -27,6 +28,7 @@ from mbfreal.interaction import (
     SIGMA,
     SIGMAPISIGMA,
     PhiAssignment,
+    corner_table,
     enumerate_structures,
     parse_structure,
 )
@@ -36,17 +38,16 @@ from mbfreal.realizability import (
     CollapseCertificate,
     DirectionCertificate,
     FarkasCertificate,
-    SearchGrid,
     Witness,
     check_class,
     check_sigma,
     collapse_witness,
+    derive_thresholds,
     direction_certificate,
     lift_eta,
     lower_eta,
     realize_k,
     replay_certificate,
-    search_witness,
     verify_k_witness,
     verify_witness,
 )
@@ -250,6 +251,22 @@ def random_pair(rng, n):
     return MbfFunction(n, f_truth), MbfFunction(n, g_truth)
 
 
+def grid_search(tup, s, highs):
+    """The first witness on the grid of these highs over the structure's
+    support, in grid order: every low 1, the largest high off the support,
+    thresholds derived from the value gaps."""
+    support = sorted(s.support)
+    for point in itertools.product(highs, repeat=len(support)):
+        high = [max(highs)] * s.n
+        for i, h in zip(support, point):
+            high[i - 1] = h
+        phi = PhiAssignment((F(1),) * s.n, tuple(high))
+        thresholds = derive_thresholds(tup, corner_table(s, phi))
+        if thresholds is not None and verify_witness(tup, Witness(s, phi, thresholds)):
+            return Witness(s, phi, thresholds)
+    return None
+
+
 def witness_pool(rng, minimum=1000):
     """Verified pair witnesses: every sum-realizable pair of 1..3 inputs, the
     18 reference mixed witnesses, and random grid searches until the pool is
@@ -274,8 +291,7 @@ def witness_pool(rng, minimum=1000):
         n = rng.choice((2, 3))
         f, g = random_pair(rng, n)
         s = rng.choice(structures[n])
-        grid = SearchGrid(highs=tuple(rng.sample(high_choices, 3)))
-        w = search_witness(OrderedTuple((f, g)), s, grid)
+        w = grid_search(OrderedTuple((f, g)), s, rng.sample(high_choices, 3))
         if w is not None:
             pool.append(((f, g), w))
     assert len(pool) >= minimum

@@ -320,7 +320,8 @@ def test_enumeration_n5_count():
 def test_enumeration_guard():
     with pytest.raises(ArityError):
         enumerate_mbf_positive(6)
-    assert len(enumerate_mbf_positive(5, limit=6)) == 7581
+    with pytest.raises(ArityError):
+        enumerate_ordered_pairs(5)
 
 
 def test_pair_counts():

@@ -136,6 +136,30 @@ def test_verify_corrupted_witness(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("field", ["thresholds", "rvalues", "low", "high"])
+def test_verify_witness_with_zero_denominator(tmp_path, capsys, field):
+    # a value such as 36/0 is a corrupted witness file: exit 1, naming the
+    # field and the token
+    f, g = PAIR_NEEDS_MIXED
+    witness_path = tmp_path / "w.txt"
+    class_tag = "k" if field == "rvalues" else "sigmapisigma"
+    run(capsys, "realize", "--pair", f.to_hex(), g.to_hex(), "--class", class_tag,
+        "--out", str(witness_path))
+    broken = []
+    for line in witness_path.read_text().splitlines():
+        key, _, values = line.partition(": ")
+        if key == field:
+            first, *rest = values.split()
+            token = first.split("/")[0] + "/0"
+            line = " ".join([key + ":", token] + rest)
+        broken.append(line)
+    witness_path.write_text("\n".join(broken) + "\n")
+    code, _, err = run(capsys, "verify", "--witness", str(witness_path))
+    assert code == 1
+    assert err.startswith("invalid witness: ")
+    assert repr(field) in err and repr(token) in err
+
+
 @pytest.mark.parametrize("kept", [0, 1, 2])
 def test_verify_witness_with_too_few_values(tmp_path, capsys, kept):
     # low and high both cut short of the arity: a corrupted witness file,
@@ -222,16 +246,28 @@ def test_pg_command(tmp_path, capsys):
     assert (out_dir / "factor_1.dot").exists()
 
 
+def example_k_json_with(node, key, value):
+    data = json.loads(k_to_json(example_k()))
+    data.setdefault(node, {})[key] = value
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize(
     "command, text",
     [
         ("pg", "[]"),
         ("pg", '{"nodes": "ab", "edges": []}'),
         ("pg", '{"nodes": [{"name": "a", "decay": null}], "edges": []}'),
+        ("pg", '{"nodes": [{"name": "a", "decay": true}], "edges": []}'),
+        ("pg", '{"nodes": [{"name": "a", "decay": 1}], "edges": '
+               '[{"source": "a", "target": "a", "sign": "+", "threshold": true}]}'),
         ("stg", '{"a": 5}'),
         ("stg", '{"a": {"": [1]}}'),
         # the example K plus an entry for a node the network lacks
-        ("stg", json.dumps({**json.loads(k_to_json(example_k())), "zz": {"": "5"}})),
+        ("stg", example_k_json_with("zz", "", "5")),
+        # the example K with a JSON boolean for one value (true would load as
+        # 1, which keeps the K monotone)
+        ("stg", example_k_json_with("2", "1", True)),
     ],
 )
 def test_malformed_network_or_k_json_exits_2(tmp_path, capsys, command, text):

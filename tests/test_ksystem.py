@@ -596,6 +596,10 @@ def test_cached_network_compares_and_hashes_by_fields():
         '{"nodes": [{"name": "a", "decay": 1}]}',
         '{"nodes": [{"name": "a", "decay": 1}], "edges": [7]}',
         '{"nodes": [{"name": "a", "decay": 1}], "edges": [{"source": "a"}]}',
+        # JSON booleans load as bool, an int, but are no numbers
+        '{"nodes": [{"name": "a", "decay": true}], "edges": []}',
+        '{"nodes": [{"name": "a", "decay": 1}], "edges": '
+        '[{"source": "a", "target": "a", "sign": "+", "threshold": true}]}',
     ],
 )
 def test_network_json_shape_errors(text):
@@ -606,7 +610,7 @@ def test_network_json_shape_errors(text):
 @pytest.mark.parametrize(
     "text",
     ['[]', '{"1": 5}', '{"1": {"": [1]}}', '{"1": {"": null}}', '{"1": {"": "x"}}',
-     '{"zz": {"": "5"}}'],
+     '{"zz": {"": "5"}}', '{"1": {"": false}}', '{"1": {"": true}}'],
 )
 def test_k_json_shape_errors(text):
     with pytest.raises(NetworkError):

@@ -40,13 +40,11 @@ from mbfreal.interaction import (
 )
 from mbfreal import realizability
 from mbfreal.realizability import (
-    DEFAULT_GRID,
     CollapseCertificate,
     DirectionCertificate,
     ExhaustionCertificate,
     FarkasCertificate,
     KWitness,
-    SearchGrid,
     Verdict,
     Witness,
     WitnessError,
@@ -172,6 +170,26 @@ def test_realize_k_exhaustive_small():
     for n in (1, 2):
         for f, g in enumerate_ordered_pairs(n):
             assert verify_k_witness(OrderedTuple((f, g)), realize_k(OrderedTuple((f, g))))
+
+
+def test_verify_k_witness_rejections():
+    # each table separates its tuple, so only the named check can reject it
+    zero, one = MbfFunction.const(2, 0), MbfFunction.const(2, 1)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    low, high = (Fraction(0),) * 4, (Fraction(1),) * 4
+    assert verify_k_witness(OrderedTuple((zero,)), KWitness(low, (half,)))
+    rejected = [
+        ((zero,), KWitness(low[:3], (half,))),  # value count
+        ((zero,), KWitness((Fraction(-1),) + low[1:], (half,))),  # negative value
+        ((zero,), KWitness((quarter,) + low[1:], (half,))),  # not monotone
+        ((one,), KWitness(high, (Fraction(0),))),  # threshold not positive
+        ((zero, zero), KWitness(low, (half, half))),  # thresholds not descending
+        ((zero,), KWitness(low, (half, quarter))),  # threshold count
+    ]
+    for functions, kw in rejected:
+        assert verify_k_witness(OrderedTuple(functions), kw) is False, kw
+    with pytest.raises(WitnessError):
+        verify_k_witness(OrderedTuple((zero,)), KWitness(low[:3] + (half,), (half,)))
 
 
 # ---------------------------------------------------------------- sums
@@ -566,18 +584,20 @@ def test_search_const_pair():
     assert w.thresholds[0] > w.thresholds[1]
 
 
-def _reference_search(tup, s, grid, tables):
-    """The grid loop without the integer screen: Fraction corner values at
-    every point.  ``tables`` keeps each structure's corner tables for the
-    next tuple, which saves time and changes nothing else."""
+def _reference_search(tup, s, tables):
+    """The loop over the module's search grid without the integer screen:
+    Fraction corner values at every point.  ``tables`` keeps each
+    structure's corner tables for the next tuple, which saves time and
+    changes nothing else."""
+    low, highs = realizability._GRID_LOW, realizability._GRID_HIGHS
     if s not in tables:
         support = sorted(s.support)
         tables[s] = []
-        for highs in itertools.product(grid.highs, repeat=len(support)):
-            high = [max(grid.highs)] * s.n
-            for i, h in zip(support, highs):
+        for point in itertools.product(highs, repeat=len(support)):
+            high = [max(highs)] * s.n
+            for i, h in zip(support, point):
                 high[i - 1] = h
-            phi = PhiAssignment((grid.low,) * s.n, tuple(high))
+            phi = PhiAssignment((low,) * s.n, tuple(high))
             tables[s].append((phi, corner_table(s, phi)))
     for phi, values in tables[s]:
         thresholds = derive_thresholds(tup, values)
@@ -620,51 +640,42 @@ def test_search_witness_matches_fraction_reference():
         for f, g in pairs:
             tup = OrderedTuple((f, g))
             for s in _product_structures(n):
-                expected = _reference_search(tup, s, DEFAULT_GRID, tables)
+                expected = _reference_search(tup, s, tables)
                 assert search_witness(tup, s) == expected, (f, g, s.text())
 
 
-def test_search_witness_matches_reference_on_other_grids():
-    grids = [
-        SearchGrid(
-            Fraction(1, 3),
-            (Fraction(1, 2), Fraction(5, 7), Fraction(3, 2), Fraction(17, 10), Fraction(3)),
-        ),
-        SearchGrid(Fraction(6, 5), (Fraction(9, 7), Fraction(3, 2), Fraction(21, 10), Fraction(4))),
-        SearchGrid(Fraction(1), (Fraction(8, 7), Fraction(13, 10), Fraction(2), Fraction(22, 7))),
-        # highs out of order, with a repeated value
-        SearchGrid(Fraction(1), (Fraction(4), Fraction(3, 2), Fraction(4), Fraction(2), Fraction(3))),
-        SearchGrid(Fraction(1), (Fraction(6), Fraction(5), Fraction(3), Fraction(2), Fraction(3, 2))),
-        SearchGrid(Fraction(5, 2), (Fraction(3), Fraction(11, 4), Fraction(7), Fraction(4))),
-        SearchGrid(Fraction(1), (Fraction(3),)),
-    ]
+def test_search_witness_with_one_variable_support():
+    # one-variable support, where the screen's row prefix is empty and the
+    # grid is one row
     pairs = [PAIR_NEEDS_PRODUCT, PAIR_NEEDS_MIXED] + _orbit_representatives(3)[::6]
-    # full support (every product structure) and one-variable support, where
-    # the screen's row prefix is empty and the grid is one row
-    structures = _product_structures(3) + [sum_structure({i}, 3) for i in (1, 2, 3)]
     const_pair = (MbfFunction.const(1, 0), MbfFunction.const(1, 1))
+    tables = {}
     found = 0
-    for grid in grids:
-        tables = {}
-        for f, g in pairs + [const_pair]:
-            tup = OrderedTuple((f, g))
-            for s in structures if f.n == 3 else [parse_structure("z1", 1)]:
-                _assert_same_screen(tup, s, grid)
-                expected = _reference_search(tup, s, grid, tables)
-                assert search_witness(tup, s, grid) == expected, (f, g, s.text(), grid)
-                found += expected is not None
+    for f, g in pairs + [const_pair]:
+        tup = OrderedTuple((f, g))
+        if f.n == 3:
+            structures = [sum_structure({i}, 3) for i in (1, 2, 3)]
+        else:
+            structures = [parse_structure("z1", 1)]
+        for s in structures:
+            _assert_same_screen(tup, s)
+            expected = _reference_search(tup, s, tables)
+            assert search_witness(tup, s) == expected, (f, g, s.text())
+            found += expected is not None
     assert found > 0
 
 
-def _per_point_screen(tup, s, grid):
-    """The integer screen one grid point at a time: the index tuples of the
-    points at which each function's maximal false corners are all below its
-    minimal true corners, scaled corner values evaluated at every point."""
+def _per_point_screen(tup, s):
+    """The integer screen one point of the module's search grid at a time:
+    the index tuples of the points at which each function's maximal false
+    corners are all below its minimal true corners, scaled corner values
+    evaluated at every point."""
     n = tup.n
     support = sorted(s.support)
-    scale = math.lcm(grid.low.denominator, *(h.denominator for h in grid.highs))
-    int_low = [int(grid.low * scale)] * n
-    int_highs = [int(h * scale) for h in grid.highs]
+    low, highs = realizability._GRID_LOW, realizability._GRID_HIGHS
+    scale = math.lcm(low.denominator, *(h.denominator for h in highs))
+    int_low = [int(low * scale)] * n
+    int_highs = [int(h * scale) for h in highs]
     sides = [(maximal_false_corners(f), minimal_true_corners(f)) for f in tup]
     corners = sorted({v for below, above in sides for v in below + above})
     slot = {v: k for k, v in enumerate(corners)}
@@ -676,7 +687,7 @@ def _per_point_screen(tup, s, grid):
     int_high = [max(int_highs)] * n
     scaled_values = scaled_corner_evaluator(s, scale, corners)
     admitted = []
-    for point in itertools.product(range(len(grid.highs)), repeat=len(support)):
+    for point in itertools.product(range(len(highs)), repeat=len(support)):
         for i, k in zip(support, point):
             int_high[i - 1] = int_highs[k]
         values = scaled_values(int_low, int_high)
@@ -688,10 +699,10 @@ def _per_point_screen(tup, s, grid):
     return admitted
 
 
-def _assert_same_screen(tup, s, grid=DEFAULT_GRID):
-    expected = _per_point_screen(tup, s, grid)
-    assert list(realizability._screened_points(tup, s, grid)) == expected, (
-        [f.to_hex() for f in tup], s.text(), grid,
+def _assert_same_screen(tup, s):
+    expected = _per_point_screen(tup, s)
+    assert list(realizability._screened_points(tup, s)) == expected, (
+        [f.to_hex() for f in tup], s.text(),
     )
     return expected
 
@@ -733,19 +744,6 @@ def test_structures_put_each_variable_in_one_block():
             for s in enumerate_structures(n, class_tag):
                 members = [i for blocks in s.groups for b in blocks for i in b]
                 assert len(members) == len(set(members)), s.text()
-
-
-def test_search_grid_needs_every_high_above_low():
-    # a grid is refused when it is built, before any search sees it
-    for low, highs in (
-        (Fraction(2), (Fraction(3), Fraction(2))),
-        (Fraction(2), (Fraction(3), Fraction(1))),
-        (Fraction(0), (Fraction(3),)),
-    ):
-        with pytest.raises(ValueError, match="need 0 < low < high"):
-            SearchGrid(low, highs)
-    with pytest.raises(ValueError, match="search grid needs at least one high value"):
-        SearchGrid(highs=())
 
 
 def test_search_builds_fractions_only_for_screened_points(monkeypatch):
@@ -1241,9 +1239,10 @@ def test_guards_fire_before_canonicalization():
     with pytest.raises(ValueError, match="sum decision guarded at arity 5"):
         check_class(wide, SIGMA)
     assert check_class(wide, "k").is_realizable
-    # no grid is taken, so a stale positional one cannot land in ``decided``
+    # ``decided`` is keyword-only, so a stray positional argument cannot
+    # land in it
     with pytest.raises(TypeError):
-        check_class(OrderedTuple(PAIR_NEEDS_PRODUCT), PISIGMA, DEFAULT_GRID)
+        check_class(OrderedTuple(PAIR_NEEDS_PRODUCT), PISIGMA, {})
 
 
 # ---------------------------------------------------------------- collapse facts
