@@ -17,7 +17,12 @@ adjacent monotone pairs, the outgoing thresholds scaled by the decay, and
 the node's activity combination in every domain state.  Each K object
 holds, once, every node's values as integers over their common denominator,
 so K values are compared with each other and with the scaled thresholds in
-exact integers.  ``phi_k`` tabulates each node's image level over all 2^m
+exact integers; a K from ``mbfs_to_k`` is handed that table (denominator 1,
+the counts).  Once per (network object, K), the violation list and every
+node's threshold clearances are computed and kept on the K for the network
+object it was last used with, compared by identity, so ``validate_k``,
+``phi_k`` and ``k_to_mbfs`` on one pair read each node's values once.
+``phi_k`` tabulates each node's image level over all 2^m
 activity combinations of its m inputs before visiting any state; this
 evaluates no more and no fewer K values than a per-state loop, because every
 combination occurs in some state (each source coordinate can be 1, below all
@@ -355,19 +360,6 @@ def _node_values(plan: _NodePlan, k: KCollection) -> "tuple[int, list[int]]":
         raise KeyError(f"missing K[{plan.name}][{plan.labels[v]}]") from None
 
 
-def validate_k(net: WeightedRegulatoryNetwork, k: KCollection) -> "list[str]":
-    """Coverage errors raise; returned list names the negative values and the
-    monotonicity violations (adjacent subset pairs suffice)."""
-    violations = []
-    for plan in net._plans:
-        _, values = _node_values(plan, k)
-        violations += [
-            f"{plan.name}: K[{plan.labels[v]}] negative" for v in plan.order if values[v] < 0
-        ]
-        violations += [message for x, y, message in plan.pairs if values[x] > values[y]]
-    return violations
-
-
 def _clearances(plan: _NodePlan, den: int, values: "list[int]"):
     """Per activity bitmask, how many of the node's scaled thresholds its K
     value exceeds, and the (bitmask, threshold index) pairs where the value
@@ -384,6 +376,33 @@ def _clearances(plan: _NodePlan, den: int, values: "list[int]"):
     return counts, on
 
 
+def _table(net: WeightedRegulatoryNetwork, k: KCollection):
+    """The violation list, and per node of ``net`` its ``_clearances``.
+
+    Computed once per (network object, K) and kept on the K for the network
+    object it was last used with; coverage errors raise and keep nothing.
+    """
+    kept = k.__dict__.get("_table")
+    if kept is not None and kept[0] is net:
+        return kept[1], kept[2]
+    violations, clearances = [], []
+    for plan in net._plans:
+        den, values = _node_values(plan, k)
+        violations += [
+            f"{plan.name}: K[{plan.labels[v]}] negative" for v in plan.order if values[v] < 0
+        ]
+        violations += [message for x, y, message in plan.pairs if values[x] > values[y]]
+        clearances.append(_clearances(plan, den, values))
+    object.__setattr__(k, "_table", (net, violations, clearances))
+    return violations, clearances
+
+
+def validate_k(net: WeightedRegulatoryNetwork, k: KCollection) -> "list[str]":
+    """Coverage errors raise; returned list names the negative values and the
+    monotonicity violations (adjacent subset pairs suffice)."""
+    return list(_table(net, k)[0])
+
+
 # ---------------------------------------------------------------- dynamics
 
 def phi_k(net: WeightedRegulatoryNetwork, k: KCollection) -> dict:
@@ -396,12 +415,11 @@ def phi_k(net: WeightedRegulatoryNetwork, k: KCollection) -> dict:
     level is tabulated once per activity combination of its inputs, and each
     state only indexes the tables.
     """
-    problems = validate_k(net, k)
+    problems, clearances = _table(net, k)
     if problems:
         raise NetworkError("K violates monotonicity: " + "; ".join(problems))
     columns = []
-    for plan in net._plans:
-        counts, on = _clearances(plan, *_node_values(plan, k))
+    for plan, (counts, on) in zip(net._plans, clearances):
         if on:
             v, i = on[0]
             value = k.value(plan.name, *plan.keys[v]) / net.decay(plan.name)
@@ -421,7 +439,9 @@ class StateTransitionGraph:
 
 def build_stg(phi: dict) -> StateTransitionGraph:
     """Asynchronous unit-step graph: fixed states get a self-loop, every
-    coordinate moving toward its image contributes one unit edge."""
+    coordinate moving toward its image contributes one unit edge.  Edges are
+    emitted sorted: by state, then from each state the down-steps by
+    ascending coordinate and the up-steps by descending coordinate."""
     states = tuple(sorted(phi))
     edges = []
     for d in states:
@@ -429,14 +449,19 @@ def build_stg(phi: dict) -> StateTransitionGraph:
         if image == d:
             edges.append((d, d))
             continue
-        for i, (cur, tgt) in enumerate(zip(d, image)):
-            if tgt > cur:
-                step = d[:i] + (cur + 1,) + d[i + 1 :]
-                edges.append((d, step))
-            elif tgt < cur:
-                step = d[:i] + (cur - 1,) + d[i + 1 :]
-                edges.append((d, step))
-    return StateTransitionGraph(states, tuple(sorted(edges)))
+        # sorted order: a down-step precedes d, an up-step follows it, and
+        # a step at a lower coordinate sits further from d
+        for i in range(len(d)):
+            if image[i] < d[i]:
+                step = list(d)
+                step[i] -= 1
+                edges.append((d, tuple(step)))
+        for i in reversed(range(len(d))):
+            if image[i] > d[i]:
+                step = list(d)
+                step[i] += 1
+                edges.append((d, tuple(step)))
+    return StateTransitionGraph(states, tuple(edges))
 
 
 def stg_to_dot(stg: StateTransitionGraph) -> str:
@@ -473,15 +498,14 @@ def k_to_mbfs(net: WeightedRegulatoryNetwork, k: KCollection) -> dict:
     tables are monotone with the edge signs and are returned
     positive-normalized.
     """
-    problems = validate_k(net, k)
+    problems, clearances = _table(net, k)
     if problems:
         raise NetworkError("K violates monotonicity: " + "; ".join(problems))
     out = {}
-    for plan in net._plans:
+    for plan, (counts, on) in zip(net._plans, clearances):
         b = len(plan.targets)
         if not b:
             continue
-        counts, on = _clearances(plan, *_node_values(plan, k))
         if on:
             # the first value on a threshold, taking the targets from the
             # largest threshold down and each over every activity bitmask
@@ -516,7 +540,7 @@ def mbfs_to_k(net: WeightedRegulatoryNetwork, assignments: dict):
         if name not in net._decays:
             raise NetworkError(f"functions for {name!r}, which is not a node of the network")
     canon_net = net._canonical
-    entries = []
+    entries, integers = [], {}
     for plan in canon_net._plans:
         b = len(plan.targets)
         counts = [0] * len(plan.keys)
@@ -537,8 +561,12 @@ def mbfs_to_k(net: WeightedRegulatoryNetwork, assignments: dict):
                     counts[v] += f.truth >> (v ^ plan.flip) & 1
         cells = tuple((plan.keys[v], plan.levels[counts[v]]) for v in plan.cell_order)
         entries.append((plan.name, cells))
+        integers[plan.name] = (1, dict(zip(plan.keys, counts)))
     # node names are distinct, so the sort compares names only
-    return canon_net, KCollection(tuple(sorted(entries)))
+    k = KCollection(tuple(sorted(entries)))
+    # the levels are the integer counts, so K's integer table is known
+    object.__setattr__(k, "_integers", integers)
+    return canon_net, k
 
 
 # ---------------------------------------------------------------- serialization
@@ -620,13 +648,16 @@ def k_from_json(text: str, net: WeightedRegulatoryNetwork) -> KCollection:
         cells = _object(cells, f"K entries of {node}")
         plus = {e.source for e in net.sources(node) if e.sign == ACTIVATING}
         minus = {e.source for e in net.sources(node) if e.sign == REPRESSING}
-        parsed = {}
+        parsed, keys = {}, {}
         for key, v in cells.items():
-            members = set(key.split(",")) if key else set()
+            members = frozenset(key.split(",")) if key else frozenset()
             if not members <= plus | minus:
                 raise NetworkError(f"K key {key!r} names non-sources of {node}")
-            parsed[(frozenset(members & plus), frozenset(members & minus))] = _number(
-                v, f"K[{node}][{key}]"
-            )
+            if members in keys:
+                raise NetworkError(
+                    f"K keys {keys[members]!r} and {key!r} of {node} name the same sources"
+                )
+            keys[members] = key
+            parsed[(members & plus, members & minus)] = _number(v, f"K[{node}][{key}]")
         table[node] = parsed
     return KCollection.from_dict(table)

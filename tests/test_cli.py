@@ -268,6 +268,9 @@ def example_k_json_with(node, key, value):
         # the example K with a JSON boolean for one value (true would load as
         # 1, which keeps the K monotone)
         ("stg", example_k_json_with("2", "1", True)),
+        # the example K plus a second key for a source set it already names
+        ("stg", example_k_json_with("1", "1,1", "7")),
+        ("stg", example_k_json_with("1", "2,1", "7")),
     ],
 )
 def test_malformed_network_or_k_json_exits_2(tmp_path, capsys, command, text):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mbfreal import ksystem
 from mbfreal.boolean_core import (
     ACTIVATING,
     MbfFunction,
@@ -16,6 +17,7 @@ from mbfreal.ksystem import (
     Edge,
     KCollection,
     NetworkError,
+    StateTransitionGraph,
     WeightedRegulatoryNetwork,
     build_stg,
     gamma_normalize,
@@ -610,11 +612,19 @@ def test_network_json_shape_errors(text):
 @pytest.mark.parametrize(
     "text",
     ['[]', '{"1": 5}', '{"1": {"": [1]}}', '{"1": {"": null}}', '{"1": {"": "x"}}',
-     '{"zz": {"": "5"}}', '{"1": {"": false}}', '{"1": {"": true}}'],
+     '{"zz": {"": "5"}}', '{"1": {"": false}}', '{"1": {"": true}}',
+     # two keys naming one source set: reordered, or with a repeated source
+     '{"1": {"1,2": "5", "2,1": "7"}}', '{"1": {"1": "6", "1,1": "7"}}'],
 )
 def test_k_json_shape_errors(text):
     with pytest.raises(NetworkError):
         k_from_json(text, example_network())
+
+
+def test_k_json_names_both_keys_of_one_source_set():
+    with pytest.raises(NetworkError) as info:
+        k_from_json('{"1": {"": "1", "1,2": "5", "2,1": "7"}}', example_network())
+    assert info.value.args == ("K keys '1,2' and '2,1' of 1 name the same sources",)
 
 
 # ---------------------------------------------------------------- compiled plans
@@ -830,6 +840,92 @@ def test_round_trip_on_parameter_graph_vertices():
             for name, factor, i in zip(pg.node_names, pg.factors, vertex)
         }
         canon_net, k = mbfs_to_k(net, assignment)
+        copy = KCollection.from_dict(k.as_dict())
+        assert k == copy and k._integers == copy._integers
         assert validate_k(canon_net, k) == _reference_validate(canon_net, k) == []
-        assert phi_k(canon_net, k) == _reference_phi(canon_net, k)
+        phi = phi_k(canon_net, k)
+        assert phi == _reference_phi(canon_net, k)
+        assert build_stg(phi) == _reference_stg(phi)
         assert _assignment(canon_net, k) == assignment
+
+
+def _reference_stg(phi):
+    """The unit-step graph built per coordinate from tuple slices, then
+    sorted."""
+    states = tuple(sorted(phi))
+    edges = []
+    for d in states:
+        image = phi[d]
+        if image == d:
+            edges.append((d, d))
+            continue
+        for i, (cur, tgt) in enumerate(zip(d, image)):
+            if tgt > cur:
+                edges.append((d, d[:i] + (cur + 1,) + d[i + 1 :]))
+            elif tgt < cur:
+                edges.append((d, d[:i] + (cur - 1,) + d[i + 1 :]))
+    return StateTransitionGraph(states, tuple(sorted(edges)))
+
+
+def test_stg_matches_sorting_reference_on_random_self_maps():
+    rng = random.Random(1515)
+    for _ in range(200):
+        levels = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        states = list(itertools.product(*(range(1, c + 1) for c in levels)))
+        # about a fifth of the states are fixed, the rest move on any number
+        # of coordinates at once
+        phi = {
+            d: d if rng.random() < 0.2 else rng.choice(states)
+            for d in states
+        }
+        assert build_stg(phi) == _reference_stg(phi)
+    empty = {(): ()}
+    assert build_stg(empty) == _reference_stg(empty) == StateTransitionGraph(
+        ((),), (((), ()),)
+    )
+
+
+def test_one_k_against_several_network_objects():
+    # another decay, another threshold (K[1][{1},{}] = 5 falls below it), and
+    # decay 2 (a value on a threshold); each network object in turn, then
+    # again, must see what a fresh K sees
+    base = example_network()
+    moved = WeightedRegulatoryNetwork(
+        base.nodes, (Edge("1", "1", ACTIVATING, F(11, 2)),) + base.edges[1:]
+    )
+    nets = [base, example_network(F(4)), moved, example_network(F(2))]
+    shared = example_k()
+    phis = set()
+    for net in nets + nets:
+        for call in (validate_k, phi_k, k_to_mbfs):
+            got = _outcome(lambda: call(net, shared))
+            assert got == _outcome(lambda: call(net, example_k()))
+            if call is phi_k:
+                phis.add(repr(got))
+    assert len(phis) == len(nets)
+
+
+def test_validate_k_returns_a_fresh_list():
+    bad = example_k().as_dict()
+    bad["1"][(frozenset(), frozenset({"2"}))] = F(3, 5)
+    net, k = example_network(), KCollection.from_dict(bad)
+    first = validate_k(net, k)
+    assert len(first) == 1
+    first.clear()
+    assert len(validate_k(net, k)) == 1
+
+
+def test_phi_k_and_k_to_mbfs_read_each_node_once(monkeypatch):
+    calls = []
+
+    def counting(plan, k):
+        calls.append(plan.name)
+        return node_values(plan, k)
+
+    node_values = ksystem._node_values
+    monkeypatch.setattr(ksystem, "_node_values", counting)
+    net, k = example_network(), example_k()
+    phi_k(net, k)
+    k_to_mbfs(net, k)
+    assert validate_k(net, k) == []
+    assert calls == ["1", "2"]
