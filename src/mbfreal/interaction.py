@@ -7,14 +7,26 @@ evaluation plugs in per-variable low/high values.
 
 Text format: ``"(z1+z2)*z3"``, ``"z1*z2+z3"``, ``"z1+z3"``.  The parser and
 printer round-trip; a parsed pure sum canonicalizes to the sum class.
+
+Corner values are computed in exact integers.  Each structure is compiled
+once per process into one plan (``_corner_plan``): per corner, which sums of
+lows and highs multiply in each group.  ``scaled_corner_table`` puts an
+assignment's lows and highs over their least common denominator and reads
+the plan on the numerators, giving every corner value as an integer over one
+scale; a caller compares a value ``x / scale`` with a threshold ``p / q`` as
+``x * q`` against ``p * scale``.  ``corner_table`` is the ``Fraction`` view of
+that table, and ``scaled_corner_evaluator`` and ``scaled_corner_lines`` read
+the same plan on integer grids.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .boolean_core import CEILING, FLOOR
 
@@ -316,26 +328,83 @@ def evaluate(s: InteractionStructure, z) -> Fraction:
     return total
 
 
-def corner_table(s: InteractionStructure, phi: PhiAssignment) -> "tuple[Fraction, ...]":
-    """Values at all 2**n corners, indexed by corner bitmask.
+@lru_cache(maxsize=None)
+def _corner_plan(s: InteractionStructure):
+    """The expression compiled once per structure (structures are finitely
+    many): ``(degree, blocks, corners)``.
 
-    ``PhiAssignment`` has already checked that its values are positive, so
-    each corner is summed and multiplied as it stands, without the checks
-    and conversions of ``evaluate``.
+    Values are read from one list ``low + high`` of a variable's low at
+    position ``i - 1`` and its high at ``n + i - 1``.  ``blocks`` holds every
+    distinct block of the expression at some corner, as a tuple of positions
+    to sum; ``corners[v]`` holds, per group, the number of its blocks and the
+    indices of those blocks in ``blocks``, whose sums multiply.
+    """
+    n = s.n
+    ids: "dict[tuple[int, ...], int]" = {}
+    corners = []
+    for v in range(1 << n):
+        terms = []
+        for blocks in s.groups:
+            members = tuple(
+                ids.setdefault(tuple(i - 1 + n * (v >> (i - 1) & 1) for i in sorted(b)), len(ids))
+                for b in blocks
+            )
+            terms.append((len(blocks), members))
+        corners.append(tuple(terms))
+    return s.degree(), tuple(ids), tuple(corners)
+
+
+def _plan_values(plan, nums, scale: int, corners) -> "list[int]":
+    """Value at each of ``corners`` times ``scale ** degree``, from integer
+    numerators ``nums`` (the list ``low + high``) over ``scale``.
+
+    A group of m blocks, a product of m sums of numerators, is ``scale ** m``
+    times its value, so it is weighted by ``scale ** (degree - m)``.
+    """
+    degree, blocks, terms_at = plan
+    get = nums.__getitem__
+    sums = [sum(map(get, b)) for b in blocks]
+    weights = [scale ** (degree - m) for m in range(degree + 1)]
+    out = []
+    for v in corners:
+        total = 0
+        for m, members in terms_at[v]:
+            prod = weights[m]
+            for k in members:
+                prod *= sums[k]
+            total += prod
+        out.append(total)
+    return out
+
+
+def integer_form(values) -> "tuple[list[int], int]":
+    """Integer numerators of rationals over their least common denominator,
+    and that denominator: ``nums[k] / scale == values[k]`` exactly."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def scaled_corner_table(s: InteractionStructure, phi: PhiAssignment) -> "tuple[list[int], int]":
+    """Values at all 2**n corners as integers over one scale:
+    ``values[v] / scale`` is the exact value at corner bitmask v.
+
+    The lows and highs are put over their least common denominator d and
+    the structure's compiled plan is evaluated on the numerators, so the
+    scale is ``d ** degree``.  ``PhiAssignment`` has already checked that its
+    values are positive, so nothing is checked or converted per corner.
     """
     if phi.n != s.n:
         raise ValueError(f"expected {s.n} values, got {phi.n}")
-    out = []
-    for v in range(1 << s.n):
-        z = phi.corner(v)
-        total = 0
-        for blocks in s.groups:
-            prod = 1
-            for b in blocks:
-                prod *= sum(z[i - 1] for i in b)
-            total += prod
-        out.append(total)
-    return tuple(out)
+    plan = _corner_plan(s)
+    nums, d = integer_form(phi.low + phi.high)
+    return _plan_values(plan, nums, d, range(1 << s.n)), d ** plan[0]
+
+
+def corner_table(s: InteractionStructure, phi: PhiAssignment) -> "tuple[Fraction, ...]":
+    """Values at all 2**n corners, indexed by corner bitmask: the ``Fraction``
+    view of ``scaled_corner_table``."""
+    values, scale = scaled_corner_table(s, phi)
+    return tuple(Fraction(x, scale) for x in values)
 
 
 def scaled_corner_evaluator(s: InteractionStructure, scale: int, corners):
@@ -343,39 +412,69 @@ def scaled_corner_evaluator(s: InteractionStructure, scale: int, corners):
 
     Returns a function of two integer lists, each variable's low and high
     numerator over ``scale``, that gives the value at each of ``corners``
-    times ``scale ** s.degree()``.  A group of m blocks, a product of m sums
-    of numerators, is ``scale ** m`` times its rational value, so it is
-    weighted by ``scale ** (degree - m)``; every result is then exactly
-    ``scale ** degree`` times the value ``corner_table`` gives, and the two
-    orders agree.  Each block is compiled once into positions in the list
-    ``low + high``.  A variable sits in one block, so each result is affine
-    in any one variable's high: the witness search screens a grid row with
-    two calls, at that high 0 and 1.
+    times ``scale ** s.degree()``, read from the structure's compiled plan
+    like ``scaled_corner_table``.
     """
-    n = s.n
-    deg = s.degree()
-    plan = [
-        [
-            (
-                scale ** (deg - len(blocks)),
-                [tuple(i - 1 + n * (v >> (i - 1) & 1) for i in sorted(b)) for b in blocks],
-            )
-            for blocks in s.groups
-        ]
-        for v in corners
-    ]
+    plan = _corner_plan(s)
+    corners = tuple(corners)
 
     def values(low, high) -> "list[int]":
-        get = (low + high).__getitem__
-        out = []
-        for terms in plan:
+        return _plan_values(plan, low + high, scale, corners)
+
+    return values
+
+
+def scaled_corner_lines(s: InteractionStructure, scale: int, corners, i: int):
+    """The values at fixed corners as lines in variable i's high.
+
+    Returns a function of two integer lists, like ``scaled_corner_evaluator``,
+    that gives two lists a and b: the value at ``corners[k]`` times
+    ``scale ** s.degree()`` is ``a[k] + b[k] * h`` when z_i's high numerator
+    is h, whatever ``high[i - 1]`` holds.  A variable sits in one block of one
+    group, so a corner whose bit i is set has one product with a factor
+    ``rest + h``; its other factors times its weight give b, and the
+    product with that block's sum taken at h = 0 adds to a.  One pass over
+    the compiled plan gives both.
+    """
+    degree, blocks, terms_at = _corner_plan(s)
+    position = s.n + i - 1
+    home = {k for k, b in enumerate(blocks) if position in b}
+    # per corner: its terms, and the weight index and other factors of the
+    # one product holding z_i's high (None where bit i is clear)
+    lines = []
+    for v in corners:
+        terms = terms_at[v]
+        slope = next(
+            ((m, tuple(k for k in members if k not in home)) for m, members in terms
+             if home.intersection(members)),
+            None,
+        )
+        lines.append((terms, slope))
+
+    def values(low, high) -> "tuple[list[int], list[int]]":
+        nums = low + high
+        nums[position] = 0
+        get = nums.__getitem__
+        sums = [sum(map(get, b)) for b in blocks]
+        weights = [scale ** (degree - m) for m in range(degree + 1)]
+        a, b = [], []
+        for terms, slope in lines:
             total = 0
-            for weight, blocks in terms:
-                for b in blocks:
-                    weight *= sum(map(get, b))
-                total += weight
-            out.append(total)
-        return out
+            for m, members in terms:
+                prod = weights[m]
+                for k in members:
+                    prod *= sums[k]
+                total += prod
+            a.append(total)
+            if slope is None:
+                b.append(0)
+            else:
+                m, others = slope
+                prod = weights[m]
+                for k in others:
+                    prod *= sums[k]
+                b.append(prod)
+        return a, b
 
     return values
 
@@ -396,8 +495,13 @@ def corner_monomials(s: InteractionStructure, v: int):
 
 # ---------------------------------------------------------------- relabeling
 
+@lru_cache(maxsize=None)
 def relabel_structure(s: InteractionStructure, perm: "tuple[int, ...]") -> InteractionStructure:
-    """The same expression with z_i renamed z_perm[i-1]."""
+    """The same expression with z_i renamed z_perm[i-1].
+
+    Kept per (structure, permutation), both finitely many: ``check_class``
+    relabels a canonical witness onto every other member of its orbit.
+    """
     if sorted(perm) != list(range(1, s.n + 1)):
         raise StructureError(f"{perm} is not a permutation of 1..{s.n}")
     groups = [[frozenset(perm[i - 1] for i in b) for b in blocks] for blocks in s.groups]

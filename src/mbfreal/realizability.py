@@ -13,6 +13,11 @@ works (sum the functions); the algebraic classes are decided or searched:
   factor or standalone summand, (ii) monomial-linearization Farkas
   certificates, and (iii) a rational grid search for witnesses.  Unknown is
   an honest output; no completeness is claimed.
+
+Witnesses are checked in exact integers: corner values come from
+``scaled_corner_table`` as integers over one scale, and a value is compared
+with a threshold p/q as ``value * q`` against ``p * scale``.  Thresholds stay
+``Fraction``s, derived from the integer gaps.
 """
 
 from __future__ import annotations
@@ -54,10 +59,12 @@ from .interaction import (
     enumerate_structures,
     has_factor,
     has_simple_term,
+    integer_form,
     parse_structure,
     relabel_assignment,
     relabel_structure,
-    scaled_corner_evaluator,
+    scaled_corner_lines,
+    scaled_corner_table,
     structure,
     sum_structure,
 )
@@ -176,12 +183,17 @@ def verify_witness(tup: OrderedTuple, w: Witness) -> bool:
     """
     if w.structure.n != tup.n or w.phi.n != tup.n:
         raise ValueError("witness arity does not match the tuple")
-    return _separates(tup, w.thresholds, corner_table(w.structure, w.phi))
+    return _separates(tup, w.thresholds, *scaled_corner_table(w.structure, w.phi))
 
 
-def _separates(tup: OrderedTuple, thresholds, values) -> bool:
+def _separates(tup: OrderedTuple, thresholds, values, scale: int) -> bool:
     """The threshold and separation checks of ``verify_witness`` and
-    ``verify_k_witness``, on corner values the caller already holds."""
+    ``verify_k_witness``, on corner values the caller already holds as
+    integers over ``scale`` (``values[v] / scale`` is the value at corner v).
+
+    A value is compared with a threshold p/q in integers, ``value * q``
+    against ``p * scale``; the thresholds are compared as they are.
+    """
     if len(thresholds) != len(tup):
         return False
     if any(t <= 0 for t in thresholds):
@@ -189,10 +201,12 @@ def _separates(tup: OrderedTuple, thresholds, values) -> bool:
     if any(a <= b for a, b in zip(thresholds, thresholds[1:])):
         return False
     for f, theta in zip(tup, thresholds):
+        q, bound = theta.denominator, theta.numerator * scale
         for v, value in enumerate(values):
-            if value == theta:
+            x = value * q
+            if x == bound:
                 raise WitnessError(f"value at corner {v} equals threshold {theta}")
-            if (value > theta) != bool(f.truth >> v & 1):
+            if (x > bound) != bool(f.truth >> v & 1):
                 return False
     return True
 
@@ -202,13 +216,14 @@ def verify_k_witness(tup: OrderedTuple, kw: KWitness) -> bool:
     cube, that separates every function like ``verify_witness``."""
     if len(kw.values) != 1 << tup.n:
         return False
-    if any(val < 0 for val in kw.values):
+    values, scale = integer_form(kw.values)
+    if any(val < 0 for val in values):
         return False
-    for v, val in enumerate(kw.values):
+    for v, val in enumerate(values):
         for i in range(tup.n):
-            if not v >> i & 1 and val > kw.values[v | 1 << i]:
+            if not v >> i & 1 and val > values[v | 1 << i]:
                 return False
-    return _separates(tup, kw.thresholds, kw.values)
+    return _separates(tup, kw.thresholds, values, scale)
 
 
 def realize_k(tup: OrderedTuple) -> KWitness:
@@ -256,9 +271,9 @@ def check_sigma(tup: OrderedTuple) -> Verdict:
         )
     # columns are l1..ln (corner 0), then u1..un (the unit corners in order)
     phi = PhiAssignment(out.point[:n], out.point[n:])
-    values = corner_table(s, phi)
-    thresholds = derive_thresholds(tup, values)
-    if thresholds is None or not _separates(tup, thresholds, values):
+    values, scale = scaled_corner_table(s, phi)
+    thresholds = derive_thresholds(tup, values, scale)
+    if thresholds is None or not _separates(tup, thresholds, values, scale):
         raise AssertionError("feasible sum system produced a bad witness")
     return Verdict.realizable(Witness(s, phi, thresholds))
 
@@ -455,15 +470,20 @@ _INT_LOW = int(_GRID_LOW * _GRID_SCALE)
 _INT_HIGHS = tuple(int(h * _GRID_SCALE) for h in _GRID_HIGHS)
 
 
-def derive_thresholds(tup: OrderedTuple, values):
+def derive_thresholds(tup: OrderedTuple, values, scale: int):
     """Midpoints of each function's separating gap; shared gaps are split
-    into descending fractions.  None when some function has no gap."""
+    into descending fractions.  None when some function has no gap.
+
+    ``values`` are the corner values as integers over ``scale``
+    (``scaled_corner_table``); gaps are found on the integers and each
+    threshold is built as one exact ``Fraction``.
+    """
     size = 1 << tup.n
     gaps = []
     for f in tup:
         false_vals = [values[v] for v in range(size) if not f.truth >> v & 1]
         true_vals = [values[v] for v in range(size) if f.truth >> v & 1]
-        lo = max(false_vals) if false_vals else Fraction(0)
+        lo = max(false_vals) if false_vals else 0
         hi = min(true_vals) if true_vals else None
         if hi is not None and lo >= hi:
             return None
@@ -478,9 +498,11 @@ def derive_thresholds(tup: OrderedTuple, values):
         lo, hi = gaps[j]
         for t in range(m):
             if hi is None:
-                thresholds.append(lo + m - t)
+                # lo + m - t
+                thresholds.append(Fraction(lo + (m - t) * scale, scale))
             else:
-                thresholds.append(lo + (hi - lo) * Fraction(m - t, m + 1))
+                # lo + (hi - lo) * (m - t) / (m + 1)
+                thresholds.append(Fraction(lo * (m + 1) + (hi - lo) * (m - t), scale * (m + 1)))
         j = j2
     if any(a <= b for a, b in zip(thresholds, thresholds[1:])):
         return None
@@ -491,14 +513,14 @@ def _screened_points(tup: OrderedTuple, s: InteractionStructure):
     """Index tuples into ``_GRID_HIGHS`` over the sorted support, in grid
     order, of the points at which every function has a separating gap.
 
-    ``scaled_corner_evaluator`` gives corner values times a positive power of
-    ``_GRID_SCALE`` from the integer grid.  Values grow with the corner bits,
-    so a function has a gap exactly when each maximal false corner is below
-    each minimal true corner.  Each variable sits in one block of one group,
-    so with all highs but the last fixed (one row) a scaled corner value is
-    ``A + B*h`` in the last scaled high h: two evaluations, at h = 0 and 1,
-    give A and B, each (false, true) corner pair bounds h by a strict integer
-    inequality, and the row admits the grid highs inside every bound.
+    Corner values are integers times a positive power of ``_GRID_SCALE`` on
+    the integer grid.  Values grow with the corner bits, so a function has a
+    gap exactly when each maximal false corner is below each minimal true
+    corner.  Each variable sits in one block of one group, so with all highs
+    but the last fixed (one row) a scaled corner value is ``A + B*h`` in the
+    last scaled high h: one pass of ``scaled_corner_lines`` gives A and B,
+    each (false, true) corner pair bounds h by a strict integer inequality,
+    and the row admits the grid highs inside every bound.
     """
     *prefix, last = sorted(s.support)
     int_low = [_INT_LOW] * tup.n
@@ -507,14 +529,11 @@ def _screened_points(tup: OrderedTuple, s: InteractionStructure):
     slot = {v: k for k, v in enumerate(corners)}
     pairs = {(slot[x], slot[y]) for below, above in sides for x in below for y in above}
     int_high = [max(_INT_HIGHS)] * tup.n
-    scaled_values = scaled_corner_evaluator(s, _GRID_SCALE, corners)
+    scaled_lines = scaled_corner_lines(s, _GRID_SCALE, corners, last)
     for row in itertools.product(range(len(_INT_HIGHS)), repeat=len(prefix)):
         for i, k in zip(prefix, row):
             int_high[i - 1] = _INT_HIGHS[k]
-        int_high[last - 1] = 0
-        a = scaled_values(int_low, int_high)
-        int_high[last - 1] = 1
-        b = [v - u for u, v in zip(a, scaled_values(int_low, int_high))]
+        a, b = scaled_lines(int_low, int_high)
         lo, hi = min(_INT_HIGHS), max(_INT_HIGHS)
         for x, y in pairs:
             # a[x] + b[x]*h < a[y] + b[y]*h, that is c*h < d
@@ -537,10 +556,10 @@ def search_witness(tup: OrderedTuple, s: InteractionStructure):
     the support gets the largest high.  Thresholds are derived from the
     achieved value gaps, never searched.
 
-    Only the points that ``_screened_points`` admits, in grid order, get
-    ``Fraction`` values and go through ``PhiAssignment``, ``corner_table``,
-    ``derive_thresholds`` and ``verify_witness``'s checks on that one corner
-    table; the others have no gap.
+    Only the points that ``_screened_points`` admits, in grid order, go
+    through ``PhiAssignment``, ``scaled_corner_table``, ``derive_thresholds``
+    and ``verify_witness``'s checks on that one integer table; the others
+    have no gap.
     """
     n = tup.n
     support = sorted(s.support)
@@ -551,11 +570,11 @@ def search_witness(tup: OrderedTuple, s: InteractionStructure):
         for i, k in zip(support, point):
             high[i - 1] = _GRID_HIGHS[k]
         phi = PhiAssignment(low, tuple(high))
-        values = corner_table(s, phi)
-        thresholds = derive_thresholds(tup, values)
+        values, scale = scaled_corner_table(s, phi)
+        thresholds = derive_thresholds(tup, values, scale)
         if thresholds is None:
             continue
-        if _separates(tup, thresholds, values):
+        if _separates(tup, thresholds, values, scale):
             return Witness(s, phi, thresholds)
     return None
 
@@ -634,8 +653,10 @@ def check_class(
     passes one dict, so each orbit is decided once; without it a call
     keeps no verdict.  There is no grid to key on: the search grid is fixed
     in the module (see ``search_witness``).  Any call keeps only bounded
-    facts: structure rows (``_structure_system``) and three-input collapse
-    facts (``_collapsed_blocked``).
+    facts: structure rows (``_structure_system``), three-input collapse
+    facts (``_collapsed_blocked``), and in ``interaction`` each structure's
+    corner plan and each relabeled structure, which the relabeled member's
+    witness check reuses.
 
     The free class ``k`` is realized directly.  The tag and the arity guards
     are checked before the tuple is canonicalized.
@@ -749,11 +770,17 @@ def lift_eta(
         phi_new = (Fraction(1), theta_f / theta_g)
         new_thresholds = (theta_f,)
     elif class_tag in (SIGMA, SIGMAPISIGMA):
-        values = corner_table(s, w.phi)
-        gap = min(
-            min(abs(v - t) for v in values for t in w.thresholds),
-            theta_f - theta_g,
+        values, scale = scaled_corner_table(s, w.phi)
+        # the distance from each threshold p/q to its nearest corner value,
+        # over the common denominator q * scale
+        nearest = min(
+            Fraction(
+                min(abs(v * t.denominator - t.numerator * scale) for v in values),
+                t.denominator * scale,
+            )
+            for t in w.thresholds
         )
+        gap = min(nearest, theta_f - theta_g)
         eps = gap / 2
         if class_tag == SIGMA:
             members = set(s.support) | {n + 1}
@@ -793,8 +820,8 @@ def lower_eta(h: MbfFunction, w: Witness, direction: int):
         theta_f = theta / lo_d
         theta_g = theta / hi_d
     else:
-        values = corner_table(new_s, phi)
-        vmin = min(values)
+        values, scale = scaled_corner_table(new_s, phi)
+        vmin = Fraction(min(values), scale)
         theta_f = theta - lo_d
         theta_g = theta - hi_d
         if theta_f <= 0 and theta_g <= 0:
@@ -897,13 +924,15 @@ def _bits(v: int, n: int):
 
 def induced_function(w: Witness) -> MbfFunction:
     """The Boolean function a single-threshold witness separates."""
-    values = corner_table(w.structure, w.phi)
+    values, scale = scaled_corner_table(w.structure, w.phi)
     theta = w.thresholds[0]
+    q, bound = theta.denominator, theta.numerator * scale
     truth = 0
     for v, value in enumerate(values):
-        if value == theta:
+        x = value * q
+        if x == bound:
             raise WitnessError(f"value at corner {v} equals the threshold")
-        if value > theta:
+        if x > bound:
             truth |= 1 << v
     return MbfFunction(w.structure.n, truth)
 

@@ -28,9 +28,9 @@ from mbfreal.interaction import (
     SIGMA,
     SIGMAPISIGMA,
     PhiAssignment,
-    corner_table,
     enumerate_structures,
     parse_structure,
+    scaled_corner_table,
 )
 from mbfreal.ksystem import build_stg, phi_k
 from mbfreal.paramgraph import build_factor, build_parameter_graph
@@ -261,7 +261,7 @@ def grid_search(tup, s, highs):
         for i, h in zip(support, point):
             high[i - 1] = h
         phi = PhiAssignment((F(1),) * s.n, tuple(high))
-        thresholds = derive_thresholds(tup, corner_table(s, phi))
+        thresholds = derive_thresholds(tup, *scaled_corner_table(s, phi))
         if thresholds is not None and verify_witness(tup, Witness(s, phi, thresholds)):
             return Witness(s, phi, thresholds)
     return None

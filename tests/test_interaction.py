@@ -1,7 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mbfreal.interaction import (
     CEILING,
@@ -23,6 +24,9 @@ from mbfreal.interaction import (
     parse_structure,
     relabel_assignment,
     relabel_structure,
+    scaled_corner_evaluator,
+    scaled_corner_lines,
+    scaled_corner_table,
     set_partitions,
     structure,
     sum_structure,
@@ -69,6 +73,58 @@ def test_corner_table_arity():
         corner_table(S("z1+z2"), phi_for(3))
     with pytest.raises(ValueError, match="expected 3 values, got 2"):
         corner_table(S("z1+z2+z3"), phi_for(2))
+
+
+# distinct primes: drawn rationals get pairwise coprime denominators, so the
+# common scale of an assignment is the product of several of them
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def _coprime_phi(data, n):
+    dens = data.draw(st.permutations(_PRIMES))[: 2 * n]
+    nums = data.draw(st.lists(st.integers(1, 60), min_size=2 * n, max_size=2 * n))
+    low = tuple(Fraction(a, d) for a, d in zip(nums[:n], dens[:n]))
+    high = tuple(lo + Fraction(b, d) for lo, b, d in zip(low, nums[n:], dens[n:]))
+    return PhiAssignment(low, high)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_scaled_corner_table_matches_evaluate(n, data):
+    # every structure of every class, against evaluate at every corner
+    phi = _coprime_phi(data, n)
+    for tag in (SIGMA, PISIGMA, SIGMAPISIGMA):
+        for s in enumerate_structures(n, tag):
+            values, scale = scaled_corner_table(s, phi)
+            assert type(scale) is int and scale > 0
+            assert len(values) == 1 << n and all(type(x) is int for x in values)
+            exact = tuple(evaluate(s, phi.corner(v)) for v in range(1 << n))
+            assert tuple(Fraction(x, scale) for x in values) == exact, s.text()
+            assert corner_table(s, phi) == exact
+
+
+def test_scaled_corner_lines_match_the_evaluator():
+    # a + b*h at each of several highs h of one variable, against a full
+    # evaluation with that high
+    rng = random.Random(5)
+    for n in (1, 2, 3, 4):
+        for tag in (SIGMA, PISIGMA, SIGMAPISIGMA):
+            for s in enumerate_structures(n, tag):
+                corners = sorted(rng.sample(range(1 << n), min(5, 1 << n)))
+                scale = rng.choice((1, 10, 6))
+                evaluate_at = scaled_corner_evaluator(s, scale, corners)
+                for i in range(1, n + 1):
+                    lines = scaled_corner_lines(s, scale, corners, i)
+                    low = [rng.randint(1, 9) for _ in range(n)]
+                    high = [x + rng.randint(1, 9) for x in low]
+                    kept = list(high)
+                    a, b = lines(low, high)
+                    assert high == kept  # the caller's list is not changed
+                    for h in (0, 1, 7, 60):
+                        high[i - 1] = h
+                        expected = evaluate_at(low, high)
+                        assert [x + y * h for x, y in zip(a, b)] == expected, (s.text(), i)
 
 
 @given(st.data())

@@ -34,8 +34,11 @@ from mbfreal.interaction import (
     corner_monomials,
     corner_table,
     enumerate_structures,
+    evaluate,
+    integer_form,
     parse_structure,
     scaled_corner_evaluator,
+    scaled_corner_table,
     sum_structure,
 )
 from mbfreal import realizability
@@ -136,6 +139,151 @@ def test_tie_raises():
     w = witness_from_parts("(z1+z2)*z3", (4, 4, 2), (9, 2))
     with pytest.raises(WitnessError):
         verify_witness(pair_tuple(PAIR_NEEDS_PRODUCT), w)
+
+
+# ---------------------------------------------------------------- integer checks
+
+def _reference_separates(tup, thresholds, values):
+    """The threshold and separation checks on ``Fraction`` corner values, a
+    value compared with a threshold one corner at a time."""
+    if len(thresholds) != len(tup):
+        return False
+    if any(t <= 0 for t in thresholds):
+        return False
+    if any(a <= b for a, b in zip(thresholds, thresholds[1:])):
+        return False
+    for f, theta in zip(tup, thresholds):
+        for v, value in enumerate(values):
+            if value == theta:
+                raise WitnessError(f"value at corner {v} equals threshold {theta}")
+            if (value > theta) != bool(f.truth >> v & 1):
+                return False
+    return True
+
+
+def _reference_verify(tup, w):
+    """``verify_witness`` or ``verify_k_witness`` in ``Fraction``s, with
+    each structure's corner values from ``evaluate``."""
+    if isinstance(w, KWitness):
+        if len(w.values) != 1 << tup.n:
+            return False
+        if any(val < 0 for val in w.values):
+            return False
+        for v, val in enumerate(w.values):
+            for i in range(tup.n):
+                if not v >> i & 1 and val > w.values[v | 1 << i]:
+                    return False
+        return _reference_separates(tup, w.thresholds, w.values)
+    if w.structure.n != tup.n or w.phi.n != tup.n:
+        raise ValueError("witness arity does not match the tuple")
+    values = [evaluate(w.structure, w.phi.corner(v)) for v in range(1 << tup.n)]
+    return _reference_separates(tup, w.thresholds, values)
+
+
+def _reference_thresholds(tup, values):
+    """``derive_thresholds`` on ``Fraction`` corner values."""
+    size = 1 << tup.n
+    gaps = []
+    for f in tup:
+        false_vals = [values[v] for v in range(size) if not f.truth >> v & 1]
+        true_vals = [values[v] for v in range(size) if f.truth >> v & 1]
+        lo = max(false_vals) if false_vals else Fraction(0)
+        hi = min(true_vals) if true_vals else None
+        if hi is not None and lo >= hi:
+            return None
+        gaps.append((lo, hi))
+    thresholds = []
+    j = 0
+    while j < len(gaps):
+        j2 = j
+        while j2 < len(gaps) and gaps[j2] == gaps[j]:
+            j2 += 1
+        m = j2 - j
+        lo, hi = gaps[j]
+        for t in range(m):
+            if hi is None:
+                thresholds.append(lo + m - t)
+            else:
+                thresholds.append(lo + (hi - lo) * Fraction(m - t, m + 1))
+        j = j2
+    if any(a <= b for a, b in zip(thresholds, thresholds[1:])):
+        return None
+    return tuple(thresholds)
+
+
+def _outcome(check, tup, w):
+    try:
+        return check(tup, w)
+    except WitnessError as exc:
+        return ("WitnessError", str(exc))
+
+
+def _threshold_variants(thresholds, values, scale):
+    """The thresholds as they are, then corrupted: each one nudged by
+    +-1/(2*scale), each one put on the nearest corner value below and above
+    it, the list reversed, and the last one made 0 and negative."""
+    out = [thresholds]
+    exact = sorted({Fraction(x, scale) for x in values})
+    nudge = Fraction(1, 2 * scale)
+    for j, t in enumerate(thresholds):
+        moved = [t + nudge, t - nudge]
+        moved += [max(x for x in exact if x < t)] if exact[0] < t else []
+        moved += [min(x for x in exact if x > t)] if exact[-1] > t else []
+        out += [thresholds[:j] + (x,) + thresholds[j + 1 :] for x in moved]
+    out.append(tuple(reversed(thresholds)))
+    out.append(thresholds[:-1] + (Fraction(0),))
+    out.append(thresholds[:-1] + (-thresholds[-1],))
+    return out
+
+
+def _realized_tuples():
+    """Realizable pairs of 1..3 inputs in sigma and pisigma (every third
+    pair at n = 3), and chains of three at n = 2 in sigma, each with its
+    witness."""
+    out = []
+    for n in (1, 2, 3):
+        pairs = enumerate_ordered_pairs(n)
+        for f, g in pairs if n < 3 else pairs[::3]:
+            for class_tag in (SIGMA, PISIGMA):
+                verdict = check_class(OrderedTuple((f, g)), class_tag)
+                if verdict.is_realizable:
+                    out.append((OrderedTuple((f, g)), verdict.witness))
+    for tup in _chains_of_three(2):
+        verdict = check_sigma(tup)
+        if verdict.is_realizable:
+            out.append((tup, verdict.witness))
+    return out
+
+
+def test_integer_checks_match_the_fraction_loop():
+    # verify_witness and verify_k_witness against _reference_verify, on the
+    # result and on any WitnessError with its message, for realizing
+    # witnesses and corrupted thresholds; the K witnesses hold each
+    # witness's exact corner values, and realize_k's
+    outcomes = {True: 0, False: 0, "tie": 0}
+    for tup, w in _realized_tuples():
+        values, scale = scaled_corner_table(w.structure, w.phi)
+        assert derive_thresholds(tup, values, scale) == _reference_thresholds(
+            tup, corner_table(w.structure, w.phi)
+        )
+        k_values = corner_table(w.structure, w.phi)
+        for thresholds in _threshold_variants(w.thresholds, values, scale):
+            cases = [
+                (verify_witness, replace(w, thresholds=thresholds)),
+                (verify_k_witness, KWitness(k_values, thresholds)),
+            ]
+            for check, candidate in cases:
+                got = _outcome(check, tup, candidate)
+                assert got == _outcome(_reference_verify, tup, candidate), (tup, candidate)
+                outcomes["tie" if isinstance(got, tuple) else got] += 1
+        kw = realize_k(tup)
+        k_ints, k_scale = integer_form(kw.values)
+        for thresholds in _threshold_variants(kw.thresholds, k_ints, k_scale):
+            candidate = KWitness(kw.values, thresholds)
+            got = _outcome(verify_k_witness, tup, candidate)
+            assert got == _outcome(_reference_verify, tup, candidate), (tup, candidate)
+            outcomes["tie" if isinstance(got, tuple) else got] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 # ---------------------------------------------------------------- realize_k
@@ -586,9 +734,9 @@ def test_search_const_pair():
 
 def _reference_search(tup, s, tables):
     """The loop over the module's search grid without the integer screen:
-    Fraction corner values at every point.  ``tables`` keeps each
-    structure's corner tables for the next tuple, which saves time and
-    changes nothing else."""
+    Fraction corner values, thresholds and checks at every point.
+    ``tables`` keeps each structure's corner tables for the next tuple,
+    which saves time and changes nothing else."""
     low, highs = realizability._GRID_LOW, realizability._GRID_HIGHS
     if s not in tables:
         support = sorted(s.support)
@@ -600,8 +748,8 @@ def _reference_search(tup, s, tables):
             phi = PhiAssignment((low,) * s.n, tuple(high))
             tables[s].append((phi, corner_table(s, phi)))
     for phi, values in tables[s]:
-        thresholds = derive_thresholds(tup, values)
-        if thresholds is not None and verify_witness(tup, Witness(s, phi, thresholds)):
+        thresholds = _reference_thresholds(tup, values)
+        if thresholds is not None and _reference_separates(tup, thresholds, values):
             return Witness(s, phi, thresholds)
     return None
 
@@ -751,9 +899,9 @@ def test_search_builds_fractions_only_for_screened_points(monkeypatch):
 
     def counted(s, phi):
         calls.append(phi)
-        return corner_table(s, phi)
+        return scaled_corner_table(s, phi)
 
-    monkeypatch.setattr(realizability, "corner_table", counted)
+    monkeypatch.setattr(realizability, "scaled_corner_table", counted)
     tup = pair_tuple(PAIR_NEEDS_PRODUCT)
     w = search_witness(tup, parse_structure("(z1+z2)*z3"))
     assert w is not None
@@ -767,10 +915,13 @@ def test_search_builds_fractions_only_for_screened_points(monkeypatch):
 def test_derive_thresholds_shared_gap():
     f = PAIR_NEEDS_PRODUCT[0]
     tup = OrderedTuple((f, f))
-    values = tuple(Fraction(v) for v in (1, 2, 2, 3, 1, 5, 5, 6))
-    thresholds = derive_thresholds(tup, values)
+    values = (1, 2, 2, 3, 1, 5, 5, 6)
+    thresholds = derive_thresholds(tup, values, 1)
     assert thresholds is not None
     assert thresholds[0] > thresholds[1]
+    # the same values over another scale give the same thresholds
+    assert derive_thresholds(tup, tuple(7 * v for v in values), 7) == thresholds
+    assert thresholds == _reference_thresholds(tup, tuple(Fraction(v) for v in values))
 
 
 # ---------------------------------------------------------------- class check
