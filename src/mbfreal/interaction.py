@@ -15,8 +15,7 @@ assignment's lows and highs over their least common denominator and reads
 the plan on the numerators, giving every corner value as an integer over one
 scale; a caller compares a value ``x / scale`` with a threshold ``p / q`` as
 ``x * q`` against ``p * scale``.  ``corner_table`` is the ``Fraction`` view of
-that table, and ``scaled_corner_evaluator`` and ``scaled_corner_lines`` read
-the same plan on integer grids.
+that table, and ``scaled_corner_lines`` reads the same plan on integer grids.
 """
 
 from __future__ import annotations
@@ -354,29 +353,6 @@ def _corner_plan(s: InteractionStructure):
     return s.degree(), tuple(ids), tuple(corners)
 
 
-def _plan_values(plan, nums, scale: int, corners) -> "list[int]":
-    """Value at each of ``corners`` times ``scale ** degree``, from integer
-    numerators ``nums`` (the list ``low + high``) over ``scale``.
-
-    A group of m blocks, a product of m sums of numerators, is ``scale ** m``
-    times its value, so it is weighted by ``scale ** (degree - m)``.
-    """
-    degree, blocks, terms_at = plan
-    get = nums.__getitem__
-    sums = [sum(map(get, b)) for b in blocks]
-    weights = [scale ** (degree - m) for m in range(degree + 1)]
-    out = []
-    for v in corners:
-        total = 0
-        for m, members in terms_at[v]:
-            prod = weights[m]
-            for k in members:
-                prod *= sums[k]
-            total += prod
-        out.append(total)
-    return out
-
-
 def integer_form(values) -> "tuple[list[int], int]":
     """Integer numerators of rationals over their least common denominator,
     and that denominator: ``nums[k] / scale == values[k]`` exactly."""
@@ -390,14 +366,28 @@ def scaled_corner_table(s: InteractionStructure, phi: PhiAssignment) -> "tuple[l
 
     The lows and highs are put over their least common denominator d and
     the structure's compiled plan is evaluated on the numerators, so the
-    scale is ``d ** degree``.  ``PhiAssignment`` has already checked that its
+    scale is ``d ** degree``: a group of m blocks, a product of m sums of
+    numerators, is ``d ** m`` times its value, so it is weighted by
+    ``d ** (degree - m)``.  ``PhiAssignment`` has already checked that its
     values are positive, so nothing is checked or converted per corner.
     """
     if phi.n != s.n:
         raise ValueError(f"expected {s.n} values, got {phi.n}")
-    plan = _corner_plan(s)
+    degree, blocks, terms_at = _corner_plan(s)
     nums, d = integer_form(phi.low + phi.high)
-    return _plan_values(plan, nums, d, range(1 << s.n)), d ** plan[0]
+    get = nums.__getitem__
+    sums = [sum(map(get, b)) for b in blocks]
+    weights = [d ** (degree - m) for m in range(degree + 1)]
+    values = []
+    for terms in terms_at:
+        total = 0
+        for m, members in terms:
+            prod = weights[m]
+            for k in members:
+                prod *= sums[k]
+            total += prod
+        values.append(total)
+    return values, d ** degree
 
 
 def corner_table(s: InteractionStructure, phi: PhiAssignment) -> "tuple[Fraction, ...]":
@@ -407,34 +397,17 @@ def corner_table(s: InteractionStructure, phi: PhiAssignment) -> "tuple[Fraction
     return tuple(Fraction(x, scale) for x in values)
 
 
-def scaled_corner_evaluator(s: InteractionStructure, scale: int, corners):
-    """Exact integer evaluation of the expression at fixed corners.
-
-    Returns a function of two integer lists, each variable's low and high
-    numerator over ``scale``, that gives the value at each of ``corners``
-    times ``scale ** s.degree()``, read from the structure's compiled plan
-    like ``scaled_corner_table``.
-    """
-    plan = _corner_plan(s)
-    corners = tuple(corners)
-
-    def values(low, high) -> "list[int]":
-        return _plan_values(plan, low + high, scale, corners)
-
-    return values
-
-
 def scaled_corner_lines(s: InteractionStructure, scale: int, corners, i: int):
     """The values at fixed corners as lines in variable i's high.
 
-    Returns a function of two integer lists, like ``scaled_corner_evaluator``,
-    that gives two lists a and b: the value at ``corners[k]`` times
-    ``scale ** s.degree()`` is ``a[k] + b[k] * h`` when z_i's high numerator
-    is h, whatever ``high[i - 1]`` holds.  A variable sits in one block of one
-    group, so a corner whose bit i is set has one product with a factor
-    ``rest + h``; its other factors times its weight give b, and the
-    product with that block's sum taken at h = 0 adds to a.  One pass over
-    the compiled plan gives both.
+    Returns a function of two integer lists, each variable's low and high
+    numerator over ``scale``, that gives two lists a and b: the value at
+    ``corners[k]`` times ``scale ** s.degree()`` is ``a[k] + b[k] * h`` when
+    z_i's high numerator is h, whatever ``high[i - 1]`` holds.  A variable
+    sits in one block of one group, so a corner whose bit i is set has one
+    product with a factor ``rest + h``; its other factors times its weight
+    give b, and the product with that block's sum taken at h = 0 adds to a.
+    One pass over the compiled plan gives both.
     """
     degree, blocks, terms_at = _corner_plan(s)
     position = s.n + i - 1

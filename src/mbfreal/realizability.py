@@ -12,7 +12,10 @@ works (sum the functions); the algebraic classes are decided or searched:
   (i) facet-comparability certificates for directions appearing as a bare
   factor or standalone summand, (ii) monomial-linearization Farkas
   certificates, and (iii) a rational grid search for witnesses.  Unknown is
-  an honest output; no completeness is claimed.
+  an honest output; no completeness is claimed.  Each product class starts
+  from the next smaller class's verdict and tests only the structures that
+  class lacks, so sum < product of sums < sum of products of sums holds by
+  construction.
 
 Witnesses are checked in exact integers: corner values come from
 ``scaled_corner_table`` as integers over one scale, and a value is compared
@@ -641,22 +644,21 @@ def check_class(
     realizable gets the canonical witness relabeled back onto its own
     variables, and that witness is verified against the member's own tuple.
     A member whose canonical member is ``not_realizable`` or ``unknown`` is
-    decided directly, so every certificate is built from the member's own
-    rows; such a member costs two decisions unless its canonical member is
-    already in ``decided``.  Every witness therefore derives from the
-    canonical member's decision, whatever order the tuples arrive in, and a
-    census writes the same files however it is sharded.
+    decided directly, with a dict of its own, so every certificate is built
+    from the member's own rows and ``decided`` keeps canonical tuples only.
+    Every witness therefore derives from the canonical member's decision,
+    whatever order the tuples and classes arrive in, and a census writes the
+    same files however it is sharded.
 
     ``decided`` shares canonical decisions between calls: a dict from
-    (canonical tuple, class) to verdict that this call reads and adds to.
-    A caller deciding many tuples (a census shard, a parameter-graph factor)
-    passes one dict, so each orbit is decided once; without it a call
-    keeps no verdict.  There is no grid to key on: the search grid is fixed
-    in the module (see ``search_witness``).  Any call keeps only bounded
-    facts: structure rows (``_structure_system``), three-input collapse
-    facts (``_collapsed_blocked``), and in ``interaction`` each structure's
-    corner plan and each relabeled structure, which the relabeled member's
-    witness check reuses.
+    (canonical tuple, class) to verdict that this call reads and adds to,
+    the smaller classes' verdicts included (see ``_decide``).  A caller
+    deciding many tuples (a census shard, a parameter-graph factor) passes
+    one dict, so each orbit is decided once per class; without it a call
+    keeps no verdict.  Any call keeps only bounded facts: structure rows
+    (``_structure_system``), three-input collapse facts
+    (``_collapsed_blocked``), and in ``interaction`` each structure's corner
+    plan and each relabeled structure.
 
     The free class ``k`` is realized directly.  The tag and the arity guards
     are checked before the tuple is canonicalized.
@@ -674,64 +676,82 @@ def check_class(
     if decided is None:
         decided = {}
     canon, perm = canonical_form(tup)
-    key = (canon, class_tag)
-    verdict = decided.get(key)
-    if verdict is None:
-        verdict = decided[key] = _decide(canon, class_tag)
+    verdict = _decided(canon, class_tag, decided)
     if canon is tup:
         return verdict
     if not verdict.is_realizable:
-        return _decide(tup, class_tag)
+        return _decide(tup, class_tag, {})
     w = relabel_witness(verdict.witness, inverse_permutation(perm))
     if not verify_witness(tup, w):
         raise AssertionError("relabeled witness does not verify the tuple")
     return Verdict.realizable(w)
 
 
-def _decide(tup: OrderedTuple, class_tag: str) -> Verdict:
-    """The verdict for this tuple itself.
+def _decided(tup: OrderedTuple, class_tag: str, decided: dict) -> Verdict:
+    """The verdict ``decided`` holds for (tuple, class), decided and added
+    there first if it is missing."""
+    key = (tup, class_tag)
+    verdict = decided.get(key)
+    if verdict is None:
+        verdict = decided[key] = _decide(tup, class_tag, decided)
+    return verdict
 
-    The sum class delegates to the exact decision, and so do the larger
-    classes first: a sum witness is returned with its structure z1+...+zn
-    re-tagged for the class.  Otherwise every structure is tried in turn:
-    direction certificates, then (at four inputs) facet-collapse pruning,
-    then the monomial Farkas test, then ``search_witness`` on its fixed
-    grid.  The full-sum structure is not searched; the sum decision's Farkas
-    certificate rules it out unless a direction certificate does.
 
-    At four inputs each (collapsed tuple, collapse shape) is tested once per
-    process (``_collapsed_blocked``), however many structures, decisions and
-    classes reach it.
+def _decide(tup: OrderedTuple, class_tag: str, decided: dict) -> Verdict:
+    """The verdict for this tuple itself, one step up the class chain.
+
+    The sum class is decided exactly (``check_sigma``).  A product class
+    starts from the next smaller class's verdict (sum < product of sums <
+    sum of products of sums), read from ``decided`` or decided and added
+    there.  A realizable one gives its witness, with the structure rebuilt
+    for this class.  Otherwise only the structures the smaller class lacks
+    are tried, in this class's order: direction certificates, then (at four
+    inputs) facet-collapse pruning, then the monomial Farkas test, then
+    ``search_witness``.  The full-sum structure is not searched: a direction
+    certificate or the sum certificate rules it out.  A ``not_realizable``
+    smaller class lends its per-structure certificates to the exhaustion
+    certificate; an ``unknown`` one lends its open structures and leaves
+    this class realizable or ``unknown``.
     """
     if class_tag == SIGMA:
         return check_sigma(tup)
     n = tup.n
-    sigma = check_sigma(tup)
-    if sigma.is_realizable:
-        if class_tag == PISIGMA:
-            full = structure([[frozenset(range(1, n + 1))]], n, PISIGMA)
-        else:
-            full = structure([(frozenset({i}),) for i in range(1, n + 1)], n, SIGMAPISIGMA)
-        return Verdict.realizable(Witness(full, sigma.witness.phi, sigma.witness.thresholds))
-    sum_text = sum_structure(range(1, n + 1), n).text()
+    smaller = _decided(tup, SIGMA if class_tag == PISIGMA else PISIGMA, decided)
+    if smaller.is_realizable:
+        # the shape in this class's enumerated form: a product of sums keeps
+        # the sum's one block, a sum of products splits it into summands
+        w = smaller.witness
+        groups = w.structure.groups if class_tag == PISIGMA else w.structure.normal_form()
+        return Verdict.realizable(Witness(structure(groups, n, class_tag), w.phi, w.thresholds))
+    if class_tag == PISIGMA:
+        s = sum_structure(range(1, n + 1), n)
+        cert = _direction_blocked(tup, s)
+        prior = {s.text(): smaller.certificate if cert is None else cert}
+    elif smaller.is_not_realizable:
+        prior = smaller.certificate.as_dict()
+    else:
+        # the open structures (None) keep this verdict realizable or
+        # unknown, so no certificate is built: the dead ones hold the
+        # smaller verdict in place of theirs
+        prior = {s.text(): smaller for s in enumerate_structures(n, PISIGMA)}
+        prior.update(dict.fromkeys(smaller.diagnostics))
 
     dead = []
     alive = []
     for s in enumerate_structures(n, class_tag):
-        if s.text() == sum_text:
-            # direction test first, like every structure; the exact sum
-            # decision (already NotRealizable here) covers the rest
-            cert = _direction_blocked(tup, s)
-            dead.append((s.text(), cert if cert is not None else sigma.certificate))
-            continue
-        cert = _structure_blocked(tup, s)
-        if cert is not None:
-            dead.append((s.text(), cert))
-            continue
-        w = search_witness(tup, s)
-        if w is not None:
-            return Verdict.realizable(w)
-        alive.append(s.text())
+        text = s.text()
+        if text in prior:
+            cert = prior[text]
+        else:
+            cert = _structure_blocked(tup, s)
+            if cert is None:
+                w = search_witness(tup, s)
+                if w is not None:
+                    return Verdict.realizable(w)
+        if cert is None:
+            alive.append(text)
+        else:
+            dead.append((text, cert))
     if not alive:
         return Verdict.not_realizable(ExhaustionCertificate(tuple(dead)))
     return Verdict.unknown(alive)

@@ -24,7 +24,6 @@ from mbfreal.interaction import (
     parse_structure,
     relabel_assignment,
     relabel_structure,
-    scaled_corner_evaluator,
     scaled_corner_lines,
     scaled_corner_table,
     set_partitions,
@@ -104,16 +103,17 @@ def test_scaled_corner_table_matches_evaluate(n, data):
             assert corner_table(s, phi) == exact
 
 
-def test_scaled_corner_lines_match_the_evaluator():
-    # a + b*h at each of several highs h of one variable, against a full
-    # evaluation with that high
+def test_scaled_corner_lines_match_the_corner_table():
+    # a + b*h at three highs h of one variable, against the corner table of
+    # the same integers over the scale; the value is affine in h, so three
+    # highs pin a and b
     rng = random.Random(5)
     for n in (1, 2, 3, 4):
         for tag in (SIGMA, PISIGMA, SIGMAPISIGMA):
             for s in enumerate_structures(n, tag):
                 corners = sorted(rng.sample(range(1 << n), min(5, 1 << n)))
                 scale = rng.choice((1, 10, 6))
-                evaluate_at = scaled_corner_evaluator(s, scale, corners)
+                unit = scale ** s.degree()
                 for i in range(1, n + 1):
                     lines = scaled_corner_lines(s, scale, corners, i)
                     low = [rng.randint(1, 9) for _ in range(n)]
@@ -121,10 +121,17 @@ def test_scaled_corner_lines_match_the_evaluator():
                     kept = list(high)
                     a, b = lines(low, high)
                     assert high == kept  # the caller's list is not changed
-                    for h in (0, 1, 7, 60):
-                        high[i - 1] = h
-                        expected = evaluate_at(low, high)
-                        assert [x + y * h for x, y in zip(a, b)] == expected, (s.text(), i)
+                    for step in (1, 7, 60):
+                        high[i - 1] = low[i - 1] + step
+                        phi = PhiAssignment(
+                            tuple(Fraction(x, scale) for x in low),
+                            tuple(Fraction(x, scale) for x in high),
+                        )
+                        values, table_scale = scaled_corner_table(s, phi)
+                        expected = [Fraction(values[v], table_scale) for v in corners]
+                        h = high[i - 1]
+                        got = [Fraction(x + y * h, unit) for x, y in zip(a, b)]
+                        assert got == expected, (s.text(), i)
 
 
 @given(st.data())

@@ -256,7 +256,7 @@ def _census_systems():
     try:
         for pair in enumerate_ordered_pairs(3):
             for class_tag in (SIGMA, PISIGMA):
-                realizability._decide(OrderedTuple(pair), class_tag)
+                realizability._decide(OrderedTuple(pair), class_tag, {})
     finally:
         linear.solve = solve_once
     return systems

@@ -113,9 +113,9 @@ def test_annotation_decides_each_orbit_once(monkeypatch):
     decisions = []
     decide = realizability._decide
 
-    def counted(tup, class_tag):
+    def counted(tup, class_tag, decided):
         decisions.append(canonical_form(tup)[0])
-        return decide(tup, class_tag)
+        return decide(tup, class_tag, decided)
 
     monkeypatch.setattr(realizability, "_decide", counted)
     verdicts = annotate_factor(factor, SIGMA)

@@ -1,6 +1,6 @@
+import functools
 import itertools
 import json
-import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -37,7 +37,6 @@ from mbfreal.interaction import (
     evaluate,
     integer_form,
     parse_structure,
-    scaled_corner_evaluator,
     scaled_corner_table,
     sum_structure,
 )
@@ -813,34 +812,33 @@ def test_search_witness_with_one_variable_support():
     assert found > 0
 
 
+@functools.lru_cache(maxsize=8192)
+def _grid_table(s, high):
+    """The integer corner values at one point of the module's search grid;
+    kept, because the screens below meet each three-input (structure,
+    point) again for every tuple."""
+    low = (realizability._GRID_LOW,) * s.n
+    return scaled_corner_table(s, PhiAssignment(low, high))[0]
+
+
 def _per_point_screen(tup, s):
     """The integer screen one point of the module's search grid at a time:
     the index tuples of the points at which each function's maximal false
-    corners are all below its minimal true corners, scaled corner values
-    evaluated at every point."""
+    corners are all below its minimal true corners, the whole integer corner
+    table (``scaled_corner_table``) read at every point."""
     n = tup.n
     support = sorted(s.support)
-    low, highs = realizability._GRID_LOW, realizability._GRID_HIGHS
-    scale = math.lcm(low.denominator, *(h.denominator for h in highs))
-    int_low = [int(low * scale)] * n
-    int_highs = [int(h * scale) for h in highs]
+    highs = realizability._GRID_HIGHS
     sides = [(maximal_false_corners(f), minimal_true_corners(f)) for f in tup]
-    corners = sorted({v for below, above in sides for v in below + above})
-    slot = {v: k for k, v in enumerate(corners)}
-    gaps = [
-        ([slot[v] for v in below], [slot[v] for v in above])
-        for below, above in sides
-        if below and above
-    ]
-    int_high = [max(int_highs)] * n
-    scaled_values = scaled_corner_evaluator(s, scale, corners)
+    gaps = [(below, above) for below, above in sides if below and above]
+    high = [max(highs)] * n
     admitted = []
     for point in itertools.product(range(len(highs)), repeat=len(support)):
         for i, k in zip(support, point):
-            int_high[i - 1] = int_highs[k]
-        values = scaled_values(int_low, int_high)
+            high[i - 1] = highs[k]
+        values = _grid_table(s, tuple(high))
         if all(
-            max(values[k] for k in below) < min(values[k] for k in above)
+            max(values[v] for v in below) < min(values[v] for v in above)
             for below, above in gaps
         ):
             admitted.append(point)
@@ -1307,7 +1305,7 @@ def _chains_of_three(n):
 def _assert_matches_uncached(tup, class_tag):
     """check_class against the uncached decision of the member itself."""
     verdict = check_class(tup, class_tag)
-    direct = realizability._decide(tup, class_tag)
+    direct = realizability._decide(tup, class_tag, {})
     assert verdict.status == direct.status, (tup, class_tag)
     if verdict.is_realizable:
         assert verify_witness(tup, verdict.witness)
@@ -1344,9 +1342,9 @@ def test_orbit_members_share_one_decision(monkeypatch):
     decisions = []
     decide = realizability._decide
 
-    def counted(*args):
-        decisions.append(args)
-        return decide(*args)
+    def counted(tup, class_tag, decided):
+        decisions.append((tup, class_tag))
+        return decide(tup, class_tag, decided)
 
     monkeypatch.setattr(realizability, "_decide", counted)
     decided = {}
@@ -1357,12 +1355,16 @@ def test_orbit_members_share_one_decision(monkeypatch):
         verdict = check_class(member, PISIGMA, decided=decided)
         assert verdict.witness == relabel_witness(cached.witness, perm)
         assert verify_witness(member, verdict.witness)
-    assert decisions == [(canon, PISIGMA)]
-    assert decided == {(canon, PISIGMA): cached}
+    # the product decision reads the sum verdict, decided once on the way
+    assert decisions == [(canon, PISIGMA), (canon, SIGMA)]
+    assert list(decided) == [(canon, SIGMA), (canon, PISIGMA)]
+    assert decided[canon, PISIGMA] is cached
+    assert check_class(canon, SIGMA, decided=decided).is_not_realizable
+    assert len(decisions) == 2
     # without a shared dict every call decides on its own
     check_class(canon, PISIGMA)
     check_class(canon, PISIGMA)
-    assert len(decisions) == 3
+    assert len(decisions) == 6
 
 
 def test_orbit_cache_at_four_inputs():
@@ -1463,7 +1465,7 @@ def test_decision_tests_each_collapsed_tuple_and_shape_once(monkeypatch):
         collapsed = []
         for class_tag in (PISIGMA, SIGMAPISIGMA):
             calls.clear()
-            realizability._decide(tup, class_tag)
+            realizability._decide(tup, class_tag, {})
             own = [call for call in calls if call[0].n == 4]
             assert len(own) == len(set(own)), (tup, class_tag)
             collapsed += [call for call in calls if call[0].n == 3]
@@ -1482,3 +1484,59 @@ def test_lone_calls_share_collapse_facts_but_no_verdict(monkeypatch):
     # the second call is decided again, structure by structure, but makes
     # no three-input test: those facts were kept
     assert calls == [call for call in once if call[0].n == 4]
+
+
+# ---------------------------------------------------------------- class chain
+
+def test_class_chain_decides_each_canonical_tuple_once(monkeypatch):
+    sums = []
+    inner = realizability.check_sigma
+
+    def counted(tup):
+        sums.append(tup)
+        return inner(tup)
+
+    monkeypatch.setattr(realizability, "check_sigma", counted)
+    monomials = _counted_monomial_calls(monkeypatch)
+    sample = _four_input_sample()
+    decided = {}
+    for tup in sample:
+        for class_tag in (SIGMA, PISIGMA, SIGMAPISIGMA):
+            check_class(tup, class_tag, decided=decided)
+    # a member of a non-realizable orbit is decided directly in each class,
+    # with a dict of its own, so only canonical tuples are counted
+    canonical = [tup for tup in sums if canonical_form(tup)[0] == tup]
+    assert sorted(canonical, key=repr) == sorted(
+        {canonical_form(tup)[0] for tup in sample}, key=repr
+    )
+    own = [
+        (tup, text) for tup, text in monomials
+        if tup.n == 4 and canonical_form(tup)[0] == tup
+    ]
+    assert own and len(own) == len(set(own))
+    # the shared dict keeps canonical tuples only
+    assert all(canonical_form(tup)[0] == tup for tup, _ in decided)
+
+
+@pytest.mark.parametrize("f, g", [(0x8880, 0xEAC8), (0x8888, 0xEAC8)])
+def test_sums_of_products_start_from_the_product_of_sums(monkeypatch, f, g):
+    # the orbits whose (z1+z2)*z3*z4 monomial system, first in the sums of
+    # products' own order, takes minutes and gigabytes to solve; the product
+    # of sums realizes them earlier in its order
+    calls = _counted_monomial_calls(monkeypatch)
+    tup = OrderedTuple((MbfFunction(4, f), MbfFunction(4, g)))
+    assert canonical_form(tup)[0] == tup
+    product = check_class(tup, PISIGMA)
+    product_calls = [call for call in calls if call[0].n == 4]
+    calls.clear()
+    verdict = check_class(tup, SIGMAPISIGMA)
+    calls = [call for call in calls if call[0].n == 4]
+    assert verdict.is_realizable and verify_witness(tup, verdict.witness)
+    assert verdict.witness.structure.class_tag == SIGMAPISIGMA
+    assert verdict.witness.structure.text() == product.witness.structure.text()
+    assert (verdict.witness.phi, verdict.witness.thresholds) == (
+        product.witness.phi, product.witness.thresholds,
+    )
+    # no four-input monomial test beyond the product of sums' own
+    assert calls == product_calls
+    assert all(text != "(z1+z2)*z3*z4" for _, text in calls)
