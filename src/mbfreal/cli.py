@@ -170,14 +170,27 @@ def cmd_enumerate(args) -> int:
 
 # ---------------------------------------------------------------- census
 
-def _cached_row(path: Path) -> "str | None":
-    """The CSV row a results file holds; None when the file is missing or
-    does not parse as {"row": str}, as a run cut off mid-write leaves it."""
+def _census_row(cell, status: str) -> str:
+    """The CSV row of a decided (index, f_hex, g_hex, class) cell; its
+    witness or certificate file is named after the class and the index."""
+    index, f_hex, g_hex, class_tag = cell
+    stem = f"{class_tag}_{index:05d}"
+    witness_path = f"witnesses/{stem}.txt" if status == REALIZABLE else ""
+    certificate_path = f"certificates/{stem}.json" if status == NOT_REALIZABLE else ""
+    return ",".join([str(index), f_hex, g_hex, class_tag, status, witness_path, certificate_path])
+
+
+def _cached_row(path: Path, cell) -> "str | None":
+    """The CSV row a results file holds for ``cell``; None when the file is
+    missing, does not parse as {"row": str}, as a run cut off mid-write
+    leaves it, or holds a row that deciding this cell does not write (another
+    cell's, or an unknown verdict)."""
     try:
         row = json.loads(path.read_text())["row"]
     except (FileNotFoundError, ValueError, KeyError, TypeError):
         return None
-    return row if isinstance(row, str) else None
+    valid = [_census_row(cell, status) for status in (REALIZABLE, NOT_REALIZABLE, UNKNOWN)]
+    return row if row in valid else None
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -195,26 +208,22 @@ def _census_task(task, decided):
     """
     out_dir, class_tag, index, f_hex, g_hex = task
     out = Path(out_dir)
+    cell = (index, f_hex, g_hex, class_tag)
     result_path = out / "results" / f"{class_tag}_{index:05d}.json"
-    cached = _cached_row(result_path)
+    cached = _cached_row(result_path, cell)
     if cached is not None:
         return cached
     tup = OrderedTuple((MbfFunction.from_hex(f_hex), MbfFunction.from_hex(g_hex)))
     verdict = check_class(tup, class_tag, decided=decided)
-    witness_path = ""
-    certificate_path = ""
-    if verdict.status == REALIZABLE:
-        witness_path = f"witnesses/{class_tag}_{index:05d}.txt"
+    row = _census_row(cell, verdict.status)
+    witness_path, certificate_path = row.split(",")[5:]
+    if witness_path:
         _write_atomic(out / witness_path, witness_to_text(tup, verdict.witness))
-    elif verdict.status == NOT_REALIZABLE:
-        certificate_path = f"certificates/{class_tag}_{index:05d}.json"
+    if certificate_path:
         _write_atomic(
             out / certificate_path,
             json.dumps(certificate_to_data(verdict.certificate), indent=1) + "\n",
         )
-    row = ",".join(
-        [str(index), f_hex, g_hex, class_tag, verdict.status, witness_path, certificate_path]
-    )
     _write_atomic(result_path, json.dumps({"row": row}) + "\n")
     return row
 

@@ -234,6 +234,13 @@ def parse_structure(text: str, n: "int | None" = None) -> InteractionStructure:
 
 def enumerate_structures(n: int, class_tag: str) -> "list[InteractionStructure]":
     """All canonical structures of one class, deterministically ordered."""
+    return list(_structures(n, class_tag))
+
+
+@lru_cache(maxsize=None)
+def _structures(n: int, class_tag: str) -> "tuple[InteractionStructure, ...]":
+    """``enumerate_structures``, built once per (n, class): the lists are
+    finitely many and their structures immutable."""
     if not 1 <= n <= 5:
         raise StructureError(f"arity {n} outside enumeration range 1..5")
     items = tuple(range(1, n + 1))
@@ -242,12 +249,12 @@ def enumerate_structures(n: int, class_tag: str) -> "list[InteractionStructure]"
         for mask in range(1, 1 << n):
             v = frozenset(i for i in items if mask >> (i - 1) & 1)
             out.append(sum_structure(v, n))
-        return out
+        return tuple(out)
     if class_tag == PISIGMA:
         for part in set_partitions(items):
             out.append(structure([part], n, PISIGMA))
         out.sort(key=lambda s: (len(s.groups[0]), s.text()))
-        return out
+        return tuple(out)
     if class_tag == SIGMAPISIGMA:
         for outer in set_partitions(items):
             choices = []
@@ -265,7 +272,7 @@ def enumerate_structures(n: int, class_tag: str) -> "list[InteractionStructure]"
             for combo in itertools.product(*choices):
                 out.append(structure(list(combo), n, SIGMAPISIGMA))
         out.sort(key=lambda s: (len(s.groups), s.text()))
-        return out
+        return tuple(out)
     raise StructureError(f"unknown class tag {class_tag!r}")
 
 

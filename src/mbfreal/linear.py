@@ -1,14 +1,20 @@
-"""Exact linear feasibility over the rationals with certificate extraction.
+"""Exact decision of strict homogeneous integer systems ``A x > 0``.
 
-A system is a list of rows, each meaning ``sum_j coeffs[j] * x_j >= const``
-(or ``>`` when strict).  Fourier-Motzkin elimination decides feasibility
-exactly on integer rows: each input row is scaled once by the LCM of its
-denominators, two rows are combined with coprime positive weights, and each
-derived row is divided by the gcd of its coefficients, constant and
-multipliers (fraction-free elimination, Bareiss 1968).  Every working row is
-thus the exact integer combination of original rows recorded in its
-provenance, so an infeasible system yields a replayable multiplier vector and
-a feasible one a sample point by back-substitution, both as ``Fraction``s.
+``solve`` takes rows ``Row(coeffs, 0, strict=True)`` with ``int``
+coefficients, each meaning ``sum_j coeffs[j] * x_j > 0``; this is the only
+kind of system mbfreal builds, and any other row is rejected.  By Gordan's
+alternative either some x satisfies every row, or a non-negative combination
+of the rows is the zero row, which reads 0 > 0.  Fourier-Motzkin elimination
+decides which: two rows are combined with coprime positive weights, and each
+derived row is divided by the gcd of its coefficients and multipliers
+(fraction-free elimination, Bareiss 1968).  Every working row is thus the
+exact integer combination of input rows recorded in its provenance, so an
+infeasible system yields a replayable multiplier vector and a feasible one a
+sample point by back-substitution, both as ``Fraction``s.
+
+``Row``, ``combine`` and ``refutes`` stay general (a constant, ``>=`` or
+``>``, rational coefficients), because ``refutes`` also checks certificates
+read back from files, whose rows hold ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -16,9 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter, mul
-
-_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -49,34 +53,24 @@ class Infeasible:
 
 
 class _Work:
-    """An integer inequality, its provenance (the integer multiple of each original
-    row it sums) and its direction ``key`` = coeffs / ``unit`` (0 for a zero row)."""
+    """An integer row ``coeffs . x > 0``, its provenance (the integer multiple
+    of each input row it sums) and its direction ``key`` = coeffs / ``unit``
+    (0 for a zero row)."""
 
-    __slots__ = ("coeffs", "const", "strict", "mult", "unit", "key")
+    __slots__ = ("coeffs", "mult", "unit", "key")
 
-    def __init__(self, coeffs, const, strict, mult):
-        self.coeffs, self.const, self.strict, self.mult = coeffs, const, strict, mult
+    def __init__(self, coeffs, mult):
+        self.coeffs, self.mult = coeffs, mult
         self.unit = g = gcd(*coeffs)
         self.key = tuple([c // g for c in coeffs]) if g > 1 else tuple(coeffs)
 
 
-def _integer_row(r: Row, idx: int) -> _Work:
-    values = (r.const, *r.coeffs)
-    scale = lcm(*map(_denominator, values))
-    nums = list(map(_numerator, values))
-    if scale > 1:
-        nums = [n * (scale // c.denominator) for n, c in zip(nums, values)]
-    return _Work(nums[1:], nums[0], r.strict, {idx: scale})
-
-
 def _dedupe(rows: "list[_Work]") -> "list[_Work]":
-    """One row per direction: the largest ``const / unit``, strict on a tie."""
-    best: "dict[tuple, _Work]" = {}
+    """The first row of each direction; the others are positive multiples."""
+    first: "dict[tuple, _Work]" = {}
     for w in rows:
-        old = best.get(w.key)
-        if old is None or (w.const * old.unit, w.strict) > (old.const * w.unit, old.strict):
-            best[w.key] = w
-    return list(best.values())
+        first.setdefault(w.key, w)
+    return list(first.values())
 
 
 def _combine(p: _Work, q: _Work, var: int) -> _Work:
@@ -85,37 +79,36 @@ def _combine(p: _Work, q: _Work, var: int) -> _Work:
     g = gcd(p.coeffs[var], q.coeffs[var])
     a, b = -q.coeffs[var] // g, p.coeffs[var] // g
     coeffs = [a * cp + b * cq for cp, cq in zip(p.coeffs, q.coeffs)]
-    const = a * p.const + b * q.const
     mult = {k: a * v for k, v in p.mult.items()}
     for k, v in q.mult.items():
         mult[k] = mult.get(k, 0) + b * v
-    g = gcd(const, *coeffs, *mult.values())
+    g = gcd(*coeffs, *mult.values())
     if g > 1:
-        coeffs, const = [c // g for c in coeffs], const // g
+        coeffs = [c // g for c in coeffs]
         mult = {k: v // g for k, v in mult.items()}
-    return _Work(coeffs, const, p.strict or q.strict, mult)
+    return _Work(coeffs, mult)
 
 
 def solve(num_vars: int, rows: "list[Row]") -> "Feasible | Infeasible":
-    """Decide the system exactly; elimination runs on integers."""
-    if any(len(r.coeffs) != num_vars for r in rows):
-        raise ValueError("row width mismatch")
-    work = [_integer_row(r, idx) for idx, r in enumerate(rows)]
+    """Decide ``A x > 0`` exactly; raises ``ValueError`` on a row of another
+    width, a non-strict row, a non-zero constant or a non-``int`` coefficient."""
+    work = []
+    for idx, r in enumerate(rows):
+        if len(r.coeffs) != num_vars:
+            raise ValueError("row width mismatch")
+        if not r.strict or r.const != 0 or any(type(c) is not int for c in r.coeffs):
+            raise ValueError(f"row {idx} is not a strict row a.x > 0 with int a: {r}")
+        work.append(_Work(r.coeffs, {idx: 1}))
 
     levels: "list[tuple[int, list[_Work]]]" = []
     remaining = list(range(num_vars))
     while True:
-        live = []
         for w in work:
-            if w.unit:
-                live.append(w)
-            elif w.const > 0 or (w.const == 0 and w.strict):
-                # scaled so that a positive constant becomes 1 (0 > 0 stays primitive)
-                mult = [w.mult.get(i, 0) for i in range(len(rows))]
-                return Infeasible(tuple(Fraction(m, w.const or 1) for m in mult))
+            if not w.unit:  # a zero row: 0 > 0
+                return Infeasible(tuple(Fraction(w.mult.get(i, 0)) for i in range(len(rows))))
         if not remaining:
             break
-        work = _dedupe(live)
+        work = _dedupe(work)
 
         # eliminate the variable with the fewest pairings first
         def cost(j: int) -> int:
@@ -131,23 +124,24 @@ def solve(num_vars: int, rows: "list[Row]") -> "Feasible | Infeasible":
         work = [w for w in work if w.coeffs[var] == 0]
         work.extend(_combine(p, q, var) for p in pos for q in neg)
 
-    # back-substitution with the point as integers over one denominator;
-    # lower == upper can only happen with both bounds non-strict, otherwise
-    # elimination would have derived a contradiction
+    # back-substitution with the point as integers over one denominator; each
+    # lower row combined with each upper row is, up to a positive multiple, a
+    # row of the next level, which the point so far satisfies strictly, so
+    # every lower bound lies below every upper bound
     nums, den = [0] * num_vars, 1
     for var, level_rows in reversed(levels):
         lower = upper = None  # (rest, c): the bound is rest / (c * den)
         for w in level_rows:
             c = w.coeffs[var]
             if c:
-                rest = w.const * den - sum(map(mul, w.coeffs, nums))
+                rest = -sum(map(mul, w.coeffs, nums))
                 if c > 0 and (lower is None or rest * lower[1] > lower[0] * c):
                     lower = (rest, c)
                 elif c < 0 and (upper is None or rest * upper[1] < upper[0] * c):
                     upper = (rest, c)
         lo, hi = (Fraction(b[0], b[1] * den) if b else None for b in (lower, upper))
         if lower and upper:
-            value = lo if lo == hi else (lo + hi) / 2
+            value = (lo + hi) / 2
         else:
             value = lo + 1 if lower else hi - 1 if upper else Fraction(1)
         step = lcm(den, value.denominator) // den

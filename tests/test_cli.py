@@ -7,7 +7,14 @@ import pytest
 from mbfreal import cli
 from mbfreal.cli import _shard_plan, main
 from mbfreal.ksystem import k_to_json, network_to_json
-from mbfreal.realizability import witness_from_text
+from mbfreal.boolean_core import MbfFunction, OrderedTuple
+from mbfreal.realizability import (
+    certificate_from_data,
+    replay_certificate,
+    verify_k_witness,
+    verify_witness,
+    witness_from_text,
+)
 
 from goldens import PAIR_NEEDS_MIXED, PAIR_NEEDS_PRODUCT, nonseparable_pairs
 from test_ksystem import example_k, example_network
@@ -299,12 +306,18 @@ def test_census_all_classes_n3(tmp_path, capsys):
     csv = (out_dir / "census.csv").read_text().strip().split("\n")
     assert csv[0] == "pair_index,f_hex,g_hex,class,verdict,witness_path,certificate_path"
     assert len(csv) == 1 + 4 * 168
-    # archives exist where the rows point
+    # the archives the rows point to replay from disk against the row's pair
     for row in csv[1:]:
-        cells = row.split(",")
-        for path in cells[5:7]:
-            if path:
-                assert (out_dir / path).exists()
+        _, f_hex, g_hex, class_tag, _, witness_path, certificate_path = row.split(",")
+        pair = OrderedTuple((MbfFunction.from_hex(f_hex), MbfFunction.from_hex(g_hex)))
+        if witness_path:
+            tup, witness = witness_from_text((out_dir / witness_path).read_text())
+            assert tup == pair
+            verify = verify_k_witness if class_tag == "k" else verify_witness
+            assert verify(tup, witness), row
+        if certificate_path:
+            data = json.loads((out_dir / certificate_path).read_text())
+            assert replay_certificate(pair, None, certificate_from_data(data)), row
 
     # resumable: a second run reuses the per-pair results and agrees
     code, out2, _ = run(capsys, "census", "--n", "3", "--classes", classes,
@@ -348,6 +361,9 @@ def test_census_resume_recomputes_corrupt_results(tmp_path, capsys):
     (results / "sigma_00004.json").write_text("")
     (results / "sigma_00005.json").write_text("[]")
     (results / "sigma_00006.json").write_text('{"row": 6}')
+    # a row that is not a census row, and another cell's row
+    (results / "sigma_00007.json").write_text('{"row": "garbage"}')
+    (results / "sigma_00009.json").write_text((results / "sigma_00008.json").read_text())
     code, _, err = run(capsys, *argv)
     assert code == 0, err
     assert (out_dir / "census.csv").read_text() == csv

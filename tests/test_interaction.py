@@ -151,8 +151,12 @@ def test_evaluate_monotone_in_each_variable(data):
 def test_enumerate_prodsum_3():
     # same five expressions the canonical printer spells with sorted blocks,
     # e.g. (z2+z3)*z1 prints as z1*(z2+z3)
-    got = {s.text() for s in enumerate_structures(3, PISIGMA)}
+    structs = enumerate_structures(3, PISIGMA)
+    got = {s.text() for s in structs}
     assert got == {"z1+z2+z3", "(z1+z2)*z3", "(z1+z3)*z2", "z1*(z2+z3)", "z1*z2*z3"}
+    # each call returns a fresh list of the one built per (n, class)
+    structs.clear()
+    assert len(enumerate_structures(3, PISIGMA)) == 5
     assert parse_structure("(z2+z3)*z1").text() == "z1*(z2+z3)"
 
 

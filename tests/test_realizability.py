@@ -399,10 +399,11 @@ def _sum_lp_feasible(tup, members):
 
 def _threshold_sum_system(tup):
     """The sum LP with a column per threshold, as the sum decision once
-    solved it: columns l1..ln, u1..un, th1..thk and margin 1, with
-    l_i >= 1, u_i - l_i >= 1, th_k >= 1 and th_j - th_{j+1} >= 1, and each
-    function's minimal true corners above and maximal false corners below
-    its threshold.  The reference for ``check_sigma``."""
+    solved it: columns l1..ln, u1..un, th1..thk, with l_i > 0, u_i - l_i > 0,
+    th_k > 0 and th_j - th_{j+1} > 0, and each function's minimal true
+    corners above and maximal false corners below its threshold.  Scaled
+    up, a solution meets every row with margin 1.  The reference for
+    ``check_sigma``."""
     n = tup.n
     k = len(tup)
     width = 2 * n + k
@@ -411,7 +412,7 @@ def _threshold_sum_system(tup):
         coeffs = [0] * width
         for pos, c in terms:
             coeffs[pos] += c
-        return linear.Row(tuple(coeffs), 1)
+        return linear.Row(tuple(coeffs), 0, strict=True)
 
     def value(v):
         return [(i + n if v >> i & 1 else i, 1) for i in range(n)]
