@@ -14,19 +14,21 @@ Each network object compiles, once, its canonical network (the one
 (``_NodePlan``) that ``validate_k``, ``phi_k``, ``k_to_mbfs`` and
 ``mbfs_to_k`` share: the (A, B) key of every activity combination, the
 adjacent monotone pairs, the outgoing thresholds scaled by the decay, and
-the node's activity combination in every domain state.  Each K object
-holds, once, every node's values as integers over their common denominator,
-so K values are compared with each other and with the scaled thresholds in
-exact integers; a K from ``mbfs_to_k`` is handed that table (denominator 1,
-the counts).  Once per (network object, K), the violation list and every
-node's threshold clearances are computed and kept on the K for the network
-object it was last used with, compared by identity, so ``validate_k``,
-``phi_k`` and ``k_to_mbfs`` on one pair read each node's values once.
+the node's activity combination in every domain state.  K values are
+compared with each other and with the scaled thresholds in exact integers:
+each node's values times their common denominator.  Once per (network
+object, K), the violation list and every node's threshold clearances are
+computed from those integers and kept on the K for the network object it
+was last used with, compared by identity, so ``validate_k``, ``phi_k`` and
+``k_to_mbfs`` on one pair read each node's values once.  ``mbfs_to_k``
+computes that table from its counts (denominator 1) with the same code, and
+keeps it on the K it returns for the canonical network.
 ``phi_k`` tabulates each node's image level over all 2^m
 activity combinations of its m inputs before visiting any state; this
 evaluates no more and no fewer K values than a per-state loop, because every
 combination occurs in some state (each source coordinate can be 1, below all
-of its thresholds, or its out-degree + 1, above all of them).
+of its thresholds, or its out-degree + 1, above all of them).  ``build_stg``
+reads every edge it can emit from a step table built once per state set.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .boolean_core import (
     ACTIVATING,
@@ -80,6 +82,12 @@ class WeightedRegulatoryNetwork:
         if len(set(names)) != len(names):
             raise NetworkError("duplicate node names")
         for name, decay in self.nodes:
+            # a K file keys each cell by its source names joined with commas,
+            # and the vertex table heads a column with each name
+            if not name:
+                raise NetworkError("node names must be non-empty")
+            if "," in name:
+                raise NetworkError(f"node name {name!r} contains a comma")
             if decay <= 0:
                 raise NetworkError(f"decay of {name} must be positive")
         seen_pairs = set()
@@ -376,6 +384,16 @@ def _clearances(plan: _NodePlan, den: int, values: "list[int]"):
     return counts, on
 
 
+def _node_table(plan: _NodePlan, den: int, values: "list[int]"):
+    """The node's part of ``_table``: its negative values and monotonicity
+    violations, and its ``_clearances``."""
+    violations = [
+        f"{plan.name}: K[{plan.labels[v]}] negative" for v in plan.order if values[v] < 0
+    ]
+    violations += [message for x, y, message in plan.pairs if values[x] > values[y]]
+    return violations, _clearances(plan, den, values)
+
+
 def _table(net: WeightedRegulatoryNetwork, k: KCollection):
     """The violation list, and per node of ``net`` its ``_clearances``.
 
@@ -387,12 +405,9 @@ def _table(net: WeightedRegulatoryNetwork, k: KCollection):
         return kept[1], kept[2]
     violations, clearances = [], []
     for plan in net._plans:
-        den, values = _node_values(plan, k)
-        violations += [
-            f"{plan.name}: K[{plan.labels[v]}] negative" for v in plan.order if values[v] < 0
-        ]
-        violations += [message for x, y, message in plan.pairs if values[x] > values[y]]
-        clearances.append(_clearances(plan, den, values))
+        bad, clear = _node_table(plan, *_node_values(plan, k))
+        violations += bad
+        clearances.append(clear)
     object.__setattr__(k, "_table", (net, violations, clearances))
     return violations, clearances
 
@@ -437,30 +452,46 @@ class StateTransitionGraph:
     edges: "tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]"
 
 
+@lru_cache(maxsize=64)
+def _steps(states: "tuple[tuple[int, ...], ...]"):
+    """Every edge ``build_stg`` can emit from the sorted states, built once
+    per state set (all the parameter points of one network share it).
+
+    Per state d: ``(d, loop, downs, ups)`` with ``loop`` the edge (d, d),
+    ``downs`` the pairs (i, edge to d with coordinate i one lower) by
+    ascending i, and ``ups`` the pairs (i, edge to d with coordinate i one
+    higher) by descending i.  In sorted order a down-step precedes d, an
+    up-step follows it, and a step at a lower coordinate sits further from d.
+    """
+    table = []
+    for d in states:
+        downs = tuple((i, (d, d[:i] + (d[i] - 1,) + d[i + 1 :])) for i in range(len(d)))
+        ups = tuple((i, (d, d[:i] + (d[i] + 1,) + d[i + 1 :])) for i in reversed(range(len(d))))
+        table.append((d, (d, d), downs, ups))
+    return tuple(table)
+
+
 def build_stg(phi: dict) -> StateTransitionGraph:
     """Asynchronous unit-step graph: fixed states get a self-loop, every
     coordinate moving toward its image contributes one unit edge.  Edges are
     emitted sorted: by state, then from each state the down-steps by
-    ascending coordinate and the up-steps by descending coordinate."""
+    ascending coordinate and the up-steps by descending coordinate.  The
+    edges are taken from ``_steps``, kept per state set, so graphs over one
+    state set share their edge tuples."""
     states = tuple(sorted(phi))
     edges = []
-    for d in states:
+    append = edges.append
+    for d, loop, downs, ups in _steps(states):
         image = phi[d]
         if image == d:
-            edges.append((d, d))
+            append(loop)
             continue
-        # sorted order: a down-step precedes d, an up-step follows it, and
-        # a step at a lower coordinate sits further from d
-        for i in range(len(d)):
+        for i, edge in downs:
             if image[i] < d[i]:
-                step = list(d)
-                step[i] -= 1
-                edges.append((d, tuple(step)))
-        for i in reversed(range(len(d))):
+                append(edge)
+        for i, edge in ups:
             if image[i] > d[i]:
-                step = list(d)
-                step[i] += 1
-                edges.append((d, tuple(step)))
+                append(edge)
     return StateTransitionGraph(states, tuple(edges))
 
 
@@ -534,13 +565,14 @@ def mbfs_to_k(net: WeightedRegulatoryNetwork, assignments: dict):
     moved to half-integer ranks, order preserved; one object per network)
     and the K collection whose production levels count how many of the
     node's functions are true.  A node without outgoing edges needs no
-    functions and gets level 0 everywhere.
+    functions and gets level 0 everywhere.  The K keeps its table for the
+    canonical network (see ``_table``), computed from the counts.
     """
     for name in assignments:
         if name not in net._decays:
             raise NetworkError(f"functions for {name!r}, which is not a node of the network")
     canon_net = net._canonical
-    entries, integers = [], {}
+    entries, violations, clearances = [], [], []
     for plan in canon_net._plans:
         b = len(plan.targets)
         counts = [0] * len(plan.keys)
@@ -561,11 +593,13 @@ def mbfs_to_k(net: WeightedRegulatoryNetwork, assignments: dict):
                     counts[v] += f.truth >> (v ^ plan.flip) & 1
         cells = tuple((plan.keys[v], plan.levels[counts[v]]) for v in plan.cell_order)
         entries.append((plan.name, cells))
-        integers[plan.name] = (1, dict(zip(plan.keys, counts)))
+        # the levels are the integer counts: denominator 1
+        bad, clear = _node_table(plan, 1, counts)
+        violations += bad
+        clearances.append(clear)
     # node names are distinct, so the sort compares names only
     k = KCollection(tuple(sorted(entries)))
-    # the levels are the integer counts, so K's integer table is known
-    object.__setattr__(k, "_integers", integers)
+    object.__setattr__(k, "_table", (canon_net, violations, clearances))
     return canon_net, k
 
 

@@ -14,13 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .boolean_core import (
-    ACTIVATING,
-    MbfFunction,
-    OrderedTuple,
-    enumerate_mbf_positive,
-    is_monotone_positive,
-)
+from .boolean_core import ACTIVATING, MbfFunction, OrderedTuple, enumerate_mbf_positive
 from .interaction import CLASS_TAGS, KCLASS
 from .realizability import Verdict, check_class
 
@@ -66,7 +60,10 @@ def build_factor(
     """Factor graph for a node with the given numbers of inputs and outputs.
 
     Vertices are stored sign-normalized (positive functions); the signs are
-    carried for interpretation only and default to all-activating.
+    carried for interpretation only and default to all-activating.  Edges
+    are found on truth masks: each vertex's tuple of masks, with one
+    function's mask flipped at one corner, is looked up among the vertices'
+    mask tuples.
     """
     if num_inputs > MAX_FACTOR_INPUTS:
         raise ValueError(f"factor guarded at {MAX_FACTOR_INPUTS} inputs")
@@ -80,22 +77,18 @@ def build_factor(
         raise ValueError("one sign per input required")
     functions = enumerate_mbf_positive(num_inputs)
     vertices = tuple(_chains(functions, num_outputs))
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = set()
-    for pos, vertex in enumerate(vertices):
-        for slot, f in enumerate(vertex):
-            for corner in range(1 << num_inputs):
-                flipped = f.truth ^ (1 << corner)
-                if not is_monotone_positive(flipped, num_inputs):
-                    continue
-                candidate = (
-                    vertex[:slot]
-                    + (MbfFunction(num_inputs, flipped),)
-                    + vertex[slot + 1 :]
-                )
-                other = index.get(candidate)
+    # a flipped table that is not monotone, or that breaks the implication
+    # order, is not a vertex, so the lookup is the whole test
+    index = {tuple(f.truth for f in v): i for i, v in enumerate(vertices)}
+    bits = [1 << corner for corner in range(1 << num_inputs)]
+    edges = []
+    for masks, pos in index.items():
+        for slot, t in enumerate(masks):
+            head, tail = masks[:slot], masks[slot + 1 :]
+            for bit in bits:
+                other = index.get(head + (t ^ bit,) + tail)
                 if other is not None and other > pos:
-                    edges.add((pos, other))
+                    edges.append((pos, other))
     return FactorGraph(num_inputs, num_outputs, tuple(signs), vertices, tuple(sorted(edges)))
 
 

@@ -268,6 +268,12 @@ def example_k_json_with(node, key, value):
         ("pg", '{"nodes": [{"name": "a", "decay": true}], "edges": []}'),
         ("pg", '{"nodes": [{"name": "a", "decay": 1}], "edges": '
                '[{"source": "a", "target": "a", "sign": "+", "threshold": true}]}'),
+        # node names that a K file's comma-joined keys or the vertex table's
+        # header could not carry
+        ("pg", '{"nodes": [{"name": "", "decay": 1}], "edges": '
+               '[{"source": "", "target": "", "sign": "+", "threshold": 1}]}'),
+        ("pg", '{"nodes": [{"name": "a,b", "decay": 1}], "edges": '
+               '[{"source": "a,b", "target": "a,b", "sign": "+", "threshold": 1}]}'),
         ("stg", '{"a": 5}'),
         ("stg", '{"a": {"": [1]}}'),
         # the example K plus an entry for a node the network lacks

@@ -602,6 +602,13 @@ def test_cached_network_compares_and_hashes_by_fields():
         '{"nodes": [{"name": "a", "decay": true}], "edges": []}',
         '{"nodes": [{"name": "a", "decay": 1}], "edges": '
         '[{"source": "a", "target": "a", "sign": "+", "threshold": true}]}',
+        # a K file joins source names with commas, so an empty name would
+        # key the {""} cell like the {} cell, and "a,b" would read as two
+        '{"nodes": [{"name": "", "decay": 1}], "edges": '
+        '[{"source": "", "target": "", "sign": "+", "threshold": 1}]}',
+        '{"nodes": [{"name": "a,b", "decay": 1}], "edges": '
+        '[{"source": "a,b", "target": "a,b", "sign": "+", "threshold": 1}]}',
+        '{"nodes": [{"name": "a", "decay": 1}, {"name": ",", "decay": 1}], "edges": []}',
     ],
 )
 def test_network_json_shape_errors(text):
@@ -842,6 +849,11 @@ def test_round_trip_on_parameter_graph_vertices():
         canon_net, k = mbfs_to_k(net, assignment)
         copy = KCollection.from_dict(k.as_dict())
         assert k == copy and k._integers == copy._integers
+        # the table mbfs_to_k keeps from its counts is the one the K's
+        # values give: violations and every node's clearances
+        kept = k.__dict__["_table"]
+        assert kept[0] is canon_net
+        assert kept[1:] == ksystem._table(canon_net, copy)
         assert validate_k(canon_net, k) == _reference_validate(canon_net, k) == []
         phi = phi_k(canon_net, k)
         assert phi == _reference_phi(canon_net, k)
@@ -883,6 +895,34 @@ def test_stg_matches_sorting_reference_on_random_self_maps():
     assert build_stg(empty) == _reference_stg(empty) == StateTransitionGraph(
         ((),), (((), ()),)
     )
+
+
+def test_stg_step_tables_of_equal_sized_state_sets():
+    # a 2x2 grid and a one-node line of 4 levels have 4 states each, the
+    # three-node network and a 4x4 grid 16 each; their graphs are built in
+    # turn, so each one reads its own state set's step table
+    rng = random.Random(1919)
+    net = three_node_network()
+    pg = build_parameter_graph(net)
+    state_sets = [
+        list(itertools.product((1, 2), (1, 2))),
+        [(level,) for level in range(1, 5)],
+        list(net._canonical._states),
+        list(itertools.product(range(1, 5), range(1, 5))),
+    ]
+    phis = []
+    for _ in range(10):
+        for states in state_sets:
+            phis.append({d: d if rng.random() < 0.2 else rng.choice(states) for d in states})
+        vertex = rng.choice(pg.vertices)
+        assignment = {
+            name: OrderedTuple(factor.vertices[i])
+            for name, factor, i in zip(pg.node_names, pg.factors, vertex)
+        }
+        phis.append(phi_k(*mbfs_to_k(net, assignment)))
+    for phi in phis:
+        assert build_stg(phi) == _reference_stg(phi)
+    assert ksystem._steps.cache_info().currsize == len(state_sets)
 
 
 def test_one_k_against_several_network_objects():

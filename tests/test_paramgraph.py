@@ -4,9 +4,20 @@ import random
 import pytest
 
 from mbfreal import realizability
-from mbfreal.boolean_core import ACTIVATING, REPRESSING, OrderedTuple, canonical_form, implies
+from mbfreal.boolean_core import (
+    ACTIVATING,
+    REPRESSING,
+    MbfFunction,
+    OrderedTuple,
+    canonical_form,
+    enumerate_mbf_positive,
+    implies,
+    is_monotone_positive,
+)
 from mbfreal.interaction import PISIGMA, SIGMA, SIGMAPISIGMA
 from mbfreal.paramgraph import (
+    FactorGraph,
+    _chains,
     annotate_factor,
     annotate_realizability,
     build_factor,
@@ -85,6 +96,40 @@ def test_two_in_two_out_edge_count_frozen():
     # frozen from the reference drawing of all 20 ordered pairs on two inputs
     factor = build_factor(2, 2)
     assert len(factor.edges) == 32
+
+
+def _reference_factor(num_inputs, num_outputs):
+    """The factor built by flipping every function of every vertex at every
+    corner and looking the flipped tuple of functions up among the
+    vertices."""
+    vertices = tuple(_chains(enumerate_mbf_positive(num_inputs), num_outputs))
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = set()
+    for pos, vertex in enumerate(vertices):
+        for slot, f in enumerate(vertex):
+            for corner in range(1 << num_inputs):
+                flipped = f.truth ^ (1 << corner)
+                if not is_monotone_positive(flipped, num_inputs):
+                    continue
+                candidate = (
+                    vertex[:slot]
+                    + (MbfFunction(num_inputs, flipped),)
+                    + vertex[slot + 1 :]
+                )
+                other = index.get(candidate)
+                if other is not None and other > pos:
+                    edges.add((pos, other))
+    return FactorGraph(
+        num_inputs, num_outputs, (ACTIVATING,) * num_inputs, vertices, tuple(sorted(edges))
+    )
+
+
+@pytest.mark.parametrize(
+    "num_inputs, num_outputs",
+    [(m, b) for m in range(4) for b in range(1, 4)] + [(4, 1), (4, 2)],
+)
+def test_factor_matches_flip_reference(num_inputs, num_outputs):
+    assert build_factor(num_inputs, num_outputs) == _reference_factor(num_inputs, num_outputs)
 
 
 def test_example_network_product():
