@@ -59,6 +59,10 @@ from .realizability import (
 
 CENSUS_CLASSES = list(CLASS_TAGS) + [KCLASS]
 CSV_HEADER = "pair_index,f_hex,g_hex,class,verdict,witness_path,certificate_path"
+# the certificate file format, kept in config.json: a Farkas certificate holds
+# its multipliers only, and a config.json without this tag belongs to files
+# that also hold the rows, so that directory is another configuration
+CERTIFICATE_FORMAT = "farkas-multipliers"
 
 
 @dataclass(frozen=True)
@@ -259,7 +263,7 @@ def cmd_census(args) -> int:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    config = {"n": args.n, "classes": sorted(classes)}
+    config = {"n": args.n, "classes": sorted(classes), "certificates": CERTIFICATE_FORMAT}
     config_path = out / "config.json"
     if config_path.exists():
         try:

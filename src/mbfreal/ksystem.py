@@ -83,11 +83,15 @@ class WeightedRegulatoryNetwork:
             raise NetworkError("duplicate node names")
         for name, decay in self.nodes:
             # a K file keys each cell by its source names joined with commas,
-            # and the vertex table heads a column with each name
+            # the vertex table heads a column with each name, and each factor
+            # graph file is named after its node
             if not name:
                 raise NetworkError("node names must be non-empty")
             if "," in name:
                 raise NetworkError(f"node name {name!r} contains a comma")
+            bad = next((c for c in name if c in '/\\"' or not c.isprintable()), None)
+            if bad is not None:
+                raise NetworkError(f"node name {name!r} contains {bad!r}")
             if decay <= 0:
                 raise NetworkError(f"decay of {name} must be positive")
         seen_pairs = set()

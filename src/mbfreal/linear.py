@@ -1,20 +1,17 @@
 """Exact decision of strict homogeneous integer systems ``A x > 0``.
 
-``solve`` takes rows ``Row(coeffs, 0, strict=True)`` with ``int``
-coefficients, each meaning ``sum_j coeffs[j] * x_j > 0``; this is the only
-kind of system mbfreal builds, and any other row is rejected.  By Gordan's
-alternative either some x satisfies every row, or a non-negative combination
-of the rows is the zero row, which reads 0 > 0.  Fourier-Motzkin elimination
+``solve`` takes rows as tuples of ``int``, each row ``a`` meaning
+``sum_j a[j] * x_j > 0``; this is the only kind of system mbfreal builds,
+and any other row is rejected.  By Gordan's alternative either some x
+satisfies every row, or a non-negative combination of the rows, not all
+zero, is the zero row, which reads 0 > 0.  Fourier-Motzkin elimination
 decides which: two rows are combined with coprime positive weights, and each
 derived row is divided by the gcd of its coefficients and multipliers
 (fraction-free elimination, Bareiss 1968).  Every working row is thus the
 exact integer combination of input rows recorded in its provenance, so an
 infeasible system yields a replayable multiplier vector and a feasible one a
-sample point by back-substitution, both as ``Fraction``s.
-
-``Row``, ``combine`` and ``refutes`` stay general (a constant, ``>=`` or
-``>``, rational coefficients), because ``refutes`` also checks certificates
-read back from files, whose rows hold ``Fraction``s.
+sample point by back-substitution, both as ``Fraction``s.  ``refutes``
+checks such a multiplier vector against the rows.
 """
 
 from __future__ import annotations
@@ -23,23 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-
-
-@dataclass(frozen=True)
-class Row:
-    """``sum_j coeffs[j] * x_j >= const``, or ``>`` when strict.
-
-    Coefficients and constant are rationals, ``int`` or ``Fraction``; the two
-    compare and hash alike, so rows equal as numbers are equal rows.
-    """
-
-    coeffs: "tuple[int | Fraction, ...]"
-    const: "int | Fraction"
-    strict: bool = False
-
-
-def row(coeffs, const=0, strict=False) -> Row:
-    return Row(tuple(Fraction(c) for c in coeffs), Fraction(const), strict)
 
 
 @dataclass(frozen=True)
@@ -89,16 +69,16 @@ def _combine(p: _Work, q: _Work, var: int) -> _Work:
     return _Work(coeffs, mult)
 
 
-def solve(num_vars: int, rows: "list[Row]") -> "Feasible | Infeasible":
+def solve(num_vars: int, rows: "list[tuple[int, ...]]") -> "Feasible | Infeasible":
     """Decide ``A x > 0`` exactly; raises ``ValueError`` on a row of another
-    width, a non-strict row, a non-zero constant or a non-``int`` coefficient."""
+    width or an entry whose type is not ``int`` (``bool`` included)."""
     work = []
     for idx, r in enumerate(rows):
-        if len(r.coeffs) != num_vars:
+        if len(r) != num_vars:
             raise ValueError("row width mismatch")
-        if not r.strict or r.const != 0 or any(type(c) is not int for c in r.coeffs):
-            raise ValueError(f"row {idx} is not a strict row a.x > 0 with int a: {r}")
-        work.append(_Work(r.coeffs, {idx: 1}))
+        if any(type(c) is not int for c in r):
+            raise ValueError(f"row {idx} is not a row of int: {r}")
+        work.append(_Work(r, {idx: 1}))
 
     levels: "list[tuple[int, list[_Work]]]" = []
     remaining = list(range(num_vars))
@@ -151,34 +131,13 @@ def solve(num_vars: int, rows: "list[Row]") -> "Feasible | Infeasible":
     return Feasible(tuple(Fraction(x, den) for x in nums))
 
 
-def combine(rows: "list[Row]", multipliers) -> Row:
-    """The non-negative combination of rows given by the multipliers."""
-    if len(multipliers) != len(rows):
-        raise ValueError("multiplier count mismatch")
-    width = len(rows[0].coeffs) if rows else 0
-    coeffs = [Fraction(0)] * width
-    const = Fraction(0)
-    strict = False
+def refutes(rows: "list[tuple[int, ...]]", multipliers) -> bool:
+    """Gordan's check, exact: one non-negative multiplier per row, not all
+    zero, whose combination of the rows is the zero row (0 > 0)."""
+    if len(multipliers) != len(rows) or any(m < 0 for m in multipliers) or not any(multipliers):
+        return False
+    combined = [0] * len(rows[0])
     for m, r in zip(multipliers, rows):
-        m = Fraction(m)
-        if m < 0:
-            raise ValueError("multipliers must be non-negative")
-        if m == 0:
-            continue
-        for j, c in enumerate(r.coeffs):
-            coeffs[j] += m * c
-        const += m * r.const
-        strict = strict or r.strict
-    return Row(tuple(coeffs), const, strict)
-
-
-def refutes(rows: "list[Row]", multipliers) -> bool:
-    """Whether the combination proves the system infeasible (0 >= positive,
-    or 0 > 0 via a strict row with positive weight).  Multipliers that are
-    not one non-negative weight per row prove nothing."""
-    if len(multipliers) != len(rows) or any(m < 0 for m in multipliers):
-        return False
-    combined = combine(rows, multipliers)
-    if any(combined.coeffs):
-        return False
-    return combined.const > 0 or (combined.const >= 0 and combined.strict)
+        if m:
+            combined = [c + m * a for c, a in zip(combined, r)]
+    return not any(combined)

@@ -120,10 +120,10 @@ class DirectionCertificate:
 
 @dataclass(frozen=True)
 class FarkasCertificate:
-    """Non-negative multipliers combining the stored rows into 0 > 0."""
+    """Non-negative multipliers, one per row of the monomial system that the
+    claim (tuple and structure) rebuilds, combining those rows into 0 > 0.
+    The rows are not stored: ``replay_certificate`` rebuilds them."""
 
-    columns: "tuple[str, ...]"
-    rows: "tuple[linear.Row, ...]"
     multipliers: "tuple[Fraction, ...]"
 
 
@@ -266,19 +266,25 @@ def check_sigma(tup: OrderedTuple) -> Verdict:
     if n > 5:
         raise ValueError("sum decision guarded at arity 5")
     s = sum_structure(range(1, n + 1), n)
-    columns, rows = _monomial_system(tup, s)
-    out = linear.solve(len(columns), rows)
+    out = linear.solve(*_monomial_system(tup, s))
     if isinstance(out, linear.Infeasible):
-        return Verdict.not_realizable(
-            FarkasCertificate(tuple(columns), tuple(rows), out.multipliers)
-        )
+        return Verdict.not_realizable(FarkasCertificate(out.multipliers))
     # columns are l1..ln (corner 0), then u1..un (the unit corners in order)
-    phi = PhiAssignment(out.point[:n], out.point[n:])
+    return Verdict.realizable(_gap_witness(tup, s, PhiAssignment(out.point[:n], out.point[n:])))
+
+
+def _gap_witness(tup: OrderedTuple, s: InteractionStructure, phi: PhiAssignment) -> Witness:
+    """The witness at an assignment where every function has a gap (a
+    feasible point of the sum system, or a point ``_screened_points``
+    admits): thresholds derived from the corner table and checked on it.
+    There, ``derive_thresholds`` cannot fail: two distinct functions of an
+    implication chain have disjoint gaps, the smaller one's higher.  Raises
+    ``AssertionError`` if it does anyway."""
     values, scale = scaled_corner_table(s, phi)
     thresholds = derive_thresholds(tup, values, scale)
     if thresholds is None or not _separates(tup, thresholds, values, scale):
-        raise AssertionError("feasible sum system produced a bad witness")
-    return Verdict.realizable(Witness(s, phi, thresholds))
+        raise AssertionError("an assignment with every gap produced a bad witness")
+    return Witness(s, phi, thresholds)
 
 
 # ---------------------------------------------------------------- direction test
@@ -349,18 +355,12 @@ def verify_direction_certificate(
 
 # ---------------------------------------------------------------- Farkas test
 
-def _monomial_label(mono) -> str:
-    return "*".join(
-        ("u" if bit else "l") + str(i) for i, bit in sorted(mono)
-    )
-
-
 @lru_cache(maxsize=None)
 def _structure_system(s: InteractionStructure):
     """The part of ``_monomial_system`` that depends on the structure alone,
-    built once per process (structures are finitely many): column labels,
-    one monomial-count vector per corner, then the positivity rows and the
-    sorted fact rows, all as tuples.
+    built once per process (structures are finitely many): the width (one
+    column per monomial), one monomial-count vector per corner, then the
+    positivity rows and the sorted fact rows, all as tuples of ``int``.
     """
     universe: "dict[frozenset, int]" = {}
     expansions = []
@@ -369,9 +369,6 @@ def _structure_system(s: InteractionStructure):
         for m in monos:
             universe.setdefault(m, len(universe))
         expansions.append(monos)
-    columns = [None] * len(universe)
-    for m, pos in universe.items():
-        columns[pos] = _monomial_label(m)
     width = len(universe)
     corners = []
     for monos in expansions:
@@ -383,7 +380,7 @@ def _structure_system(s: InteractionStructure):
     for m, pos in universe.items():
         coeffs = [0] * width
         coeffs[pos] = 1
-        rows.append(linear.Row(tuple(coeffs), 0, strict=True))
+        rows.append(tuple(coeffs))
 
     # products of (u_i - l_i) facts with a monomial over the other variables,
     # kept only when every expanded term is already a column
@@ -407,31 +404,32 @@ def _structure_system(s: InteractionStructure):
                         coeffs[universe[mono]] += sign
                     if ok:
                         fact_rows.add(tuple(coeffs))
-    for coeffs in sorted(fact_rows):
-        rows.append(linear.Row(coeffs, 0, strict=True))
-    return tuple(columns), tuple(corners), tuple(rows)
+    rows.extend(sorted(fact_rows))
+    return width, tuple(corners), tuple(rows)
 
 
 def _monomial_system(tup: OrderedTuple, s: InteractionStructure):
-    """Columns and rows of the linearized corner-separation system.
+    """Width and rows of the linearized corner-separation system.
 
     Every multilinear monomial of the expression becomes an independent
     positive variable; separation constraints plus linearized products of the
     elementary facts (low < high, positivity) make a homogeneous strict
-    system with ``int`` coefficients.  Only the separation rows, one per
-    (maximal false, minimal true) corner pair of each function, depend on the
-    tuple; the columns and the other rows come from ``_structure_system``.
-    The lists returned are fresh, so a caller may change them.
+    system ``A x > 0`` whose rows are tuples of ``int``.  Only the separation
+    rows, one per (maximal false, minimal true) corner pair of each function,
+    depend on the tuple; the width and the other rows come from
+    ``_structure_system``.  A row that repeats an earlier one is left out
+    (a sum's unit-corner separation row is its ``u_i - l_i`` fact row).  The
+    list returned is fresh, so a caller may change it.
     """
-    columns, corners, structure_rows = _structure_system(s)
+    width, corners, structure_rows = _structure_system(s)
     rows = [
-        linear.Row(tuple([a - b for a, b in zip(corners[w], corners[v])]), 0, strict=True)
+        tuple([a - b for a, b in zip(corners[w], corners[v])])
         for f in tup
         for v in maximal_false_corners(f)
         for w in minimal_true_corners(f)
     ]
     rows.extend(structure_rows)
-    return list(columns), rows
+    return width, list(dict.fromkeys(rows))
 
 
 def monomial_certificate(tup: OrderedTuple, s: InteractionStructure):
@@ -441,15 +439,10 @@ def monomial_certificate(tup: OrderedTuple, s: InteractionStructure):
     a further restriction.  Returns None when the relaxation is feasible,
     which proves nothing either way.
     """
-    columns, rows = _monomial_system(tup, s)
-    out = linear.solve(len(columns), rows)
+    out = linear.solve(*_monomial_system(tup, s))
     if isinstance(out, linear.Infeasible):
-        return FarkasCertificate(tuple(columns), tuple(rows), out.multipliers)
+        return FarkasCertificate(out.multipliers)
     return None
-
-
-def verify_farkas(cert: FarkasCertificate) -> bool:
-    return linear.refutes(list(cert.rows), cert.multipliers)
 
 
 # ---------------------------------------------------------------- grid search
@@ -559,27 +552,17 @@ def search_witness(tup: OrderedTuple, s: InteractionStructure):
     the support gets the largest high.  Thresholds are derived from the
     achieved value gaps, never searched.
 
-    Only the points that ``_screened_points`` admits, in grid order, go
-    through ``PhiAssignment``, ``scaled_corner_table``, ``derive_thresholds``
-    and ``verify_witness``'s checks on that one integer table; the others
-    have no gap.
+    The witness is built at the first point, in grid order, that
+    ``_screened_points`` admits (``_gap_witness``): every function has a gap
+    there, so it always separates.  None when the screen admits no point.
     """
-    n = tup.n
-    support = sorted(s.support)
-    low = (_GRID_LOW,) * n
-    spare_high = max(_GRID_HIGHS)
-    for point in _screened_points(tup, s):
-        high = [spare_high] * n
-        for i, k in zip(support, point):
-            high[i - 1] = _GRID_HIGHS[k]
-        phi = PhiAssignment(low, tuple(high))
-        values, scale = scaled_corner_table(s, phi)
-        thresholds = derive_thresholds(tup, values, scale)
-        if thresholds is None:
-            continue
-        if _separates(tup, thresholds, values, scale):
-            return Witness(s, phi, thresholds)
-    return None
+    point = next(_screened_points(tup, s), None)
+    if point is None:
+        return None
+    high = [max(_GRID_HIGHS)] * tup.n
+    for i, k in zip(sorted(s.support), point):
+        high[i - 1] = _GRID_HIGHS[k]
+    return _gap_witness(tup, s, PhiAssignment((_GRID_LOW,) * tup.n, tuple(high)))
 
 
 # ---------------------------------------------------------------- class check
@@ -960,7 +943,8 @@ def induced_function(w: Witness) -> MbfFunction:
 # ---------------------------------------------------------------- certificates io
 
 def certificate_to_data(cert) -> dict:
-    """JSON-ready dict; rationals as strings, fully replayable."""
+    """JSON-ready dict, rationals as strings.  A Farkas certificate is its
+    multipliers alone; replay rebuilds the rows from the claim."""
     if isinstance(cert, DirectionCertificate):
         return {
             "type": "direction",
@@ -971,19 +955,7 @@ def certificate_to_data(cert) -> dict:
             "f_false_corner": cert.f_false_corner,
         }
     if isinstance(cert, FarkasCertificate):
-        return {
-            "type": "farkas",
-            "columns": list(cert.columns),
-            "rows": [
-                {
-                    "coeffs": [str(c) for c in r.coeffs],
-                    "const": str(r.const),
-                    "strict": r.strict,
-                }
-                for r in cert.rows
-            ],
-            "multipliers": [str(m) for m in cert.multipliers],
-        }
+        return {"type": "farkas", "multipliers": [str(m) for m in cert.multipliers]}
     if isinstance(cert, CollapseCertificate):
         return {
             "type": "collapse",
@@ -1014,19 +986,7 @@ def certificate_from_data(data: dict):
             data["f_false_corner"],
         )
     if kind == "farkas":
-        rows = tuple(
-            linear.Row(
-                tuple(Fraction(c) for c in r["coeffs"]),
-                Fraction(r["const"]),
-                bool(r["strict"]),
-            )
-            for r in data["rows"]
-        )
-        return FarkasCertificate(
-            tuple(data["columns"]),
-            rows,
-            tuple(Fraction(m) for m in data["multipliers"]),
-        )
+        return FarkasCertificate(tuple(Fraction(m) for m in data["multipliers"]))
     if kind == "collapse":
         return CollapseCertificate(
             data["direction"],
@@ -1044,23 +1004,14 @@ def certificate_from_data(data: dict):
     raise ValueError(f"unknown certificate type {kind!r}")
 
 
-def _farkas_replays(cert: FarkasCertificate, system) -> bool:
-    """The certificate refutes exactly the rebuilt ``(columns, rows)``."""
-    columns, rows = system
-    return (
-        cert.columns == tuple(columns)
-        and cert.rows == tuple(rows)
-        and verify_farkas(cert)
-    )
-
-
 def replay_certificate(tup: OrderedTuple, structure_text: "str | None", cert) -> bool:
     """Re-derive the contradiction against the claim it makes.
 
     Nothing stored is trusted that can be rebuilt from the tuple and the
-    structure.  A Farkas certificate must hold the monomial system of the
-    structure, or of the full sum z1+...+zn when there is no structure (the
-    sum decision's claim), row for row.  An exhaustion must name every
+    structure.  A Farkas certificate is only its multipliers: they must
+    combine the rows of the monomial system rebuilt from the tuple and the
+    structure, or the full sum z1+...+zn when there is no structure (the sum
+    decision's claim), into 0 > 0 (``linear.refutes``).  An exhaustion must name every
     ``pisigma`` or ``sigmapisigma`` structure in enumeration order.  A
     collapse must name the shape its direction leaves of the parent
     structure, and its inner certificate replays against the collapsed tuple
@@ -1080,7 +1031,7 @@ def _replays(tup: OrderedTuple, structure_text: "str | None", cert) -> bool:
             s = sum_structure(range(1, n + 1), n)
         else:
             s = parse_structure(structure_text, n)
-        return _farkas_replays(cert, _monomial_system(tup, s))
+        return linear.refutes(_monomial_system(tup, s)[1], cert.multipliers)
     if isinstance(cert, DirectionCertificate):
         if len(tup) < 2:
             return False

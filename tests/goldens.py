@@ -125,59 +125,18 @@ REFERENCE_WITNESSES = [
 
 
 # json.dumps(certificate_to_data(...)) of two Farkas certificates, as census
-# and realize files hold them: the sum decision's monomial system of
-# z1+z2+z3 for PAIR_NEEDS_PRODUCT, and the monomial system of
-# PAIR_NEEDS_MIXED under (z1+z2)*z3.
+# and realize files hold them: one multiplier per row of the sum decision's
+# monomial system of z1+z2+z3 for PAIR_NEEDS_PRODUCT (13 rows), and of the
+# monomial system of PAIR_NEEDS_MIXED under (z1+z2)*z3 (22 rows).
 PAIR_NEEDS_PRODUCT_SUM_CERTIFICATE_JSON = (
-    '{"type": "farkas", "columns": ["l1", "l2", "l3", "u1", "u2", "u3"], "rows": ['
-    '{"coeffs": ["0", "1", "-1", "0", "-1", "1"], "const": "0", "strict": true}, '
-    '{"coeffs": ["1", "0", "-1", "-1", "0", "1"], "const": "0", "strict": true}, '
-    '{"coeffs": ["-1", "0", "0", "1", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "-1", "0", "0", "1", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["-1", "0", "1", "1", "0", "-1"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "-1", "1", "0", "1", "-1"], "const": "0", "strict": true}, '
-    '{"coeffs": ["1", "0", "0", "0", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "1", "0", "0", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "0", "1", "0", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "0", "0", "1", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "0", "0", "0", "1", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "0", "0", "0", "0", "1"], "const": "0", "strict": true}, '
-    '{"coeffs": ["-1", "0", "0", "1", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "-1", "0", "0", "1", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "0", "-1", "0", "0", "1"], "const": "0", "strict": true}'
-    '], "multipliers": ["0", "1", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0", "0", '
-    '"0"]}'
+    '{"type": "farkas", "multipliers": '
+    '["0", "1", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0"]}'
 )
 
 PAIR_NEEDS_MIXED_MONOMIAL_CERTIFICATE_JSON = (
-    '{"type": "farkas", "columns": ["l1*l3", "l2*l3", "u1*l3", "u2*l3", "l1*u3", "l2*u3", '
-    '"u1*u3", "u2*u3"], "rows": ['
-    '{"coeffs": ["0", "0", "1", "1", "0", "-1", "-1", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "0", "1", "1", "-1", "0", "0", "-1"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "-1", "0", "1", "0", "0", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "-1", "-1", "0", "1", "1", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["-1", "0", "1", "0", "0", "0", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["-1", "0", "0", "-1", "1", "1", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["1", "0", "0", "0", "0", "0", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "1", "0", "0", "0", "0", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "0", "1", "0", "0", "0", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "0", "0", "1", "0", "0", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "0", "0", "0", "1", "0", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "0", "0", "0", "0", "1", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "0", "0", "0", "0", "0", "1", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "0", "0", "0", "0", "0", "0", "1"], "const": "0", "strict": true}, '
-    '{"coeffs": ["-1", "0", "0", "0", "1", "0", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["-1", "0", "1", "0", "0", "0", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "-1", "0", "0", "0", "1", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "-1", "0", "1", "0", "0", "0", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "0", "-1", "0", "0", "0", "1", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "0", "0", "-1", "0", "0", "0", "1"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "0", "0", "0", "-1", "0", "1", "0"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "0", "0", "0", "0", "-1", "0", "1"], "const": "0", "strict": true}, '
-    '{"coeffs": ["0", "1", "0", "-1", "0", "-1", "0", "1"], "const": "0", "strict": true}, '
-    '{"coeffs": ["1", "0", "-1", "0", "-1", "0", "1", "0"], "const": "0", "strict": true}'
-    '], "multipliers": ["1", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0", '
-    '"0", "0", "0", "0", "0", "0", "0", "0", "0", "1"]}'
+    '{"type": "farkas", "multipliers": '
+    '["1", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", '
+    '"0", "0", "0", "0", "0", "1"]}'
 )
 
 # The pairs of the products-n4 benchmark workload, as (f, g) hex masks on

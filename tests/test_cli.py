@@ -274,6 +274,13 @@ def example_k_json_with(node, key, value):
                '[{"source": "", "target": "", "sign": "+", "threshold": 1}]}'),
         ("pg", '{"nodes": [{"name": "a,b", "decay": 1}], "edges": '
                '[{"source": "a,b", "target": "a,b", "sign": "+", "threshold": 1}]}'),
+        # node names that a factor file's name or the vertex table's header
+        # could not carry: a path out of the output directory, a quote and a
+        # newline
+        ("pg", '{"nodes": [{"name": "../escaped", "decay": 1}, {"name": "b", "decay": 1}], '
+               '"edges": [{"source": "../escaped", "target": "b", "sign": "+", "threshold": 1}]}'),
+        ("pg", '{"nodes": [{"name": "q\\"x\\ny", "decay": 1}, {"name": "b", "decay": 1}], '
+               '"edges": [{"source": "q\\"x\\ny", "target": "b", "sign": "+", "threshold": 1}]}'),
         ("stg", '{"a": 5}'),
         ("stg", '{"a": {"": [1]}}'),
         # the example K plus an entry for a node the network lacks
@@ -295,6 +302,8 @@ def test_malformed_network_or_k_json_exits_2(tmp_path, capsys, command, text):
     code, _, err = run(capsys, command, *args)
     assert code == 2
     assert err.startswith("error: ")
+    # nothing is written, under --out or beside it
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.json", "net.json"]
 
 
 # ---------------------------------------------------------------- census
@@ -339,6 +348,19 @@ def test_census_config_mismatch(tmp_path, capsys):
                        "--out", str(out_dir))
     assert code == 3
     assert "configuration" in err
+
+
+def test_census_config_without_certificate_format_exits_3(tmp_path, capsys):
+    # a directory written before config.json named the certificate format
+    # holds Farkas certificates with their rows; it is not resumed
+    out_dir = tmp_path / "census"
+    out_dir.mkdir()
+    config = out_dir / "config.json"
+    config.write_text(json.dumps({"n": 3, "classes": ["k"]}) + "\n")
+    code, _, err = run(capsys, "census", "--n", "3", "--classes", "k", "--out", str(out_dir))
+    assert code == 3
+    assert "configuration" in err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["config.json"]
 
 
 @pytest.mark.parametrize("text", ["", '{"n": 3, "classes": ["k"]'])

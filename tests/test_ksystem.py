@@ -609,6 +609,14 @@ def test_cached_network_compares_and_hashes_by_fields():
         '{"nodes": [{"name": "a,b", "decay": 1}], "edges": '
         '[{"source": "a,b", "target": "a,b", "sign": "+", "threshold": 1}]}',
         '{"nodes": [{"name": "a", "decay": 1}, {"name": ",", "decay": 1}], "edges": []}',
+        # mbfreal pg names a file after each node and heads a CSV column with
+        # it: a path separator, a quote or a character that does not print
+        '{"nodes": [{"name": "../escaped", "decay": 1}], "edges": []}',
+        '{"nodes": [{"name": "a\\\\b", "decay": 1}], "edges": []}',
+        '{"nodes": [{"name": "q\\"x", "decay": 1}], "edges": []}',
+        '{"nodes": [{"name": "x\\ny", "decay": 1}], "edges": []}',
+        '{"nodes": [{"name": "x\\ty", "decay": 1}], "edges": []}',
+        '{"nodes": [{"name": "x\\u0000", "decay": 1}], "edges": []}',
     ],
 )
 def test_network_json_shape_errors(text):

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from mbfreal import linear, realizability
 from mbfreal.boolean_core import OrderedTuple, enumerate_ordered_pairs
-from mbfreal.interaction import PISIGMA, SIGMA
-from mbfreal.linear import Feasible, Infeasible, Row, combine, refutes, row, solve
+from mbfreal.interaction import PISIGMA, SIGMA, sum_structure
+from mbfreal.linear import Feasible, Infeasible, refutes, solve
 
 
 def check(num_vars, rows):
@@ -15,8 +15,7 @@ def check(num_vars, rows):
     out = solve(num_vars, rows)
     if isinstance(out, Feasible):
         for r in rows:
-            lhs = sum(c * x for c, x in zip(r.coeffs, out.point))
-            assert lhs > r.const if r.strict else lhs >= r.const
+            assert sum(c * x for c, x in zip(r, out.point)) > 0
     else:
         assert all(m >= 0 for m in out.multipliers)
         assert refutes(rows, out.multipliers)
@@ -24,8 +23,8 @@ def check(num_vars, rows):
 
 
 def gt(*coeffs):
-    """The row ``coeffs . x > 0``, the only kind that ``solve`` takes."""
-    return Row(tuple(coeffs), 0, strict=True)
+    """The row ``coeffs . x > 0``, a tuple of ``int``s as ``solve`` takes it."""
+    return tuple(coeffs)
 
 
 def test_homogeneous_strict_cycle():
@@ -48,41 +47,60 @@ def test_zero_row_is_infeasible():
 
 
 @pytest.mark.parametrize("bad", [
-    Row((1, -1), 0, strict=False),
-    Row((1, -1), 1, strict=True),
-    Row((1, -1), -1, strict=True),
-    Row((Fraction(1, 2), -1), 0, strict=True),
-    Row((Fraction(1), -1), 0, strict=True),
-    Row((1.0, -1), 0, strict=True),
-    Row((True, -1), 0, strict=True),
-    Row((1, -1, 0), 0, strict=True),
-    Row((1,), 0, strict=True),
+    (1, -1, 0),
+    (1,),
+    (),
+    (Fraction(1, 2), -1),
+    (Fraction(1), -1),
+    (1.0, -1),
+    (True, -1),
+    (1, False),
+    ("1", -1),
 ])
 def test_solve_takes_only_strict_homogeneous_int_rows(bad):
     with pytest.raises(ValueError):
         solve(2, [gt(1, 0), bad])
 
 
-def test_combine_width_check():
-    with pytest.raises(ValueError):
-        combine([row([1], 0)], (1, 2))
-
-
-def test_combine_rejects_negative_multiplier():
-    with pytest.raises(ValueError):
-        combine([row([1], 0)], (-1,))
-
-
 def test_refutes_needs_zero_coefficients():
-    rows = [row([1], 5)]
-    assert not refutes(rows, (1,))
+    # a non-zero combination: 1*(1, -1) + 1*(0, 2) = (1, 1)
+    rows = [gt(1, -1), gt(0, 2)]
+    assert not refutes(rows, (1, 1))
+    assert refutes(rows + [gt(-1, -1)], (1, 1, 1))
 
 
 def test_refutes_rejects_negative_or_miscounted_multipliers():
-    # -1 times "0 >= -1" would read "0 >= 1"
-    assert not refutes([row([0], -1)], (-1,))
-    assert refutes([row([0], 1)], (1,))
-    assert not refutes([row([0], 1)], (1, 1))
+    cycle = [gt(1, -1, 0), gt(0, 1, -1), gt(-1, 0, 1)]
+    assert refutes(cycle, (1, 1, 1))
+    assert refutes(cycle, (Fraction(1, 2),) * 3)
+    # too few or too many multipliers
+    assert not refutes(cycle, (1, 1))
+    assert not refutes(cycle, (1, 1, 1, 1))
+    # x > 0 minus x > 0 is the zero row, but a negative weight turns > into <
+    assert not refutes([gt(1), gt(1)], (1, -1))
+    # all zeros combine any rows into the zero row but prove nothing
+    assert not refutes(cycle, (0, 0, 0))
+    assert not refutes([], ())
+    # a zero row alone is 0 > 0
+    assert refutes([gt(0, 0)], (1,))
+
+
+def test_refutes_checks_a_sum_certificate():
+    # the first n=3 pair the sum class cannot realize, against the rows of
+    # its full-sum system
+    tup, cert = next(
+        (tup, verdict.certificate)
+        for tup in map(OrderedTuple, enumerate_ordered_pairs(3))
+        for verdict in [realizability.check_sigma(tup)]
+        if verdict.is_not_realizable
+    )
+    width, rows = realizability._monomial_system(tup, sum_structure(range(1, 4), 3))
+    assert refutes(rows, cert.multipliers)
+    assert solve(width, rows) == Infeasible(cert.multipliers)
+    doubled = list(cert.multipliers)
+    k = next(i for i, m in enumerate(doubled) if m)
+    doubled[k] *= 2
+    assert not refutes(rows, doubled)
 
 
 @settings(max_examples=200)
@@ -117,7 +135,7 @@ def _reference_solve(num_vars, rows):
     def multipliers(w):
         return Infeasible(tuple(w[3].get(i, Fraction(0)) for i in range(len(rows))))
 
-    work = [scaled(list(map(Fraction, r.coeffs)), Fraction(r.const), r.strict, {i: Fraction(1)})
+    work = [scaled(list(map(Fraction, r)), Fraction(0), True, {i: Fraction(1)})
             for i, r in enumerate(rows)]
     levels = []
     remaining = list(range(num_vars))

@@ -68,7 +68,6 @@ from mbfreal.realizability import (
     search_witness,
     separating_to_witness,
     verify_direction_certificate,
-    verify_farkas,
     verify_k_witness,
     verify_witness,
     witness_from_text,
@@ -353,14 +352,18 @@ def test_product_pair_not_sum_realizable():
     assert verdict.is_not_realizable
     cert = verdict.certificate
     assert isinstance(cert, FarkasCertificate)  # one for the full-sum system
-    assert cert.columns == ("l1", "l2", "l3", "u1", "u2", "u3")
-    assert verify_farkas(cert)
-    assert _integer_rows(cert.rows)
+    width, rows = realizability._monomial_system(
+        pair_tuple(PAIR_NEEDS_PRODUCT), sum_structure({1, 2, 3}, 3)
+    )
+    assert width == 6  # l1, l2, l3, u1, u2, u3
+    # two unit-corner separation rows equal u_i - l_i fact rows and are kept once
+    assert len(rows) == len(set(rows)) == 13
+    assert linear.refutes(rows, cert.multipliers)
     assert json.dumps(certificate_to_data(cert)) == PAIR_NEEDS_PRODUCT_SUM_CERTIFICATE_JSON
 
 
 def _integer_rows(rows):
-    return all(type(c) is int for r in rows for c in (*r.coeffs, r.const))
+    return all(type(c) is int for r in rows for c in r)
 
 
 def test_farkas_certificate_bound_to_its_tuple_and_structure():
@@ -371,20 +374,17 @@ def test_farkas_certificate_bound_to_its_tuple_and_structure():
     # a pair the sum class realizes: the same arithmetic proves nothing there
     trivial = OrderedTuple((MbfFunction.const(3, 0), MbfFunction.const(3, 1)))
     assert check_sigma(trivial).is_realizable
-    assert verify_farkas(cert)
     assert not replay_certificate(trivial, None, cert)
-    unrelated = FarkasCertificate(("x",), (linear.row([0], 1),), (Fraction(1),))
-    assert verify_farkas(unrelated)
-    assert not replay_certificate(trivial, None, unrelated)
 
     mixed = pair_tuple(PAIR_NEEDS_MIXED)
     monomial = monomial_certificate(mixed, parse_structure("(z1+z2)*z3"))
     assert replay_certificate(mixed, "(z1+z2)*z3", monomial)
-    # read back from JSON, the rows hold Fractions; they still equal the
-    # integer rows rebuilt from the claim
+    # read back from JSON, a certificate is its multipliers as Fractions
     for claim, text, built in ((tup, None, cert), (mixed, "(z1+z2)*z3", monomial)):
-        restored = certificate_from_data(certificate_to_data(built))
-        assert not _integer_rows(restored.rows)
+        data = certificate_to_data(built)
+        assert set(data) == {"type", "multipliers"}
+        restored = certificate_from_data(data)
+        assert all(type(m) is Fraction for m in restored.multipliers)
         assert restored == built
         assert replay_certificate(claim, text, restored)
     assert not replay_certificate(mixed, "(z1+z3)*z2", monomial)
@@ -393,8 +393,8 @@ def test_farkas_certificate_bound_to_its_tuple_and_structure():
 
 
 def _sum_lp_feasible(tup, members):
-    columns, rows = realizability._monomial_system(tup, sum_structure(members, tup.n))
-    return isinstance(linear.solve(len(columns), rows), linear.Feasible)
+    width, rows = realizability._monomial_system(tup, sum_structure(members, tup.n))
+    return isinstance(linear.solve(width, rows), linear.Feasible)
 
 
 def _threshold_sum_system(tup):
@@ -412,7 +412,7 @@ def _threshold_sum_system(tup):
         coeffs = [0] * width
         for pos, c in terms:
             coeffs[pos] += c
-        return linear.Row(tuple(coeffs), 0, strict=True)
+        return tuple(coeffs)
 
     def value(v):
         return [(i + n if v >> i & 1 else i, 1) for i in range(n)]
@@ -591,15 +591,14 @@ def test_errata_directions_do_not_fire():
 def test_farkas_kills_product_for_mixed_pair():
     cert = monomial_certificate(pair_tuple(PAIR_NEEDS_MIXED), parse_structure("(z1+z2)*z3"))
     assert cert is not None
-    assert verify_farkas(cert)
-    assert _integer_rows(cert.rows)
+    assert replay_certificate(pair_tuple(PAIR_NEEDS_MIXED), "(z1+z2)*z3", cert)
     assert json.dumps(certificate_to_data(cert)) == PAIR_NEEDS_MIXED_MONOMIAL_CERTIFICATE_JSON
 
 
 def _reference_monomial_system(tup, s):
     """The monomial system built in one pass from the tuple and the
-    structure, as before the structure rows were kept per process: the
-    reference for ``_monomial_system``."""
+    structure, as before the structure rows were kept per process, each
+    row kept at its first copy: the reference for ``_monomial_system``."""
     universe = {}
     expansions = []
     for v in range(1 << tup.n):
@@ -607,9 +606,6 @@ def _reference_monomial_system(tup, s):
         for m in monos:
             universe.setdefault(m, len(universe))
         expansions.append(monos)
-    columns = [None] * len(universe)
-    for m, pos in universe.items():
-        columns[pos] = realizability._monomial_label(m)
     width = len(universe)
     rows = []
 
@@ -624,11 +620,11 @@ def _reference_monomial_system(tup, s):
     for f in tup:
         for v in maximal_false_corners(f):
             for w in minimal_true_corners(f):
-                rows.append(linear.Row(tuple(corner_diff(w, v)), 0, strict=True))
+                rows.append(tuple(corner_diff(w, v)))
     for m, pos in universe.items():
         coeffs = [0] * width
         coeffs[pos] = 1
-        rows.append(linear.Row(tuple(coeffs), 0, strict=True))
+        rows.append(tuple(coeffs))
     shapes = {frozenset(i for i, _ in m) for m in universe}
     fact_rows = set()
     for shape in shapes:
@@ -648,9 +644,12 @@ def _reference_monomial_system(tup, s):
                         coeffs[universe[mono]] += (-1) ** (r - sum(choice))
                     if ok:
                         fact_rows.add(tuple(coeffs))
-    for coeffs in sorted(fact_rows):
-        rows.append(linear.Row(coeffs, 0, strict=True))
-    return columns, rows
+    rows.extend(sorted(fact_rows))
+    kept = []
+    for r in rows:
+        if r not in kept:
+            kept.append(r)
+    return width, kept
 
 
 def _assert_system_matches_reference(tup, s):
@@ -686,9 +685,8 @@ def test_monomial_system_returns_fresh_lists():
     tup = pair_tuple(PAIR_NEEDS_MIXED)
     s = parse_structure("(z1+z2)*z3")
     expected = _reference_monomial_system(tup, s)
-    columns, rows = realizability._monomial_system(tup, s)
-    columns.append("x")
-    rows.append(linear.Row((1,) * len(rows[0].coeffs), 0, strict=True))
+    width, rows = realizability._monomial_system(tup, s)
+    rows.append((1,) * width)
     del rows[0]
     assert realizability._monomial_system(tup, s) == expected
     # another tuple on the same structure gets its own separation rows
@@ -969,26 +967,16 @@ def test_exhaustion_certificate_bound_to_every_structure():
 
 
 def _farkas_mutations(cert):
-    """Copies of a Farkas certificate, each changed in one place."""
-    rows, weights = cert.rows, cert.multipliers
-    out = []
-    for i, r in enumerate(rows):
-        for changed in (
-            replace(r, coeffs=(r.coeffs[0] + 1,) + r.coeffs[1:]),
-            replace(r, const=r.const + 1),
-            replace(r, strict=not r.strict),
-        ):
-            out.append(replace(cert, rows=rows[:i] + (changed,) + rows[i + 1:]))
-        out.append(replace(cert, rows=rows[:i] + rows[i + 1:], multipliers=weights[:i] + weights[i + 1:]))
-    for j in range(len(cert.columns)):
-        out.append(replace(cert, columns=cert.columns[:j] + ("renamed",) + cert.columns[j + 1:]))
-    out.append(replace(cert, multipliers=tuple(0 * w for w in weights)))
-    out += [
-        replace(cert, multipliers=weights[:i] + (-w,) + weights[i + 1:])
-        for i, w in enumerate(weights)
-        if w
-    ]
-    return out
+    """Copies of a Farkas certificate, each with its multipliers changed in
+    one place: one dropped, one appended, all zeroed, a non-zero one negated,
+    or 1 added to one."""
+    weights = cert.multipliers
+    changed = [weights[:i] + weights[i + 1:] for i in range(len(weights))]
+    changed.append(weights + (Fraction(1),))
+    changed.append((Fraction(0),) * len(weights))
+    changed += [weights[:i] + (-w,) + weights[i + 1:] for i, w in enumerate(weights) if w]
+    changed += [weights[:i] + (w + 1,) + weights[i + 1:] for i, w in enumerate(weights)]
+    return [FarkasCertificate(m) for m in changed]
 
 
 def test_monomial_and_collapse_certificates_reject_every_mutation():
