@@ -239,22 +239,31 @@ def corner_insert_bit(w: int, position: int, bit: int) -> int:
 
 
 def minimal_true_corners(f: MbfFunction) -> "tuple[int, ...]":
-    """Corners of the truth set with no truth-set corner strictly below them."""
-    out = []
-    for v in f.truth_corners():
-        if all(not f.truth >> (v & ~(1 << i)) & 1 for i in range(f.n) if v >> i & 1):
-            out.append(v)
-    return tuple(out)
+    """Corners of the truth set with no truth-set corner strictly below them,
+    ascending.  Each direction's shift of the table marks the corners whose
+    neighbor one step below is true."""
+    below = 0
+    for i in range(1, f.n + 1):
+        below |= (f.truth & _floor_positions(f.n, i)) << (1 << (i - 1))
+    return _corner_indices(f.truth & ~below)
 
 
 def maximal_false_corners(f: MbfFunction) -> "tuple[int, ...]":
-    """False corners with no false corner strictly above them."""
+    """False corners with no false corner strictly above them, ascending."""
+    false = ~f.truth & ((1 << (1 << f.n)) - 1)
+    above = 0
+    for i in range(1, f.n + 1):
+        above |= false >> (1 << (i - 1)) & _floor_positions(f.n, i)
+    return _corner_indices(false & ~above)
+
+
+def _corner_indices(mask: int) -> "tuple[int, ...]":
+    """The corners a bitmask selects, ascending."""
     out = []
-    for v in range(1 << f.n):
-        if f.truth >> v & 1:
-            continue
-        if all(f.truth >> (v | 1 << i) & 1 for i in range(f.n) if not v >> i & 1):
-            out.append(v)
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -385,7 +394,7 @@ def inverse_permutation(perm: "tuple[int, ...]") -> "tuple[int, ...]":
 
 
 @lru_cache(maxsize=None)
-def _corner_images(perm: "tuple[int, ...]") -> "tuple[int, ...]":
+def corner_images(perm: "tuple[int, ...]") -> "tuple[int, ...]":
     """Per corner v, the corner that v becomes when z_i becomes z_perm[i-1]."""
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
@@ -399,7 +408,7 @@ def _corner_images(perm: "tuple[int, ...]") -> "tuple[int, ...]":
 
 def _relabel_truth(truth: int, perm: "tuple[int, ...]") -> int:
     out = 0
-    for v, w in enumerate(_corner_images(perm)):
+    for v, w in enumerate(corner_images(perm)):
         if truth >> v & 1:
             out |= 1 << w
     return out

@@ -480,7 +480,9 @@ def relabel_structure(s: InteractionStructure, perm: "tuple[int, ...]") -> Inter
     """The same expression with z_i renamed z_perm[i-1].
 
     Kept per (structure, permutation), both finitely many: ``check_class``
-    relabels a canonical witness onto every other member of its orbit.
+    relabels a canonical verdict (its witness, every structure its
+    certificate names, or its open structures) onto every other member of
+    its orbit.
     """
     if sorted(perm) != list(range(1, s.n + 1)):
         raise StructureError(f"{perm} is not a permutation of 1..{s.n}")

@@ -132,12 +132,17 @@ def solve(num_vars: int, rows: "list[tuple[int, ...]]") -> "Feasible | Infeasibl
 
 
 def refutes(rows: "list[tuple[int, ...]]", multipliers) -> bool:
-    """Gordan's check, exact: one non-negative multiplier per row, not all
-    zero, whose combination of the rows is the zero row (0 > 0)."""
+    """Gordan's check, exact: one non-negative rational multiplier per row,
+    not all zero, whose combination of the rows is the zero row (0 > 0).
+
+    The multipliers are scaled once by the LCM of their denominators, so the
+    rows are combined with ``int`` weights."""
     if len(multipliers) != len(rows) or any(m < 0 for m in multipliers) or not any(multipliers):
         return False
+    scale = lcm(*(m.denominator for m in multipliers))
     combined = [0] * len(rows[0])
     for m, r in zip(multipliers, rows):
         if m:
-            combined = [c + m * a for c, a in zip(combined, r)]
+            w = m.numerator * (scale // m.denominator)
+            combined = [c + w * a for c, a in zip(combined, r)]
     return not any(combined)

@@ -39,12 +39,14 @@ from .boolean_core import (
     OrderedTuple,
     canonical_form,
     collapse_tuple,
+    corner_images,
     corner_insert_bit,
     eta,
     implies,
     inverse_permutation,
     maximal_false_corners,
     minimal_true_corners,
+    relabel_tuple,
     restrict_and_collapse,
 )
 from .interaction import (
@@ -358,9 +360,11 @@ def verify_direction_certificate(
 @lru_cache(maxsize=None)
 def _structure_system(s: InteractionStructure):
     """The part of ``_monomial_system`` that depends on the structure alone,
-    built once per process (structures are finitely many): the width (one
-    column per monomial), one monomial-count vector per corner, then the
-    positivity rows and the sorted fact rows, all as tuples of ``int``.
+    built once per process (structures are finitely many): the column of
+    each monomial (a dict in column order that callers only read; its
+    length is the width), one
+    monomial-count vector per corner, then the positivity rows and the
+    sorted fact rows, all as tuples of ``int``.
     """
     universe: "dict[frozenset, int]" = {}
     expansions = []
@@ -405,7 +409,7 @@ def _structure_system(s: InteractionStructure):
                     if ok:
                         fact_rows.add(tuple(coeffs))
     rows.extend(sorted(fact_rows))
-    return width, tuple(corners), tuple(rows)
+    return universe, tuple(corners), tuple(rows)
 
 
 def _monomial_system(tup: OrderedTuple, s: InteractionStructure):
@@ -421,15 +425,14 @@ def _monomial_system(tup: OrderedTuple, s: InteractionStructure):
     (a sum's unit-corner separation row is its ``u_i - l_i`` fact row).  The
     list returned is fresh, so a caller may change it.
     """
-    width, corners, structure_rows = _structure_system(s)
-    rows = [
-        tuple([a - b for a, b in zip(corners[w], corners[v])])
-        for f in tup
-        for v in maximal_false_corners(f)
-        for w in minimal_true_corners(f)
-    ]
+    universe, corners, structure_rows = _structure_system(s)
+    rows = []
+    for f in tup:
+        above = minimal_true_corners(f)
+        for v in maximal_false_corners(f):
+            rows.extend(tuple([a - b for a, b in zip(corners[w], corners[v])]) for w in above)
     rows.extend(structure_rows)
-    return width, list(dict.fromkeys(rows))
+    return len(universe), list(dict.fromkeys(rows))
 
 
 def monomial_certificate(tup: OrderedTuple, s: InteractionStructure):
@@ -621,17 +624,17 @@ def check_class(
     """Three-valued verdict for one algebraic class.
 
     Realizability does not depend on how the variables are numbered, so the
-    verdict is decided on the canonical member of the tuple's relabeling
-    orbit (``canonical_form``) by ``_decide``.  The canonical member gets
-    that verdict itself.  Any other member whose canonical member is
-    realizable gets the canonical witness relabeled back onto its own
-    variables, and that witness is verified against the member's own tuple.
-    A member whose canonical member is ``not_realizable`` or ``unknown`` is
-    decided directly, with a dict of its own, so every certificate is built
-    from the member's own rows and ``decided`` keeps canonical tuples only.
-    Every witness therefore derives from the canonical member's decision,
-    whatever order the tuples and classes arrive in, and a census writes the
-    same files however it is sharded.
+    verdict is decided once per relabeling orbit, on its canonical member
+    (``canonical_form``), by ``_decide``.  The canonical member gets that
+    verdict itself.  Every other member gets it relabeled back onto its own
+    variables: the witness (``relabel_witness``), verified against the
+    member's own tuple; the certificate (``relabel_certificate``), replayed
+    against the member's own tuple; or the open structures of an
+    ``unknown``, relabeled and listed in the class's enumeration order.  A
+    relabeled witness that does not verify, or certificate that does not
+    replay, raises ``AssertionError``.  Every verdict therefore derives from
+    the canonical member's decision, whatever order the tuples and classes
+    arrive in, and a census writes the same files however it is sharded.
 
     ``decided`` shares canonical decisions between calls: a dict from
     (canonical tuple, class) to verdict that this call reads and adds to,
@@ -662,12 +665,20 @@ def check_class(
     verdict = _decided(canon, class_tag, decided)
     if canon is tup:
         return verdict
-    if not verdict.is_realizable:
-        return _decide(tup, class_tag, {})
-    w = relabel_witness(verdict.witness, inverse_permutation(perm))
-    if not verify_witness(tup, w):
-        raise AssertionError("relabeled witness does not verify the tuple")
-    return Verdict.realizable(w)
+    back = inverse_permutation(perm)
+    if verdict.is_realizable:
+        w = relabel_witness(verdict.witness, back)
+        if not verify_witness(tup, w):
+            raise AssertionError("relabeled witness does not verify the tuple")
+        return Verdict.realizable(w)
+    if verdict.is_not_realizable:
+        cert = relabel_certificate(canon, None, verdict.certificate, back)
+        if not replay_certificate(tup, None, cert):
+            raise AssertionError("relabeled certificate does not replay against the tuple")
+        return Verdict.not_realizable(cert)
+    named = _by_text(tup.n, class_tag)
+    open_texts = {relabel_structure(named[text], back).text() for text in verdict.diagnostics}
+    return Verdict.unknown(text for text in named if text in open_texts)
 
 
 def _decided(tup: OrderedTuple, class_tag: str, decided: dict) -> Verdict:
@@ -749,6 +760,86 @@ def relabel_witness(w: Witness, perm: "tuple[int, ...]") -> Witness:
     return Witness(
         relabel_structure(w.structure, perm), relabel_assignment(w.phi, perm), w.thresholds
     )
+
+
+def relabel_certificate(
+    tup: OrderedTuple, structure_text: "str | None", cert, perm: "tuple[int, ...]"
+):
+    """The certificate for the claim relabeled by ``perm``: the tuple
+    (``relabel_tuple``) and the structure (``relabel_structure``).  ``tup``
+    and ``structure_text`` name the claim ``cert`` makes, as in
+    ``replay_certificate``.
+
+    Relabeling maps everything a certificate names one to one, so the result
+    replays against the relabeled claim whenever ``cert`` replays against
+    its own.  One certificate kind per branch, as in ``_replays``:
+
+    * direction: the direction and the four corners (``corner_images``);
+    * Farkas: the columns are renamed, and each multiplier moves to the row
+      of the relabeled claim's monomial system with the same content (the
+      system keeps each distinct row once, so rows correspond one to one);
+    * collapse: the direction and the shape, and the inner certificate
+      under the relabeling the collapse leaves on the other n - 1 variables;
+    * exhaustion: every entry, put back in the class's enumeration order.
+    """
+    s = None if structure_text is None else parse_structure(structure_text, tup.n)
+    return _relabeled(tup, relabel_tuple(tup, perm), s, cert, perm)
+
+
+def _relabeled(tup: OrderedTuple, target: OrderedTuple, s, cert, perm):
+    """``relabel_certificate`` with the claim's structure ``s`` (None for
+    the full sum) and ``target``, the tuple relabeled by ``perm``."""
+    if isinstance(cert, FarkasCertificate):
+        if s is None:
+            s = sum_structure(range(1, tup.n + 1), tup.n)
+        relabeled = relabel_structure(s, perm)
+        column = _structure_system(relabeled)[0]
+        columns = [
+            column[frozenset((perm[i - 1], bit) for i, bit in m)] for m in _structure_system(s)[0]
+        ]
+        index = {r: k for k, r in enumerate(_monomial_system(target, relabeled)[1])}
+        multipliers = [Fraction(0)] * len(index)
+        for m, r in zip(cert.multipliers, _monomial_system(tup, s)[1]):
+            if m:
+                row = [0] * len(columns)
+                for c, a in zip(columns, r):
+                    row[c] = a
+                multipliers[index[tuple(row)]] = m
+        return FarkasCertificate(tuple(multipliers))
+    if isinstance(cert, DirectionCertificate):
+        image = corner_images(perm)
+        return DirectionCertificate(
+            perm[cert.direction - 1],
+            image[cert.f_true_corner],
+            image[cert.g_false_corner],
+            image[cert.g_true_corner],
+            image[cert.f_false_corner],
+        )
+    if isinstance(cert, CollapseCertificate):
+        ell, side = cert.direction, cert.side
+        moved = perm[ell - 1]
+        # z_i (i != ell) is z_(i - (i > ell)) after the collapse, and so is
+        # its image on the relabeled side
+        induced = tuple(j - (j > moved) for i, j in enumerate(perm, start=1) if i != ell)
+        shape = collapse_shape(s, ell)
+        inner = _relabeled(
+            collapse_tuple(tup, ell, side),
+            collapse_tuple(target, moved, side),
+            shape,
+            cert.inner,
+            induced,
+        )
+        return CollapseCertificate(moved, side, relabel_structure(shape, induced).text(), inner)
+    if isinstance(cert, ExhaustionCertificate):
+        named = _exhausted(tup.n, cert.entries)
+        if named is None:
+            raise ValueError("the exhaustion does not name a class's structures in order")
+        entries = {
+            relabel_structure(named[text], perm).text(): _relabeled(tup, target, named[text], sub, perm)
+            for text, sub in cert.entries
+        }
+        return ExhaustionCertificate(tuple((text, entries[text]) for text in named))
+    raise TypeError(f"not a certificate: {cert!r}")
 
 
 def lift_eta(
@@ -1019,43 +1110,57 @@ def replay_certificate(tup: OrderedTuple, structure_text: "str | None", cert) ->
     nothing replays against it.
     """
     try:
-        return _replays(tup, structure_text, cert)
+        s = None if structure_text is None else parse_structure(structure_text, tup.n)
+        return _replays(tup, s, cert)
     except StructureError:
         return False
 
 
-def _replays(tup: OrderedTuple, structure_text: "str | None", cert) -> bool:
+def _replays(tup: OrderedTuple, s: "InteractionStructure | None", cert) -> bool:
+    """``replay_certificate`` with the claim's structure ``s`` (None for the
+    sum decision); inner claims reuse the structures already built."""
     n = tup.n
     if isinstance(cert, FarkasCertificate):
-        if structure_text is None:
+        if s is None:
             s = sum_structure(range(1, n + 1), n)
-        else:
-            s = parse_structure(structure_text, n)
         return linear.refutes(_monomial_system(tup, s)[1], cert.multipliers)
     if isinstance(cert, DirectionCertificate):
         if len(tup) < 2:
             return False
-        s = parse_structure(structure_text, n) if structure_text else None
         return any(verify_direction_certificate(f, g, s, cert) for f, g in _pairs(tup))
     if isinstance(cert, CollapseCertificate):
-        if structure_text is None or cert.side not in (FLOOR, CEILING):
+        if s is None or cert.side not in (FLOOR, CEILING):
             return False
         if n < 2 or not 1 <= cert.direction <= n:
             return False
-        shape = collapse_shape(parse_structure(structure_text, n), cert.direction)
+        shape = collapse_shape(s, cert.direction)
         if cert.structure_text != shape.text():
             return False
-        collapsed = collapse_tuple(tup, cert.direction, cert.side)
-        return _replays(collapsed, cert.structure_text, cert.inner)
+        return _replays(collapse_tuple(tup, cert.direction, cert.side), shape, cert.inner)
     if isinstance(cert, ExhaustionCertificate):
-        texts = [text for text, _ in cert.entries]
-        if not any(
-            texts == [s.text() for s in enumerate_structures(n, c)]
-            for c in (PISIGMA, SIGMAPISIGMA)
-        ):
-            return False
-        return all(_replays(tup, text, sub) for text, sub in cert.entries)
+        named = _exhausted(n, cert.entries)
+        return named is not None and all(
+            _replays(tup, named[text], sub) for text, sub in cert.entries
+        )
     return False
+
+
+@lru_cache(maxsize=None)
+def _by_text(n: int, class_tag: str) -> "dict[str, InteractionStructure]":
+    """The class's enumerated structures by text, in enumeration order, built
+    once per (n, class) like the lists themselves.  Callers only read it."""
+    return {s.text(): s for s in enumerate_structures(n, class_tag)}
+
+
+def _exhausted(n: int, entries) -> "dict[str, InteractionStructure] | None":
+    """``_by_text`` of the product class whose every structure the entries
+    name, once each and in enumeration order; None when no class fits."""
+    texts = [text for text, _ in entries]
+    for class_tag in (PISIGMA, SIGMAPISIGMA):
+        named = _by_text(n, class_tag)
+        if texts == list(named):
+            return named
+    return None
 
 
 # ---------------------------------------------------------------- witness files

@@ -176,3 +176,22 @@ FOUR_INPUT_SEARCH_WITNESSES = {
         "thresholds: 279/20 81/10\n"
     ),
 }
+
+# The open structures of two single four-input functions in the product of
+# sums, in enumeration order, as deciding each function directly listed
+# them.  Both are non-canonical members of the orbit of eac0, whose 13
+# structures neither a certificate nor the grid search decides.
+PISIGMA_OPEN_STRUCTURES = {
+    "f888": (
+        "(z1+z2+z3)*z4", "(z1+z2+z4)*z3", "(z1+z3)*(z2+z4)", "(z1+z3+z4)*z2",
+        "(z1+z4)*(z2+z3)", "z1*(z2+z3+z4)", "(z1+z2)*z3*z4", "(z1+z3)*z2*z4",
+        "(z1+z4)*z2*z3", "z1*(z2+z3)*z4", "z1*(z2+z4)*z3", "z1*z2*(z3+z4)",
+        "z1*z2*z3*z4",
+    ),
+    "eca0": (
+        "(z1+z2)*(z3+z4)", "(z1+z2+z3)*z4", "(z1+z2+z4)*z3", "(z1+z3+z4)*z2",
+        "(z1+z4)*(z2+z3)", "z1*(z2+z3+z4)", "(z1+z2)*z3*z4", "(z1+z3)*z2*z4",
+        "(z1+z4)*z2*z3", "z1*(z2+z3)*z4", "z1*(z2+z4)*z3", "z1*z2*(z3+z4)",
+        "z1*z2*z3*z4",
+    ),
+}

@@ -24,6 +24,8 @@ from mbfreal.boolean_core import (
     inverse_permutation,
     is_monotone_positive,
     is_monotone_signed,
+    maximal_false_corners,
+    minimal_true_corners,
     monotone_closure,
     permutations,
     relabel,
@@ -253,6 +255,37 @@ def test_floor_inside_ceiling():
             lo = restrict_and_collapse(f, direction, FLOOR)
             hi = restrict_and_collapse(f, direction, CEILING)
             assert implies(lo, hi)
+
+
+def _extreme_corners_by_scan(f):
+    """Minimal true and maximal false corners, one corner and one neighbor
+    at a time."""
+    size = 1 << f.n
+    minimal = tuple(
+        v for v in range(size)
+        if f.truth >> v & 1
+        and all(not f.truth >> (v & ~(1 << i)) & 1 for i in range(f.n) if v >> i & 1)
+    )
+    maximal = tuple(
+        v for v in range(size)
+        if not f.truth >> v & 1
+        and all(f.truth >> (v | 1 << i) & 1 for i in range(f.n) if not v >> i & 1)
+    )
+    return minimal, maximal
+
+
+@given(st.data())
+def test_extreme_corners_match_neighbor_scan(data):
+    n = data.draw(st.integers(0, 5))
+    truth = data.draw(st.integers(0, (1 << (1 << n)) - 1))
+    # any table, monotone or not: both read immediate neighbors only
+    f = MbfFunction.raw(n, truth)
+    assert (minimal_true_corners(f), maximal_false_corners(f)) == _extreme_corners_by_scan(f)
+
+
+def test_extreme_corners_of_every_four_input_function():
+    for f in enumerate_mbf_positive(4):
+        assert (minimal_true_corners(f), maximal_false_corners(f)) == _extreme_corners_by_scan(f)
 
 
 # ---------------------------------------------------------------- eta

@@ -398,15 +398,6 @@ def test_census_resume_recomputes_corrupt_results(tmp_path, capsys):
     assert (results / "sigma_00003.json").read_text() == intact
 
 
-def test_census_parallel_matches_serial(tmp_path, capsys):
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    run(capsys, "census", "--n", "3", "--classes", "k", "--out", str(serial))
-    run(capsys, "census", "--n", "3", "--classes", "k", "--out", str(parallel),
-        "--jobs", "2")
-    assert (serial / "census.csv").read_text() == (parallel / "census.csv").read_text()
-
-
 def test_census_leaves_no_temporary_files(tmp_path, capsys):
     # every census file is renamed into place
     out_dir = tmp_path / "census"

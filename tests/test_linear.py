@@ -85,6 +85,17 @@ def test_refutes_rejects_negative_or_miscounted_multipliers():
     assert refutes([gt(0, 0)], (1,))
 
 
+def test_refutes_with_fractional_multipliers():
+    # 2a > b, 3b > c, c > 6a: weights 1/2, 1/6, 1/6 cancel every column
+    rows = [gt(2, -1, 0), gt(0, 3, -1), gt(-6, 0, 1)]
+    assert refutes(rows, (Fraction(1, 2), Fraction(1, 6), Fraction(1, 6)))
+    # one multiplier off by 1/2: the combination is not the zero row
+    assert not refutes(rows, (Fraction(1), Fraction(1, 6), Fraction(1, 6)))
+    # a negative fraction is refused, even where the sum would cancel
+    assert refutes([gt(1, -1), gt(-1, 1)], (Fraction(1, 3), Fraction(1, 3)))
+    assert not refutes([gt(1, -1), gt(1, -1)], (Fraction(1, 3), Fraction(-1, 3)))
+
+
 def test_refutes_checks_a_sum_certificate():
     # the first n=3 pair the sum class cannot realize, against the rows of
     # its full-sum system

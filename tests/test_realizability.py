@@ -18,6 +18,7 @@ from mbfreal.boolean_core import (
     enumerate_ordered_pairs,
     eta,
     implies,
+    inverse_permutation,
     maximal_false_corners,
     minimal_true_corners,
     monotone_closure,
@@ -37,6 +38,7 @@ from mbfreal.interaction import (
     evaluate,
     integer_form,
     parse_structure,
+    relabel_structure,
     scaled_corner_table,
     sum_structure,
 )
@@ -63,6 +65,7 @@ from mbfreal.realizability import (
     monomial_certificate,
     necessary_condition,
     realize_k,
+    relabel_certificate,
     relabel_witness,
     replay_certificate,
     search_witness,
@@ -84,6 +87,7 @@ from goldens import (
     PAIR_NEEDS_PRODUCT_SUM_CERTIFICATE_JSON,
     PAIR_NEEDS_PRODUCT_WITNESS,
     PAIR_UNREACHABLE_4,
+    PISIGMA_OPEN_STRUCTURES,
     PRINTED_DIRECTION_ERRATA,
     PRODUCTS_N4_PAIRS,
     REFERENCE_WITNESSES,
@@ -1300,11 +1304,17 @@ def _assert_matches_uncached(tup, class_tag):
         assert verify_witness(tup, verdict.witness)
     elif verdict.is_not_realizable:
         assert replay_certificate(tup, None, verdict.certificate)
-    canon, _ = canonical_form(tup)
-    if canon is tup or not verdict.is_realizable:
-        # canonical members get the cached verdict, the rest are decided
-        # directly unless a witness can be relabeled
+    canon, perm = canonical_form(tup)
+    if canon is tup:
         assert verdict == direct
+    elif verdict.is_not_realizable:
+        # the canonical member's certificate, relabeled onto this member
+        canonical = realizability._decide(canon, class_tag, {})
+        back = inverse_permutation(perm)
+        assert verdict.certificate == relabel_certificate(canon, None, canonical.certificate, back)
+    elif not verdict.is_realizable:
+        # the same open structures, in the class's enumeration order
+        assert verdict.diagnostics == direct.diagnostics
     return verdict
 
 
@@ -1369,6 +1379,78 @@ def test_orbit_cache_at_four_inputs():
     assert canon != tup and perm == (1, 3, 4, 2)
     verdict = _assert_matches_uncached(tup, PISIGMA)
     assert verdict.is_realizable and verdict.witness.structure.text() == "(z1+z4)*(z2+z3)"
+
+
+def _move_a_multiplier(cert, canonical):
+    """One non-zero multiplier moved onto the next row."""
+    m = list(cert.multipliers)
+    i = next(i for i, x in enumerate(m) if x)
+    j = (i + 1) % len(m)
+    m[j] += m[i]
+    m[i] = 0
+    return replace(cert, multipliers=tuple(m))
+
+
+def _unrelabel_an_entry(text, kind, field):
+    """A breaker: the entry for structure ``text``, of this kind, takes the
+    ``field`` of the canonical member's entry for the same structure, as if
+    that field had not been relabeled."""
+
+    def broken(cert, canonical):
+        entries = dict(cert.entries)
+        assert isinstance(entries[text], kind) and isinstance(canonical[text], kind)
+        entries[text] = replace(entries[text], **{field: getattr(canonical[text], field)})
+        return ExhaustionCertificate(tuple(entries.items()))
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "pair, class_tag, canonical_pair, break_",
+    [
+        (PAIR_NEEDS_PRODUCT, SIGMA, "a8 fc", _move_a_multiplier),
+        (
+            (MbfFunction(3, 0xA0), MbfFunction(3, 0xEC)),
+            PISIGMA,
+            "88 f8",
+            _unrelabel_an_entry("(z1+z2)*z3", DirectionCertificate, "direction"),
+        ),
+        (
+            PAIR_UNREACHABLE_4,
+            SIGMAPISIGMA,
+            "a888 fcf8",
+            _unrelabel_an_entry("(z1+z3)*(z2+z4)", CollapseCertificate, "inner"),
+        ),
+    ],
+    ids=["farkas-e0/ee", "direction-a0/ec", "collapse-c888/faf8"],
+)
+def test_broken_relabeled_certificates_do_not_replay(pair, class_tag, canonical_pair, break_):
+    tup = OrderedTuple(pair)
+    canon, perm = canonical_form(tup)
+    assert " ".join(f.to_hex().rsplit(":", 1)[1] for f in canon) == canonical_pair
+    back = inverse_permutation(perm)
+    canonical = check_class(canon, class_tag).certificate
+    cert = check_class(tup, class_tag).certificate
+    assert cert == relabel_certificate(canon, None, canonical, back)
+    assert replay_certificate(tup, None, cert)
+    # each canonical entry, keyed by the text of its structure on this member
+    entries = getattr(canonical, "entries", ())
+    by_member_text = {
+        relabel_structure(parse_structure(text, tup.n), back).text(): sub for text, sub in entries
+    }
+    broken = break_(cert, by_member_text)
+    assert broken != cert
+    assert not replay_certificate(tup, None, broken)
+
+
+@pytest.mark.parametrize("h", sorted(PISIGMA_OPEN_STRUCTURES))
+def test_unknown_members_list_their_own_open_structures(h):
+    tup = OrderedTuple((MbfFunction.from_hex(f"mbf:4:{h}"),))
+    canon, _ = canonical_form(tup)
+    assert canon is not tup and canon[0].to_hex() == "mbf:4:eac0"
+    verdict = check_class(tup, PISIGMA)
+    assert verdict.status == realizability.UNKNOWN
+    assert verdict.diagnostics == PISIGMA_OPEN_STRUCTURES[h]
 
 
 def test_guards_fire_before_canonicalization():
@@ -1492,16 +1574,12 @@ def test_class_chain_decides_each_canonical_tuple_once(monkeypatch):
     for tup in sample:
         for class_tag in (SIGMA, PISIGMA, SIGMAPISIGMA):
             check_class(tup, class_tag, decided=decided)
-    # a member of a non-realizable orbit is decided directly in each class,
-    # with a dict of its own, so only canonical tuples are counted
-    canonical = [tup for tup in sums if canonical_form(tup)[0] == tup]
-    assert sorted(canonical, key=repr) == sorted(
-        {canonical_form(tup)[0] for tup in sample}, key=repr
-    )
-    own = [
-        (tup, text) for tup, text in monomials
-        if tup.n == 4 and canonical_form(tup)[0] == tup
-    ]
+    # every member gets its canonical member's verdict, so no other
+    # four-input tuple reaches the sum decision or a monomial test
+    assert all(canonical_form(tup)[0] == tup for tup in sums)
+    assert sorted(sums, key=repr) == sorted({canonical_form(tup)[0] for tup in sample}, key=repr)
+    own = [(tup, text) for tup, text in monomials if tup.n == 4]
+    assert all(canonical_form(tup)[0] == tup for tup, _ in own)
     assert own and len(own) == len(set(own))
     # the shared dict keeps canonical tuples only
     assert all(canonical_form(tup)[0] == tup for tup, _ in decided)
