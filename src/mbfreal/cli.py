@@ -18,6 +18,7 @@ from .boolean_core import (
     ArityError,
     MbfFunction,
     OrderedTuple,
+    canonical_form,
     enumerate_mbf_positive,
     enumerate_ordered_pairs,
     implies,
@@ -208,7 +209,9 @@ def _write_atomic(path: Path, text: str) -> None:
 def _census_task(task, decided):
     """Decide one (class, pair) cell and write its files; returns the CSV row.
 
-    ``decided`` holds the shard's canonical decisions (see ``check_class``).
+    ``decided`` holds the canonical decisions of the task list this task
+    belongs to: the whole census in one process, or one orbit in a worker
+    (see ``check_class``).
     """
     out_dir, class_tag, index, f_hex, g_hex = task
     out = Path(out_dir)
@@ -232,19 +235,21 @@ def _census_task(task, decided):
     return row
 
 
-def _run_shard(tasks):
+def _run_tasks(tasks):
+    """The CSV rows of the tasks, decided in order with one dict of their own."""
     decided = {}
     return [_census_task(t, decided) for t in tasks]
 
 
-def _shard_plan(tasks: list, jobs: int, cpus: "int | None") -> "list[list]":
-    """The tasks dealt round-robin into one shard per worker process.
-
-    There are never more workers than ``jobs``, than tasks or than CPUs
-    (``cpus`` is ``os.cpu_count()``, None when unknown, which counts as one).
-    """
-    workers = max(1, min(jobs, len(tasks), cpus or 1))
-    return [tasks[i::workers] for i in range(workers)]
+def _orbits(tasks: list, pairs: list) -> "list[list]":
+    """The tasks grouped by the relabeling orbit of their pair, in task order:
+    one list per canonical pair (``canonical_form``, computed once per pair),
+    holding the tasks of every class for every member of that orbit."""
+    canon = [canonical_form(OrderedTuple(pair))[0] for pair in pairs]
+    orbits = {}
+    for task in tasks:
+        orbits.setdefault(canon[task[2]], []).append(task)
+    return list(orbits.values())
 
 
 def cmd_census(args) -> int:
@@ -291,12 +296,15 @@ def cmd_census(args) -> int:
         for class_tag in classes
         for index, (f, g) in enumerate(pairs)
     ]
-    shards = _shard_plan(tasks, args.jobs, os.cpu_count())
-    if len(shards) == 1:
-        rows = _run_shard(shards[0])
+    # never more workers than jobs, than CPUs (an unknown count is one) or
+    # than orbits; one worker decides every task in order with one dict
+    workers = min(args.jobs, os.cpu_count() or 1)
+    if workers == 1:
+        rows = _run_tasks(tasks)
     else:
-        with multiprocessing.Pool(len(shards)) as pool:
-            rows = [row for shard in pool.map(_run_shard, shards) for row in shard]
+        orbits = _orbits(tasks, pairs)
+        with multiprocessing.Pool(min(workers, len(orbits))) as pool:
+            rows = [row for orbit in pool.map(_run_tasks, orbits, chunksize=1) for row in orbit]
     rows.sort(key=lambda r: (r.split(",")[3], int(r.split(",")[0])))
     _write_atomic(out / "census.csv", CSV_HEADER + "\n" + "\n".join(rows) + "\n")
 

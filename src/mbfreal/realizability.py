@@ -634,17 +634,18 @@ def check_class(
     relabeled witness that does not verify, or certificate that does not
     replay, raises ``AssertionError``.  Every verdict therefore derives from
     the canonical member's decision, whatever order the tuples and classes
-    arrive in, and a census writes the same files however it is sharded.
+    arrive in, and a census writes the same files however its work is dealt
+    to worker processes.
 
     ``decided`` shares canonical decisions between calls: a dict from
     (canonical tuple, class) to verdict that this call reads and adds to,
     the smaller classes' verdicts included (see ``_decide``).  A caller
-    deciding many tuples (a census shard, a parameter-graph factor) passes
-    one dict, so each orbit is decided once per class; without it a call
-    keeps no verdict.  Any call keeps only bounded facts: structure rows
-    (``_structure_system``), three-input collapse facts
-    (``_collapsed_blocked``), and in ``interaction`` each structure's corner
-    plan and each relabeled structure.
+    deciding many tuples (a one-process census, a census worker's orbit, a
+    parameter-graph factor) passes one dict, so each orbit is decided once
+    per class; without it a call keeps no verdict.  Any call keeps only
+    bounded facts: structure rows (``_structure_system``), three-input
+    collapse facts (``_collapsed_blocked``), and in ``interaction`` each
+    structure's corner plan and each relabeled structure.
 
     The free class ``k`` is realized directly.  The tag and the arity guards
     are checked before the tuple is canonicalized.
@@ -1067,32 +1068,68 @@ def certificate_to_data(cert) -> dict:
 
 
 def certificate_from_data(data: dict):
-    kind = data["type"]
+    """The certificate ``certificate_to_data`` wrote as ``data``.
+
+    Data that does not have that shape raises ``ValueError`` naming the
+    field: a missing key, a direction or corner that is not an integer (a
+    bool or a float included), a type, side or structure that is not a
+    string, multipliers or entries that are not a list, a multiplier that is
+    not an integer or a rational's string, or an entry or inner certificate
+    that is not an object.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"certificate {data!r} is not an object")
+    kind = _field(data, "type", str)
     if kind == "direction":
         return DirectionCertificate(
-            data["direction"],
-            data["f_true_corner"],
-            data["g_false_corner"],
-            data["g_true_corner"],
-            data["f_false_corner"],
-        )
-    if kind == "farkas":
-        return FarkasCertificate(tuple(Fraction(m) for m in data["multipliers"]))
-    if kind == "collapse":
-        return CollapseCertificate(
-            data["direction"],
-            data["side"],
-            data["structure"],
-            certificate_from_data(data["inner"]),
-        )
-    if kind == "exhaustion":
-        return ExhaustionCertificate(
-            tuple(
-                (e["structure"], certificate_from_data(e["certificate"]))
-                for e in data["entries"]
+            *(
+                _field(data, key, int)
+                for key in ("direction", "f_true_corner", "g_false_corner",
+                            "g_true_corner", "f_false_corner")
             )
         )
+    if kind == "farkas":
+        return FarkasCertificate(
+            tuple(_multiplier(m) for m in _field(data, "multipliers", list))
+        )
+    if kind == "collapse":
+        return CollapseCertificate(
+            _field(data, "direction", int),
+            _field(data, "side", str),
+            _field(data, "structure", str),
+            certificate_from_data(_field(data, "inner", dict)),
+        )
+    if kind == "exhaustion":
+        entries = []
+        for e in _field(data, "entries", list):
+            if not isinstance(e, dict):
+                raise ValueError(f"certificate entry {e!r} is not an object")
+            entries.append(
+                (_field(e, "structure", str), certificate_from_data(_field(e, "certificate", dict)))
+            )
+        return ExhaustionCertificate(tuple(entries))
     raise ValueError(f"unknown certificate type {kind!r}")
+
+
+def _field(data: dict, key: str, kind: type):
+    """``data[key]``, which must be a ``kind`` (an ``int`` that is not a
+    bool); anything else raises ``ValueError`` naming the field."""
+    if key not in data:
+        raise ValueError(f"certificate has no field {key!r}")
+    value = data[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"certificate field {key!r} is not a {kind.__name__}: {value!r}")
+    return value
+
+
+def _multiplier(value) -> Fraction:
+    """A Farkas multiplier as written: an ``int`` or a rational's string."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"certificate field 'multipliers' has a bad value {value!r}")
 
 
 def replay_certificate(tup: OrderedTuple, structure_text: "str | None", cert) -> bool:

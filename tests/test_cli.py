@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from mbfreal import cli
-from mbfreal.cli import _shard_plan, main
+from mbfreal import cli, realizability
+from mbfreal.cli import main
 from mbfreal.ksystem import k_to_json, network_to_json
-from mbfreal.boolean_core import MbfFunction, OrderedTuple
+from mbfreal.boolean_core import MbfFunction, OrderedTuple, canonical_form
 from mbfreal.realizability import (
     certificate_from_data,
     replay_certificate,
@@ -481,15 +481,107 @@ def test_census_rejects_an_empty_class_list(tmp_path, capsys):
         assert list(out_dir.iterdir()) == []
 
 
-def test_shard_plan_caps_workers():
-    tasks = list(range(10))
-    # never more workers than jobs, tasks or CPUs; an unknown CPU count is one
-    assert _shard_plan(tasks, 10**9, 2) == [tasks[0::2], tasks[1::2]]
-    assert len(_shard_plan(tasks[:3], 8, 64)) == 3
-    assert _shard_plan(tasks, 4, None) == [tasks]
-    assert _shard_plan(tasks, 1, 64) == [tasks]
-    assert _shard_plan([], 4, 4) == [[]]
-    for jobs, cpus in ((3, 8), (7, 4), (12, 16)):
-        shards = _shard_plan(tasks, jobs, cpus)
-        assert len(shards) == min(jobs, len(tasks), cpus)
-        assert sorted(t for shard in shards for t in shard) == tasks
+def _hex_pair(f_hex, g_hex):
+    return OrderedTuple((MbfFunction.from_hex(f_hex), MbfFunction.from_hex(g_hex)))
+
+
+class _InlinePool:
+    """A stand-in for ``multiprocessing.Pool`` that runs ``map`` in this
+    process and records the worker count and the task lists it is given."""
+
+    def __init__(self, processes, runs):
+        runs.append((processes, []))
+        self.lists = runs[-1][1]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, iterable, chunksize=None):
+        self.lists.extend(iterable)
+        return [func(tasks) for tasks in self.lists]
+
+
+def _inline_pool(monkeypatch, cpus):
+    runs = []
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli.multiprocessing, "Pool", lambda processes: _InlinePool(processes, runs))
+    return runs
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (1, 64, None),
+    (4, None, None),
+    (4, 1, None),
+    (10**9, 2, 2),
+    (3, 8, 3),
+    (7, 4, 4),
+    (100, 64, 58),
+])
+def test_census_worker_count(tmp_path, capsys, monkeypatch, jobs, cpus, workers):
+    # never more workers than jobs, CPUs or orbits (58 pairs' orbits at n=3);
+    # an unknown CPU count counts as one, and one worker starts no pool
+    runs = _inline_pool(monkeypatch, cpus)
+    code, _, err = run(capsys, "census", "--n", "3", "--classes", "k",
+                       "--out", str(tmp_path / "census"), "--jobs", str(jobs))
+    assert code == 0, err
+    assert [processes for processes, _ in runs] == ([] if workers is None else [workers])
+
+
+def test_census_deals_each_orbit_to_one_worker(tmp_path, capsys, monkeypatch):
+    runs = _inline_pool(monkeypatch, 2)
+    decisions = []
+    decide = realizability._decide
+
+    def recorded(tup, class_tag, decided):
+        decisions.append((tup, class_tag))
+        return decide(tup, class_tag, decided)
+
+    monkeypatch.setattr(realizability, "_decide", recorded)
+    classes = ["sigmapisigma", "k", "sigma", "pisigma"]
+    code, _, err = run(capsys, "census", "--n", "3", "--classes", ",".join(classes),
+                       "--out", str(tmp_path / "census"), "--jobs", "2")
+    assert code == 0, err
+    [(workers, orbits)] = runs
+    assert workers == 2 and len(orbits) == 58
+    # every task in exactly one list, each list in task order (class, then
+    # pair index) and holding every task of one canonical pair
+    tasks = [t for orbit in orbits for t in orbit]
+    assert len(tasks) == len(set(tasks)) == 4 * 168
+    canon = set()
+    for orbit in orbits:
+        assert orbit == sorted(orbit, key=lambda t: (classes.index(t[1]), t[2]))
+        pairs = {canonical_form(_hex_pair(t[3], t[4]))[0] for t in orbit}
+        assert len(pairs) == 1
+        canon |= pairs
+    assert len(canon) == 58
+    # each (canonical pair, class) is decided once across all the lists
+    assert len(decisions) == len(set(decisions)) == 58 * 3
+
+
+def test_census_resumes_a_partly_cached_orbit_in_two_workers(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    out_dir = tmp_path / "census"
+    argv = ("census", "--n", "3", "--out", str(out_dir), "--jobs", "2")
+    assert run(capsys, *argv)[0] == 0
+    csv = (out_dir / "census.csv").read_text()
+    archive = _archive(out_dir)
+    # the mixed pair's orbit 88/f8, a0/ec, c0/ea: the first two members lose
+    # their results and the files those name, in every class
+    rows = [row.split(",") for row in csv.splitlines()[1:]]
+    canonical = canonical_form(_hex_pair("mbf:3:88", "mbf:3:f8"))[0]
+    members = sorted({int(r[0]) for r in rows
+                      if canonical_form(_hex_pair(r[1], r[2]))[0] == canonical})
+    assert members == [48, 59, 89]
+    for index, _, _, class_tag, _, witness_path, certificate_path in rows:
+        if int(index) in members[:2]:
+            (out_dir / "results" / f"{class_tag}_{int(index):05d}.json").unlink()
+            for path in (witness_path, certificate_path):
+                if path:
+                    (out_dir / path).unlink()
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert (out_dir / "census.csv").read_text() == csv
+    assert _archive(out_dir) == archive

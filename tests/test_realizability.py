@@ -970,6 +970,101 @@ def test_exhaustion_certificate_bound_to_every_structure():
     assert not replay_certificate(trivial, None, ExhaustionCertificate(()))
 
 
+def _hex_pair(f_hex, g_hex):
+    return OrderedTuple((MbfFunction.from_hex(f_hex), MbfFunction.from_hex(g_hex)))
+
+
+def _certificate_json():
+    """JSON data of the mixed pair 88/f8's pisigma exhaustion (a direction
+    certificate first, a Farkas one second) and of a8/fc's sigma Farkas
+    certificate."""
+    exhaustion = check_class(_hex_pair("mbf:3:88", "mbf:3:f8"), PISIGMA).certificate
+    farkas = check_class(_hex_pair("mbf:3:a8", "mbf:3:fc"), SIGMA).certificate
+    return json.loads(json.dumps(certificate_to_data(exhaustion))), certificate_to_data(farkas)
+
+
+def _set_first_entry(key, value):
+    def change(exhaustion, farkas):
+        exhaustion["entries"][0]["certificate"][key] = value
+        return exhaustion
+    return change
+
+
+def _set(key, value):
+    def change(exhaustion, farkas):
+        farkas[key] = value
+        return farkas
+    return change
+
+
+def _collapse(**fields):
+    def change(exhaustion, farkas):
+        data = {"type": "collapse", "direction": 1, "side": FLOOR, "structure": "z1+z2",
+                "inner": farkas}
+        data.update(fields)
+        return data
+    return change
+
+
+def _drop(key):
+    def change(exhaustion, farkas):
+        del exhaustion["entries"][0][key]
+        return exhaustion
+    return change
+
+
+@pytest.mark.parametrize("change, field", [
+    (_set_first_entry("f_true_corner", 3.0), "f_true_corner"),
+    (_set_first_entry("direction", "1"), "direction"),
+    (_set_first_entry("direction", 1.0), "direction"),
+    (_set_first_entry("direction", True), "direction"),
+    (_set_first_entry("g_false_corner", None), "g_false_corner"),
+    (_set("multipliers", "1" * 13), "multipliers"),
+    (_set("multipliers", [True] + ["0"] * 12), "multipliers"),
+    (_set("multipliers", [False] * 13), "multipliers"),
+    (_set("multipliers", [1.0] + ["0"] * 12), "multipliers"),
+    (_set("multipliers", ["1/0"] + ["0"] * 12), "multipliers"),
+    (_set("multipliers", [["1"]] + ["0"] * 12), "multipliers"),
+    (_set("type", 1), "type"),
+    (_set("type", None), "type"),
+    (_collapse(side=0), "side"),
+    (_collapse(structure=["z1", "z2"]), "structure"),
+    (_collapse(direction=1.0), "direction"),
+    (_collapse(inner="farkas"), "inner"),
+    (_collapse(inner=[]), "inner"),
+    (lambda exhaustion, farkas: {**exhaustion, "entries": "abc"}, "entries"),
+    (lambda exhaustion, farkas: {**exhaustion, "entries": {}}, "entries"),
+    (lambda exhaustion, farkas: {**exhaustion, "entries": ["abc"]}, "entry"),
+    (lambda exhaustion, farkas: {**exhaustion, "entries": [{"structure": 1, "certificate": farkas}]},
+     "structure"),
+    (lambda exhaustion, farkas: {"multipliers": farkas["multipliers"]}, "type"),
+    (lambda exhaustion, farkas: {"type": "farkas"}, "multipliers"),
+    (lambda exhaustion, farkas: {"type": "exhaustion"}, "entries"),
+    (_drop("certificate"), "certificate"),
+    (_drop("structure"), "structure"),
+    (lambda exhaustion, farkas: [farkas], "not an object"),
+])
+def test_certificate_from_data_rejects_malformed_data(change, field):
+    exhaustion, farkas = _certificate_json()
+    with pytest.raises(ValueError, match=field):
+        certificate_from_data(change(exhaustion, farkas))
+
+
+def test_every_n3_certificate_round_trips_through_json():
+    decided = {}
+    certificates = [
+        check_class(OrderedTuple(pair), class_tag, decided=decided).certificate
+        for class_tag in (SIGMA, PISIGMA, SIGMAPISIGMA)
+        for pair in enumerate_ordered_pairs(3)
+    ]
+    certificates = [c for c in certificates if c is not None]
+    assert len(certificates) == 18 + 3
+    for cert in certificates:
+        data = json.loads(json.dumps(certificate_to_data(cert)))
+        assert certificate_from_data(data) == cert
+        assert certificate_to_data(certificate_from_data(data)) == data
+
+
 def _farkas_mutations(cert):
     """Copies of a Farkas certificate, each with its multipliers changed in
     one place: one dropped, one appended, all zeroed, a non-zero one negated,
