@@ -9,6 +9,7 @@ from .boolean_core import (
     MbfFunction,
     OrderedTuple,
     beta_normalize,
+    enumerate_chains,
     enumerate_mbf_positive,
     enumerate_ordered_pairs,
     eta,

@@ -5,11 +5,12 @@ the n-cube.  Corner index encoding: bit i-1 of the index holds coordinate y_i,
 so a corner string "y1y2...yn" reads left-to-right from the least significant
 bit ("110" is index 3 and "001" is index 4 when n = 3).
 
-The module also provides the pairing between ordered pairs (f, g) with
-f implying g on the n-cube and single positive monotone functions on the
-(n+1)-cube: the new coordinate's floor carries f and its ceiling carries g,
-and the relabeling of variables with the canonical member of each
-relabeling orbit of a tuple.
+The module also provides the enumeration of implication chains
+f_1 => ... => f_k, the pairing between ordered pairs (f, g) with f implying
+g on the n-cube and single positive monotone functions on the (n+1)-cube
+(the new coordinate's floor carries f and its ceiling carries g), and the
+relabeling of variables with the canonical member of each relabeling orbit
+of a tuple.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ class Corner:
     def bit(self, i: int) -> int:
         """Coordinate y_i, 1-based."""
         return self.index >> (i - 1) & 1
-
-    def with_bit(self, i: int, value: int) -> Corner:
-        index = self.index & ~(1 << (i - 1)) | (value & 1) << (i - 1)
-        return Corner(self.n, index)
 
 
 def is_monotone_positive(truth: int, n: int) -> bool:
@@ -291,10 +288,10 @@ def eta_inverse(h: MbfFunction) -> "tuple[MbfFunction, MbfFunction]":
 def enumerate_mbf_positive(n: int) -> "list[MbfFunction]":
     """All positive monotone functions of arity n, ascending by truth mask.
 
-    Enumeration recurses through the floor/ceiling pairing from arity n-1
-    rather than filtering all 2**(2**n) tables, which keeps n = 5 feasible.
-    Arities above ``MAX_ENUM_ARITY`` are refused: arity 6 alone has
-    7828354 functions.
+    For n >= 1 they are the images under ``eta`` of the arity n-1 pairs
+    (``enumerate_ordered_pairs``), so no 2**(2**n) tables are filtered and
+    n = 5 stays feasible.  Arities above ``MAX_ENUM_ARITY`` are refused:
+    arity 6 alone has 7828354 functions.
     """
     if n > MAX_ENUM_ARITY:
         raise ArityError(f"arity {n} above enumeration guard {MAX_ENUM_ARITY}")
@@ -306,29 +303,41 @@ def _enumerate_cached(n: int) -> "tuple[MbfFunction, ...]":
     _check_arity(n)
     if n == 0:
         return MbfFunction(0, 0), MbfFunction(0, 1)
-    prev = _enumerate_cached(n - 1)
-    size = 1 << (n - 1)
-    out = []
-    for g in prev:
-        shifted = g.truth << size
-        for f in prev:
-            if f.truth & ~g.truth == 0:
-                out.append(MbfFunction(n, f.truth | shifted))
-    out.sort(key=lambda h: h.truth)
-    return tuple(out)
+    images = [eta(f, g) for f, g in enumerate_chains(n - 1, 2)]
+    images.sort(key=lambda h: h.truth)
+    return tuple(images)
+
+
+def enumerate_chains(n: int, length: int) -> "list[tuple[MbfFunction, ...]]":
+    """All chains of ``length`` functions of arity n, each implying the next.
+
+    Repeats are included: implication is containment, not strict
+    containment.  Chains are listed in ascending lexicographic order of their
+    truth masks; length 0 gives the empty chain alone.  From length 2 on the
+    guard is one below ``MAX_ENUM_ARITY``, since the pairs alone are as many
+    as the positive monotone functions of arity n+1.
+    """
+    if length < 0:
+        raise ValueError(f"chain length {length} is negative")
+    if length >= 2 and n > MAX_ENUM_ARITY - 1:
+        raise ArityError(f"arity {n} above pair-enumeration guard {MAX_ENUM_ARITY - 1}")
+    funcs = enumerate_mbf_positive(n)
+    chains: "list[tuple[MbfFunction, ...]]" = [()]
+    for _ in range(length):
+        chains = [
+            chain + (f,)
+            for chain in chains
+            for f in funcs
+            if not chain or chain[-1].truth & ~f.truth == 0
+        ]
+    return chains
 
 
 def enumerate_ordered_pairs(n: int) -> "list[tuple[MbfFunction, MbfFunction]]":
-    """All pairs (f, g) of arity n with f implying g, ascending by masks.
-
-    Equal pairs are included: implication is containment, not strict
-    containment.  The count equals the number of positive monotone functions
-    of arity n+1, so the guard is one below ``MAX_ENUM_ARITY``.
-    """
-    if n > MAX_ENUM_ARITY - 1:
-        raise ArityError(f"arity {n} above pair-enumeration guard {MAX_ENUM_ARITY - 1}")
-    funcs = enumerate_mbf_positive(n)
-    return [(f, g) for f in funcs for g in funcs if f.truth & ~g.truth == 0]
+    """All pairs (f, g) of arity n with f implying g, ascending by masks:
+    ``enumerate_chains(n, 2)``.  Their count equals the number of positive
+    monotone functions of arity n+1."""
+    return enumerate_chains(n, 2)
 
 
 class OrderedTuple:

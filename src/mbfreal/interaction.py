@@ -567,37 +567,29 @@ def collapse_structure(
     if phi.n != s.n:
         raise ValueError("assignment arity mismatch")
     c = phi.value(ell, 1 if side == CEILING else 0)
+    out = collapse_shape(s, ell)
 
     low = list(phi.low)
     high = list(phi.high)
     offset = Fraction(0)
-    new_groups: "list[tuple[frozenset, ...]]" = []
     for blocks in s.groups:
         home = next((b for b in blocks if ell in b), None)
         if home is None:
-            new_groups.append(blocks)
             continue
         if len(blocks) == 1 and home == {ell}:
             # z_ell is a summand of its own: drop the group, shift thresholds
             offset = c
-            continue
-        if home == {ell}:
+        elif home == {ell}:
             # bare factor inside a product: scale the sibling block with the
             # smallest minimum element
             sibling = min((b for b in blocks if b != home), key=min)
             for i in sibling:
                 low[i - 1] *= c
                 high[i - 1] *= c
-            new_groups.append(tuple(b for b in blocks if b != home))
         else:
             # z_ell shares its block: the smallest surviving variable absorbs it
             survivor = min(home - {ell})
             low[survivor - 1] += c
             high[survivor - 1] += c
-            new_groups.append(tuple(b - {ell} if b is home else b for b in blocks))
-    if not new_groups:
-        raise StructureError("collapse would leave an empty expression")
-
     del low[ell - 1], high[ell - 1]
-    out = structure(_renumber(new_groups, ell), s.n - 1)
     return out, PhiAssignment(tuple(low), tuple(high)), offset

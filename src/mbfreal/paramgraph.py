@@ -14,7 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .boolean_core import ACTIVATING, MbfFunction, OrderedTuple, enumerate_mbf_positive
+from .boolean_core import ACTIVATING, MbfFunction, OrderedTuple, enumerate_chains
 from .interaction import CLASS_TAGS, KCLASS
 from .realizability import Verdict, check_class
 
@@ -43,25 +43,15 @@ class ParameterGraph:
     edges: "tuple[tuple[int, int], ...]"
 
 
-def _chains(functions, length):
-    """Implication-ordered tuples with repetition, lexicographic by masks."""
-    if length == 0:
-        yield ()
-        return
-    for prefix in _chains(functions, length - 1):
-        for f in functions:
-            if not prefix or prefix[-1].truth & ~f.truth == 0:
-                yield prefix + (f,)
-
-
 def build_factor(
     num_inputs: int, num_outputs: int, signs: "tuple[str, ...] | None" = None
 ) -> FactorGraph:
     """Factor graph for a node with the given numbers of inputs and outputs.
 
-    Vertices are stored sign-normalized (positive functions); the signs are
-    carried for interpretation only and default to all-activating.  Edges
-    are found on truth masks: each vertex's tuple of masks, with one
+    The vertices are ``enumerate_chains(num_inputs, num_outputs)``, in its
+    order, so they are stored sign-normalized (positive functions); the
+    signs are carried for interpretation only and default to all-activating.
+    Edges are found on truth masks: each vertex's tuple of masks, with one
     function's mask flipped at one corner, is looked up among the vertices'
     mask tuples.
     """
@@ -75,8 +65,7 @@ def build_factor(
         signs = (ACTIVATING,) * num_inputs
     if len(signs) != num_inputs:
         raise ValueError("one sign per input required")
-    functions = enumerate_mbf_positive(num_inputs)
-    vertices = tuple(_chains(functions, num_outputs))
+    vertices = tuple(enumerate_chains(num_inputs, num_outputs))
     # a flipped table that is not monotone, or that breaks the implication
     # order, is not a vertex, so the lookup is the whole test
     index = {tuple(f.truth for f in v): i for i, v in enumerate(vertices)}

@@ -570,15 +570,9 @@ def search_witness(tup: OrderedTuple, s: InteractionStructure):
 
 # ---------------------------------------------------------------- class check
 
-def _pairs(tup: OrderedTuple):
-    for a in range(len(tup)):
-        for b in range(a + 1, len(tup)):
-            yield tup[a], tup[b]
-
-
 def _direction_blocked(tup: OrderedTuple, s: InteractionStructure):
     """First direction certificate over the tuple's pairs, or None."""
-    for f, g in _pairs(tup):
+    for f, g in itertools.combinations(tup, 2):
         cert = necessary_condition(f, g, s)
         if cert is not None:
             return cert
@@ -1162,9 +1156,8 @@ def _replays(tup: OrderedTuple, s: "InteractionStructure | None", cert) -> bool:
             s = sum_structure(range(1, n + 1), n)
         return linear.refutes(_monomial_system(tup, s)[1], cert.multipliers)
     if isinstance(cert, DirectionCertificate):
-        if len(tup) < 2:
-            return False
-        return any(verify_direction_certificate(f, g, s, cert) for f, g in _pairs(tup))
+        pairs = itertools.combinations(tup, 2)
+        return any(verify_direction_certificate(f, g, s, cert) for f, g in pairs)
     if isinstance(cert, CollapseCertificate):
         if s is None or cert.side not in (FLOOR, CEILING):
             return False

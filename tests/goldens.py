@@ -4,13 +4,24 @@ Corner strings follow the library convention: "y1y2y3" reads left-to-right
 from the low bit, so "110" is corner index 3 and "001" is index 4.
 """
 
+import itertools
 from fractions import Fraction
 
-from mbfreal.boolean_core import MbfFunction
+from mbfreal.boolean_core import MbfFunction, enumerate_mbf_positive, implies
 
 
 def mbf(n, corners):
     return MbfFunction.from_corners(n, corners)
+
+
+def brute_force_chains(n, length):
+    """Every tuple of ``length`` functions of arity n, in product order, kept
+    when each function implies the next: an oracle for ``enumerate_chains``."""
+    return [
+        chain
+        for chain in itertools.product(enumerate_mbf_positive(n), repeat=length)
+        if all(implies(a, b) for a, b in zip(chain, chain[1:]))
+    ]
 
 
 # Three-input pair that a product of sums separates but no weighted sum does.

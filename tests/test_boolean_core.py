@@ -15,6 +15,7 @@ from mbfreal.boolean_core import (
     beta_normalize,
     canonical_form,
     collapse_tuple,
+    enumerate_chains,
     enumerate_mbf_positive,
     enumerate_ordered_pairs,
     eta,
@@ -34,7 +35,13 @@ from mbfreal.boolean_core import (
     restrict_and_collapse,
 )
 
-from goldens import PAIR_NEEDS_MIXED, PAIR_NEEDS_PRODUCT, PAIR_UNREACHABLE_4, mbf
+from goldens import (
+    PAIR_NEEDS_MIXED,
+    PAIR_NEEDS_PRODUCT,
+    PAIR_UNREACHABLE_4,
+    brute_force_chains,
+    mbf,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -358,11 +365,12 @@ def test_enumeration_guard():
 
 
 def test_pair_counts():
-    assert len(enumerate_ordered_pairs(1)) == 6
-    assert len(enumerate_ordered_pairs(2)) == 20
-    assert len(enumerate_ordered_pairs(3)) == 168
+    # the pairs on n inputs are as many as the functions on n+1 inputs,
+    # D(n+1) in OEIS A000372, and are the chains of two
+    assert [len(enumerate_ordered_pairs(n)) for n in range(5)] == [3, 6, 20, 168, 7581]
     for n in (1, 2, 3):
         assert len(enumerate_ordered_pairs(n)) == len(enumerate_mbf_positive(n + 1))
+        assert enumerate_ordered_pairs(n) == enumerate_chains(n, 2)
 
 
 def test_pairs_are_ordered_and_deterministic():
@@ -370,6 +378,35 @@ def test_pairs_are_ordered_and_deterministic():
     assert pairs == sorted(pairs, key=lambda fg: (fg[0].truth, fg[1].truth))
     for f, g in pairs:
         assert implies(f, g)
+
+
+@pytest.mark.parametrize("n, length", [(n, k) for n in range(4) for k in range(4)])
+def test_chains_match_filtered_product(n, length):
+    assert enumerate_chains(n, length) == brute_force_chains(n, length)
+
+
+def test_chain_counts_match_implication_matrix_powers():
+    # 1^T M^(L-1) 1 over the 0/1 implication matrix M of the brute-forced
+    # tables, independent of both enumerators
+    counts = {}
+    for n in range(4):
+        tables = brute_force_mbf(n)
+        paths = [1] * len(tables)
+        for length in range(1, 6):
+            counts[n, length] = sum(paths)
+            assert len(enumerate_chains(n, length)) == counts[n, length], (n, length)
+            paths = [sum(p for g, p in zip(tables, paths) if f & ~g == 0) for f in tables]
+    assert [counts[3, length] for length in (3, 4, 5)] == [887, 3490, 11196]
+
+
+def test_chain_edge_lengths():
+    functions = enumerate_mbf_positive(2)
+    assert enumerate_chains(2, 0) == [()]
+    assert enumerate_chains(2, 1) == [(f,) for f in functions]
+    with pytest.raises(ValueError, match="negative"):
+        enumerate_chains(2, -1)
+    with pytest.raises(ArityError, match="pair-enumeration guard 4"):
+        enumerate_chains(5, 2)
 
 
 # ---------------------------------------------------------------- serialization

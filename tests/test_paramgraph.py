@@ -10,14 +10,12 @@ from mbfreal.boolean_core import (
     MbfFunction,
     OrderedTuple,
     canonical_form,
-    enumerate_mbf_positive,
     implies,
     is_monotone_positive,
 )
 from mbfreal.interaction import PISIGMA, SIGMA, SIGMAPISIGMA
 from mbfreal.paramgraph import (
     FactorGraph,
-    _chains,
     annotate_factor,
     annotate_realizability,
     build_factor,
@@ -29,6 +27,7 @@ from mbfreal.paramgraph import (
 )
 from mbfreal.realizability import verify_witness
 
+from goldens import brute_force_chains
 from test_ksystem import example_network, random_network
 
 
@@ -102,7 +101,7 @@ def _reference_factor(num_inputs, num_outputs):
     """The factor built by flipping every function of every vertex at every
     corner and looking the flipped tuple of functions up among the
     vertices."""
-    vertices = tuple(_chains(enumerate_mbf_positive(num_inputs), num_outputs))
+    vertices = tuple(brute_force_chains(num_inputs, num_outputs))
     index = {v: i for i, v in enumerate(vertices)}
     edges = set()
     for pos, vertex in enumerate(vertices):

@@ -14,10 +14,10 @@ from mbfreal.boolean_core import (
     MbfFunction,
     OrderedTuple,
     canonical_form,
+    enumerate_chains,
     enumerate_mbf_positive,
     enumerate_ordered_pairs,
     eta,
-    implies,
     inverse_permutation,
     maximal_false_corners,
     minimal_true_corners,
@@ -250,7 +250,7 @@ def _realized_tuples():
                 verdict = check_class(OrderedTuple((f, g)), class_tag)
                 if verdict.is_realizable:
                     out.append((OrderedTuple((f, g)), verdict.witness))
-    for tup in _chains_of_three(2):
+    for tup in map(OrderedTuple, enumerate_chains(2, 3)):
         verdict = check_sigma(tup)
         if verdict.is_realizable:
             out.append((tup, verdict.witness))
@@ -436,14 +436,6 @@ def _threshold_sum_system(tup):
     return width, rows
 
 
-def _chains_of_three(n):
-    functions = enumerate_mbf_positive(n)
-    for f, g in enumerate_ordered_pairs(n):
-        for h in functions:
-            if implies(g, h):
-                yield OrderedTuple((f, g, h))
-
-
 def _small_tuples():
     for n in (1, 2, 3):
         for f in enumerate_mbf_positive(n):
@@ -451,7 +443,7 @@ def _small_tuples():
         for f, g in enumerate_ordered_pairs(n):
             yield OrderedTuple((f, g))
     for n in (1, 2):
-        yield from _chains_of_three(n)
+        yield from map(OrderedTuple, enumerate_chains(n, 3))
 
 
 def test_sum_lp_of_f880_pair_is_realizable():
@@ -481,7 +473,7 @@ def test_full_support_sum_lp_decides_every_support():
 def test_sum_decision_matches_threshold_lp():
     # the full-sum monomial system has no threshold columns; the thresholds
     # derived from its point must decide exactly what the LP with them does
-    tuples = list(_small_tuples()) + list(_chains_of_three(3))
+    tuples = list(_small_tuples()) + list(map(OrderedTuple, enumerate_chains(3, 3)))
     tuples += [
         OrderedTuple((MbfFunction(4, int(f, 16)), MbfFunction(4, int(g, 16))))
         for f, g in PRODUCTS_N4_PAIRS + (("f880", "f880"),)
@@ -1378,18 +1370,6 @@ def test_realize_k_random_chains():
 
 # ---------------------------------------------------------------- orbit cache
 
-def _chains_of_three(n):
-    funcs = enumerate_mbf_positive(n)
-    return [
-        OrderedTuple((f, g, h))
-        for f in funcs
-        for g in funcs
-        if implies(f, g)
-        for h in funcs
-        if implies(g, h)
-    ]
-
-
 def _assert_matches_uncached(tup, class_tag):
     """check_class against the uncached decision of the member itself."""
     verdict = check_class(tup, class_tag)
@@ -1421,13 +1401,28 @@ def test_check_class_matches_uncached_decision_on_every_pair():
 
 
 def test_check_class_matches_uncached_decision_on_chains_of_three():
-    chains = _chains_of_three(3)
+    chains = [OrderedTuple(chain) for chain in enumerate_chains(3, 3)]
     assert len(chains) == 887
     relabeled = 0
     for tup in chains:
         verdict = _assert_matches_uncached(tup, PISIGMA)
         relabeled += verdict.is_realizable and canonical_form(tup)[0] is not tup
     assert relabeled > 0
+
+
+@pytest.mark.parametrize("class_tag", [SIGMA, PISIGMA, SIGMAPISIGMA])
+def test_a_repeated_function_never_changes_the_verdict(class_tag):
+    # a repeated function's second threshold fits inside the same gap, so
+    # each n=3 chain of three is decided as its strict chain is
+    chains = enumerate_chains(3, 3)
+    repeated = [chain for chain in chains if len(set(chain)) < len(chain)]
+    assert (len(chains), len(repeated)) == (887, 316)
+    decided = {}
+    for chain in repeated:
+        strict = tuple(dict.fromkeys(chain))
+        verdict = check_class(OrderedTuple(chain), class_tag, decided=decided)
+        expected = check_class(OrderedTuple(strict), class_tag, decided=decided)
+        assert verdict.status == expected.status, (chain, class_tag)
 
 
 def test_orbit_members_share_one_decision(monkeypatch):
@@ -1570,7 +1565,7 @@ def _reference_blocked(tup, s):
     """The per-structure loop ``_structure_blocked`` ran before collapse
     facts were kept: every collapsed tuple and every collapse test is
     rebuilt for each structure, with collapse pruning at four inputs."""
-    for f, g in realizability._pairs(tup):
+    for f, g in itertools.combinations(tup, 2):
         cert = necessary_condition(f, g, s)
         if cert is not None:
             return cert
@@ -1581,7 +1576,7 @@ def _reference_blocked(tup, s):
                 collapsed = OrderedTuple(
                     tuple(restrict_and_collapse(f, ell, side) for f in tup)
                 )
-                for f, g in realizability._pairs(collapsed):
+                for f, g in itertools.combinations(collapsed, 2):
                     inner = necessary_condition(f, g, shape)
                     if inner is not None:
                         return CollapseCertificate(ell, side, shape.text(), inner)
