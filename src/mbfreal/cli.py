@@ -61,9 +61,9 @@ from .realizability import (
 CENSUS_CLASSES = list(CLASS_TAGS) + [KCLASS]
 CSV_HEADER = "pair_index,f_hex,g_hex,class,verdict,witness_path,certificate_path"
 # the certificate file format, kept in config.json: a Farkas certificate holds
-# its multipliers only, and a config.json without this tag belongs to files
-# that also hold the rows, so that directory is another configuration
-CERTIFICATE_FORMAT = "farkas-multipliers"
+# named separation rows (y, j, a, b); a config.json with another tag or none
+# belongs to files in an older form, so that directory is another configuration
+CERTIFICATE_FORMAT = "farkas-rows"
 
 
 @dataclass(frozen=True)

@@ -460,14 +460,21 @@ def scaled_corner_lines(s: InteractionStructure, scale: int, corners, i: int):
 
 
 def corner_monomials(s: InteractionStructure, v: int):
-    """Multilinear expansion of the corner value.
+    """Multilinear expansion of the corner value in (l, d) coordinates.
 
-    Each monomial is a frozenset of (variable, bit) symbols; the corner value
-    is the sum over monomials of the product of the chosen low/high symbols.
+    Write each high as u_i = l_i + d_i with d_i > 0.  At corner v a block
+    sum is the sum of its variables' l_i plus the d_i of those whose bit is
+    set, so the value expands into monomials with coefficient 1 each.  A
+    monomial is a frozenset of (variable, kind) symbols, kind 0 for l_i and
+    1 for d_i; the corner value is the sum over monomials of the product of
+    their symbols.
     """
     out = []
     for blocks in s.groups:
-        pools = [[(i, v >> (i - 1) & 1) for i in sorted(b)] for b in blocks]
+        pools = [
+            [(i, 0) for i in sorted(b)] + [(i, 1) for i in sorted(b) if v >> (i - 1) & 1]
+            for b in blocks
+        ]
         for combo in itertools.product(*pools):
             out.append(frozenset(combo))
     return out

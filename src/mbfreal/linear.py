@@ -9,9 +9,8 @@ decides which: two rows are combined with coprime positive weights, and each
 derived row is divided by the gcd of its coefficients and multipliers
 (fraction-free elimination, Bareiss 1968).  Every working row is thus the
 exact integer combination of input rows recorded in its provenance, so an
-infeasible system yields a replayable multiplier vector and a feasible one a
-sample point by back-substitution, both as ``Fraction``s.  ``refutes``
-checks such a multiplier vector against the rows.
+infeasible system yields a multiplier vector and a feasible one a sample
+point by back-substitution, both as ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -130,19 +129,3 @@ def solve(num_vars: int, rows: "list[tuple[int, ...]]") -> "Feasible | Infeasibl
         nums[var] = value.numerator * (den // value.denominator)
     return Feasible(tuple(Fraction(x, den) for x in nums))
 
-
-def refutes(rows: "list[tuple[int, ...]]", multipliers) -> bool:
-    """Gordan's check, exact: one non-negative rational multiplier per row,
-    not all zero, whose combination of the rows is the zero row (0 > 0).
-
-    The multipliers are scaled once by the LCM of their denominators, so the
-    rows are combined with ``int`` weights."""
-    if len(multipliers) != len(rows) or any(m < 0 for m in multipliers) or not any(multipliers):
-        return False
-    scale = lcm(*(m.denominator for m in multipliers))
-    combined = [0] * len(rows[0])
-    for m, r in zip(multipliers, rows):
-        if m:
-            w = m.numerator * (scale // m.denominator)
-            combined = [c + w * a for c, a in zip(combined, r)]
-    return not any(combined)

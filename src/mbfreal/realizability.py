@@ -10,17 +10,24 @@ works (sum the functions); the algebraic classes are decided or searched:
   exact separation LP, with a Farkas certificate on the infeasible side;
 * products of sums and sums of products of sums: three-valued verdicts from
   (i) facet-comparability certificates for directions appearing as a bare
-  factor or standalone summand, (ii) monomial-linearization Farkas
-  certificates, and (iii) a rational grid search for witnesses.  Unknown is
-  an honest output; no completeness is claimed.  Each product class starts
-  from the next smaller class's verdict and tests only the structures that
-  class lacks, so sum < product of sums < sum of products of sums holds by
-  construction.
+  factor or standalone summand, (ii) degree-0 Farkas certificates, and
+  (iii) a rational grid search for witnesses.  Unknown is an honest output;
+  no completeness is claimed.  Each product class starts from the next
+  smaller class's verdict and tests only the structures that class lacks,
+  so sum < product of sums < sum of products of sums holds by construction.
 
 Witnesses are checked in exact integers: corner values come from
 ``scaled_corner_table`` as integers over one scale, and a value is compared
 with a threshold p/q as ``value * q`` against ``p * scale``.  Thresholds stay
 ``Fraction``s, derived from the integer gaps.
+
+Farkas certificates share one kernel.  Each high is written u_i = l_i + d_i
+with d_i > 0, so in (l, d) coordinates every corner value V(v) is a
+polynomial with non-negative coefficients and every (l, d) monomial is
+positive at a realizing point.  If f_j(a) = 0 and f_j(b) = 1, V(b) - V(a)
+is positive there too, so positive multiples of such separation rows whose
+sum has no positive coefficient refute the structure.  A certificate names
+those rows as (y, j, a, b); replay and relabeling read only the names.
 """
 
 from __future__ import annotations
@@ -46,7 +53,6 @@ from .boolean_core import (
     inverse_permutation,
     maximal_false_corners,
     minimal_true_corners,
-    relabel_tuple,
     restrict_and_collapse,
 )
 from .interaction import (
@@ -122,11 +128,13 @@ class DirectionCertificate:
 
 @dataclass(frozen=True)
 class FarkasCertificate:
-    """Non-negative multipliers, one per row of the monomial system that the
-    claim (tuple and structure) rebuilds, combining those rows into 0 > 0.
-    The rows are not stored: ``replay_certificate`` rebuilds them."""
+    """A degree-0 refutation (see the module docstring): named separation
+    rows ``(y, j, a, b)``, each y > 0 times V(b) - V(a) for a false corner a
+    and a true corner b of tuple member j, whose sum has no positive (l, d)
+    coefficient.  ``replay_certificate`` checks the sum against the claim's
+    structure."""
 
-    multipliers: "tuple[Fraction, ...]"
+    rows: "tuple[tuple[Fraction, int, int, int], ...]"
 
 
 @dataclass(frozen=True)
@@ -247,11 +255,11 @@ def check_sigma(tup: OrderedTuple) -> Verdict:
     """Exact decision for the sum class by one LP; never Unknown.
 
     The LP is the monomial system of the full sum z1+...+zn
-    (``_monomial_system``).  For a sum every monomial is a single low or
-    high symbol, so the system is not a relaxation: its columns are
-    l1..ln, u1..un and its strict homogeneous rows say that every maximal
-    false corner of each function lies below each of its minimal true
-    corners, that every value is positive and that u_i > l_i.  Any point
+    (``_monomial_system``).  For a sum every (l, d) monomial is a single
+    symbol, so the system is not a relaxation: its columns are l1..ln,
+    d1..dn (each high is l_i + d_i) and its strict homogeneous rows say
+    that every maximal false corner of each function lies below each of its
+    minimal true corners and that every l_i and d_i is positive.  Any point
     gives every function a gap between its false and its true values.  Where
     two functions of the implication chain differ, a corner false for the
     first and true for the second puts the first gap wholly above the
@@ -268,11 +276,13 @@ def check_sigma(tup: OrderedTuple) -> Verdict:
     if n > 5:
         raise ValueError("sum decision guarded at arity 5")
     s = sum_structure(range(1, n + 1), n)
-    out = linear.solve(*_monomial_system(tup, s))
-    if isinstance(out, linear.Infeasible):
-        return Verdict.not_realizable(FarkasCertificate(out.multipliers))
-    # columns are l1..ln (corner 0), then u1..un (the unit corners in order)
-    return Verdict.realizable(_gap_witness(tup, s, PhiAssignment(out.point[:n], out.point[n:])))
+    out = _separation_lp(tup, s)
+    if isinstance(out, FarkasCertificate):
+        return Verdict.not_realizable(out)
+    # columns are l1..ln (corner 0), then d1..dn (the unit corners in order)
+    low = out[:n]
+    phi = PhiAssignment(low, tuple(x + d for x, d in zip(low, out[n:])))
+    return Verdict.realizable(_gap_witness(tup, s, phi))
 
 
 def _gap_witness(tup: OrderedTuple, s: InteractionStructure, phi: PhiAssignment) -> Witness:
@@ -361,10 +371,9 @@ def verify_direction_certificate(
 def _structure_system(s: InteractionStructure):
     """The part of ``_monomial_system`` that depends on the structure alone,
     built once per process (structures are finitely many): the column of
-    each monomial (a dict in column order that callers only read; its
-    length is the width), one
-    monomial-count vector per corner, then the positivity rows and the
-    sorted fact rows, all as tuples of ``int``.
+    each (l, d) monomial (a dict in column order that callers only read; its
+    length is the width) and one 0/1 vector per corner, its value in those
+    columns (``corner_monomials``), as a tuple of ``int``.
     """
     universe: "dict[frozenset, int]" = {}
     expansions = []
@@ -373,79 +382,60 @@ def _structure_system(s: InteractionStructure):
         for m in monos:
             universe.setdefault(m, len(universe))
         expansions.append(monos)
-    width = len(universe)
     corners = []
     for monos in expansions:
-        coeffs = [0] * width
+        coeffs = [0] * len(universe)
         for m in monos:
-            coeffs[universe[m]] += 1
+            coeffs[universe[m]] = 1
         corners.append(tuple(coeffs))
-    rows = []
-    for m, pos in universe.items():
-        coeffs = [0] * width
-        coeffs[pos] = 1
-        rows.append(tuple(coeffs))
-
-    # products of (u_i - l_i) facts with a monomial over the other variables,
-    # kept only when every expanded term is already a column
-    shapes = {frozenset(i for i, _ in m) for m in universe}
-    fact_rows = set()
-    for shape in shapes:
-        shape = tuple(sorted(shape))
-        for r in range(1, len(shape) + 1):
-            for diff_vars in itertools.combinations(shape, r):
-                others = [i for i in shape if i not in diff_vars]
-                for bits in itertools.product((0, 1), repeat=len(others)):
-                    base = tuple(zip(others, bits))
-                    coeffs = [0] * width
-                    ok = True
-                    for choice in itertools.product((0, 1), repeat=r):
-                        mono = frozenset(base + tuple(zip(diff_vars, choice)))
-                        if mono not in universe:
-                            ok = False
-                            break
-                        sign = (-1) ** (r - sum(choice))
-                        coeffs[universe[mono]] += sign
-                    if ok:
-                        fact_rows.add(tuple(coeffs))
-    rows.extend(sorted(fact_rows))
-    return universe, tuple(corners), tuple(rows)
+    return universe, tuple(corners)
 
 
 def _monomial_system(tup: OrderedTuple, s: InteractionStructure):
-    """Width and rows of the linearized corner-separation system.
+    """Width, names and rows of the degree-0 corner-separation system.
 
-    Every multilinear monomial of the expression becomes an independent
-    positive variable; separation constraints plus linearized products of the
-    elementary facts (low < high, positivity) make a homogeneous strict
-    system ``A x > 0`` whose rows are tuples of ``int``.  Only the separation
-    rows, one per (maximal false, minimal true) corner pair of each function,
-    depend on the tuple; the width and the other rows come from
-    ``_structure_system``.  A row that repeats an earlier one is left out
-    (a sum's unit-corner separation row is its ``u_i - l_i`` fact row).  The
-    list returned is fresh, so a caller may change it.
+    In (l, d) coordinates every (l, d) monomial of the expression is an
+    independent positive variable, so the system ``A x > 0`` has one unit
+    row per monomial and one separation row V(b) - V(a) per function j, a
+    maximal false corner a of f_j and a minimal true corner b.  The
+    separation rows come first, each distinct row once at its first
+    (j, a, b), and ``names[k]`` is that (j, a, b) of ``rows[k]``; the unit
+    rows follow in column order.  Rows are tuples of ``int``, and the lists
+    returned are fresh, so a caller may change them.
     """
-    universe, corners, structure_rows = _structure_system(s)
-    rows = []
-    for f in tup:
+    universe, corners = _structure_system(s)
+    width = len(universe)
+    named: "dict[tuple, tuple[int, int, int]]" = {}
+    for j, f in enumerate(tup):
         above = minimal_true_corners(f)
-        for v in maximal_false_corners(f):
-            rows.extend(tuple([a - b for a, b in zip(corners[w], corners[v])]) for w in above)
-    rows.extend(structure_rows)
-    return len(universe), list(dict.fromkeys(rows))
+        for a in maximal_false_corners(f):
+            for b in above:
+                row = tuple([x - y for x, y in zip(corners[b], corners[a])])
+                named.setdefault(row, (j, a, b))
+    units = [(0,) * k + (1,) + (0,) * (width - k - 1) for k in range(width)]
+    return width, list(named.values()), list(named) + units
+
+
+def _separation_lp(tup: OrderedTuple, s: InteractionStructure):
+    """``linear.solve`` on ``_monomial_system``: the feasible point, or the
+    Farkas certificate of its named rows with positive multipliers.  The
+    unit rows alone are feasible, so a refutation names at least one row."""
+    width, names, rows = _monomial_system(tup, s)
+    out = linear.solve(width, rows)
+    if isinstance(out, linear.Feasible):
+        return out.point
+    return FarkasCertificate(tuple((y, *name) for y, name in zip(out.multipliers, names) if y))
 
 
 def monomial_certificate(tup: OrderedTuple, s: InteractionStructure):
-    """Farkas refutation of the linearized corner-separation system.
+    """Degree-0 Farkas refutation of the corner-separation system.
 
     Infeasibility of this relaxation is sound: the true polynomial system is
     a further restriction.  Returns None when the relaxation is feasible,
     which proves nothing either way.
     """
-    out = linear.solve(*_monomial_system(tup, s))
-    if isinstance(out, linear.Infeasible):
-        return FarkasCertificate(out.multipliers)
-    return None
+    out = _separation_lp(tup, s)
+    return out if isinstance(out, FarkasCertificate) else None
 
 
 # ---------------------------------------------------------------- grid search
@@ -637,8 +627,9 @@ def check_class(
     deciding many tuples (a one-process census, a census worker's orbit, a
     parameter-graph factor) passes one dict, so each orbit is decided once
     per class; without it a call keeps no verdict.  Any call keeps only
-    bounded facts: structure rows (``_structure_system``), three-input
-    collapse facts (``_collapsed_blocked``), and in ``interaction`` each
+    bounded facts: structure columns and corner vectors
+    (``_structure_system``), three-input collapse facts
+    (``_collapsed_blocked``), and in ``interaction`` each
     structure's corner plan and each relabeled structure.
 
     The free class ``k`` is realized directly.  The tag and the arity guards
@@ -770,37 +761,22 @@ def relabel_certificate(
     its own.  One certificate kind per branch, as in ``_replays``:
 
     * direction: the direction and the four corners (``corner_images``);
-    * Farkas: the columns are renamed, and each multiplier moves to the row
-      of the relabeled claim's monomial system with the same content (the
-      system keeps each distinct row once, so rows correspond one to one);
+    * Farkas: each row's two corners (``corner_images``); the multipliers
+      and function indices stay, and no system is built;
     * collapse: the direction and the shape, and the inner certificate
       under the relabeling the collapse leaves on the other n - 1 variables;
     * exhaustion: every entry, put back in the class's enumeration order.
     """
     s = None if structure_text is None else parse_structure(structure_text, tup.n)
-    return _relabeled(tup, relabel_tuple(tup, perm), s, cert, perm)
+    return _relabeled(tup.n, s, cert, perm)
 
 
-def _relabeled(tup: OrderedTuple, target: OrderedTuple, s, cert, perm):
-    """``relabel_certificate`` with the claim's structure ``s`` (None for
-    the full sum) and ``target``, the tuple relabeled by ``perm``."""
+def _relabeled(n: int, s, cert, perm):
+    """``relabel_certificate`` at arity ``n`` with the claim's structure
+    ``s`` (None for the full sum)."""
     if isinstance(cert, FarkasCertificate):
-        if s is None:
-            s = sum_structure(range(1, tup.n + 1), tup.n)
-        relabeled = relabel_structure(s, perm)
-        column = _structure_system(relabeled)[0]
-        columns = [
-            column[frozenset((perm[i - 1], bit) for i, bit in m)] for m in _structure_system(s)[0]
-        ]
-        index = {r: k for k, r in enumerate(_monomial_system(target, relabeled)[1])}
-        multipliers = [Fraction(0)] * len(index)
-        for m, r in zip(cert.multipliers, _monomial_system(tup, s)[1]):
-            if m:
-                row = [0] * len(columns)
-                for c, a in zip(columns, r):
-                    row[c] = a
-                multipliers[index[tuple(row)]] = m
-        return FarkasCertificate(tuple(multipliers))
+        image = corner_images(perm)
+        return FarkasCertificate(tuple((y, j, image[a], image[b]) for y, j, a, b in cert.rows))
     if isinstance(cert, DirectionCertificate):
         image = corner_images(perm)
         return DirectionCertificate(
@@ -811,26 +787,21 @@ def _relabeled(tup: OrderedTuple, target: OrderedTuple, s, cert, perm):
             image[cert.f_false_corner],
         )
     if isinstance(cert, CollapseCertificate):
-        ell, side = cert.direction, cert.side
+        ell = cert.direction
         moved = perm[ell - 1]
         # z_i (i != ell) is z_(i - (i > ell)) after the collapse, and so is
         # its image on the relabeled side
         induced = tuple(j - (j > moved) for i, j in enumerate(perm, start=1) if i != ell)
         shape = collapse_shape(s, ell)
-        inner = _relabeled(
-            collapse_tuple(tup, ell, side),
-            collapse_tuple(target, moved, side),
-            shape,
-            cert.inner,
-            induced,
-        )
-        return CollapseCertificate(moved, side, relabel_structure(shape, induced).text(), inner)
+        inner = _relabeled(n - 1, shape, cert.inner, induced)
+        text = relabel_structure(shape, induced).text()
+        return CollapseCertificate(moved, cert.side, text, inner)
     if isinstance(cert, ExhaustionCertificate):
-        named = _exhausted(tup.n, cert.entries)
+        named = _exhausted(n, cert.entries)
         if named is None:
             raise ValueError("the exhaustion does not name a class's structures in order")
         entries = {
-            relabel_structure(named[text], perm).text(): _relabeled(tup, target, named[text], sub, perm)
+            relabel_structure(named[text], perm).text(): _relabeled(n, named[text], sub, perm)
             for text, sub in cert.entries
         }
         return ExhaustionCertificate(tuple((text, entries[text]) for text in named))
@@ -1030,7 +1001,7 @@ def induced_function(w: Witness) -> MbfFunction:
 
 def certificate_to_data(cert) -> dict:
     """JSON-ready dict, rationals as strings.  A Farkas certificate is its
-    multipliers alone; replay rebuilds the rows from the claim."""
+    named rows, each ``[y, j, a, b]`` with y a rational's string."""
     if isinstance(cert, DirectionCertificate):
         return {
             "type": "direction",
@@ -1041,7 +1012,7 @@ def certificate_to_data(cert) -> dict:
             "f_false_corner": cert.f_false_corner,
         }
     if isinstance(cert, FarkasCertificate):
-        return {"type": "farkas", "multipliers": [str(m) for m in cert.multipliers]}
+        return {"type": "farkas", "rows": [[str(y), j, a, b] for y, j, a, b in cert.rows]}
     if isinstance(cert, CollapseCertificate):
         return {
             "type": "collapse",
@@ -1067,9 +1038,10 @@ def certificate_from_data(data: dict):
     Data that does not have that shape raises ``ValueError`` naming the
     field: a missing key, a direction or corner that is not an integer (a
     bool or a float included), a type, side or structure that is not a
-    string, multipliers or entries that are not a list, a multiplier that is
-    not an integer or a rational's string, or an entry or inner certificate
-    that is not an object.
+    string, rows or entries that are not a list, a row that is not a list of
+    four, a multiplier that is not an integer or a rational's string, a
+    function index or corner in a row that is not an integer, or an entry or
+    inner certificate that is not an object.
     """
     if not isinstance(data, dict):
         raise ValueError(f"certificate {data!r} is not an object")
@@ -1083,9 +1055,7 @@ def certificate_from_data(data: dict):
             )
         )
     if kind == "farkas":
-        return FarkasCertificate(
-            tuple(_multiplier(m) for m in _field(data, "multipliers", list))
-        )
+        return FarkasCertificate(tuple(_row(r) for r in _field(data, "rows", list)))
     if kind == "collapse":
         return CollapseCertificate(
             _field(data, "direction", int),
@@ -1116,29 +1086,33 @@ def _field(data: dict, key: str, kind: type):
     return value
 
 
-def _multiplier(value) -> Fraction:
-    """A Farkas multiplier as written: an ``int`` or a rational's string."""
-    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"certificate field 'multipliers' has a bad value {value!r}")
+def _row(value) -> "tuple[Fraction, int, int, int]":
+    """A named Farkas row as written: ``[y, j, a, b]``, y an ``int`` or a
+    rational's string and j, a, b integers (no bool)."""
+    if isinstance(value, list) and len(value) == 4:
+        y, *names = value
+        if all(type(x) is int for x in names) and (isinstance(y, str) or type(y) is int):
+            try:
+                return (Fraction(y), *names)
+            except (ValueError, ZeroDivisionError):
+                pass
+    raise ValueError(f"certificate field 'rows' has a bad row {value!r}")
 
 
 def replay_certificate(tup: OrderedTuple, structure_text: "str | None", cert) -> bool:
     """Re-derive the contradiction against the claim it makes.
 
     Nothing stored is trusted that can be rebuilt from the tuple and the
-    structure.  A Farkas certificate is only its multipliers: they must
-    combine the rows of the monomial system rebuilt from the tuple and the
-    structure, or the full sum z1+...+zn when there is no structure (the sum
-    decision's claim), into 0 > 0 (``linear.refutes``).  An exhaustion must name every
-    ``pisigma`` or ``sigmapisigma`` structure in enumeration order.  A
-    collapse must name the shape its direction leaves of the parent
-    structure, and its inner certificate replays against the collapsed tuple
-    and that shape.  Structure text that does not parse names no claim, so
-    nothing replays against it.
+    structure.  A Farkas certificate needs at least one row, and in every
+    row ``(y, j, a, b)`` y > 0, f_j(a) = 0 and f_j(b) = 1; the sum of
+    y * (V(b) - V(a)) over the (l, d) corner vectors of the structure, or of
+    the full sum z1+...+zn when there is no structure (the sum decision's
+    claim), must have no positive coefficient.  No system is built.  An
+    exhaustion must name every ``pisigma`` or ``sigmapisigma`` structure in
+    enumeration order.  A collapse must name the shape its direction leaves
+    of the parent structure, and its inner certificate replays against the
+    collapsed tuple and that shape.  Structure text that does not parse
+    names no claim, so nothing replays against it.
     """
     try:
         s = None if structure_text is None else parse_structure(structure_text, tup.n)
@@ -1152,9 +1126,7 @@ def _replays(tup: OrderedTuple, s: "InteractionStructure | None", cert) -> bool:
     sum decision); inner claims reuse the structures already built."""
     n = tup.n
     if isinstance(cert, FarkasCertificate):
-        if s is None:
-            s = sum_structure(range(1, n + 1), n)
-        return linear.refutes(_monomial_system(tup, s)[1], cert.multipliers)
+        return _refutes(tup, sum_structure(range(1, n + 1), n) if s is None else s, cert.rows)
     if isinstance(cert, DirectionCertificate):
         pairs = itertools.combinations(tup, 2)
         return any(verify_direction_certificate(f, g, s, cert) for f, g in pairs)
@@ -1173,6 +1145,26 @@ def _replays(tup: OrderedTuple, s: "InteractionStructure | None", cert) -> bool:
             _replays(tup, named[text], sub) for text, sub in cert.entries
         )
     return False
+
+
+def _refutes(tup: OrderedTuple, s: InteractionStructure, rows) -> bool:
+    """The Farkas branch of ``_replays``: the named rows, each checked
+    against the tuple, add up in ``s``'s columns to no positive entry.  The
+    multipliers are scaled once by the LCM of their denominators, so the
+    corner vectors are combined in ``int``s."""
+    if not rows:
+        return False
+    corners = _structure_system(s)[1]
+    total = [0] * len(corners[0])
+    scale = math.lcm(*(y.denominator for y, *_ in rows))
+    for y, j, a, b in rows:
+        if not (y > 0 and 0 <= j < len(tup) and 0 <= a < len(corners) and 0 <= b < len(corners)):
+            return False
+        if tup[j].truth >> a & 1 or not tup[j].truth >> b & 1:
+            return False
+        w = y.numerator * (scale // y.denominator)
+        total = [t + w * (x - z) for t, x, z in zip(total, corners[b], corners[a])]
+    return all(t <= 0 for t in total)
 
 
 @lru_cache(maxsize=None)

@@ -136,18 +136,17 @@ REFERENCE_WITNESSES = [
 
 
 # json.dumps(certificate_to_data(...)) of two Farkas certificates, as census
-# and realize files hold them: one multiplier per row of the sum decision's
-# monomial system of z1+z2+z3 for PAIR_NEEDS_PRODUCT (13 rows), and of the
-# monomial system of PAIR_NEEDS_MIXED under (z1+z2)*z3 (22 rows).
+# and realize files hold them: named separation rows [y, j, a, b] of the sum
+# decision (z1+z2+z3) for PAIR_NEEDS_PRODUCT, and of PAIR_NEEDS_MIXED under
+# (z1+z2)*z3.  In (l, d) coordinates the first sums (d3 - d1) + (d1 - d3) to
+# 0 and the second (l3*d2 - l1*d3 - l2*d3 - d1*d3) + (l1*d3 + l2*d3 - l3*d2)
+# to -d1*d3.
 PAIR_NEEDS_PRODUCT_SUM_CERTIFICATE_JSON = (
-    '{"type": "farkas", "multipliers": '
-    '["0", "1", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0"]}'
+    '{"type": "farkas", "rows": [["1", 0, 3, 6], ["1", 1, 4, 1]]}'
 )
 
 PAIR_NEEDS_MIXED_MONOMIAL_CERTIFICATE_JSON = (
-    '{"type": "farkas", "multipliers": '
-    '["1", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", '
-    '"0", "0", "0", "0", "0", "1"]}'
+    '{"type": "farkas", "rows": [["1", 0, 5, 3], ["1", 1, 2, 4]]}'
 )
 
 # The pairs of the products-n4 benchmark workload, as (f, g) hex masks on

@@ -361,15 +361,16 @@ def test_collapse_replay_exhaustive():
 # ---------------------------------------------------------------- monomials
 
 def test_corner_monomials_match_value():
-    phi = PhiAssignment((1, 1, 1), (3, Fraction(31, 10), 4))
+    # (l, d) symbols: kind 0 is the low, kind 1 is d = high - low
+    phi = PhiAssignment((1, Fraction(1, 2), 2), (3, Fraction(31, 10), 4))
     for text in ("z1*z2+z3", "(z1+z2)*z3", "z1+z2+z3", "z1*z2*z3"):
         s = S(text)
         for v in range(8):
             total = Fraction(0)
             for mono in corner_monomials(s, v):
                 prod = Fraction(1)
-                for i, bit in mono:
-                    prod *= phi.value(i, bit)
+                for i, kind in mono:
+                    prod *= phi.value(i, 0) if kind == 0 else phi.value(i, 1) - phi.value(i, 0)
                 total += prod
             assert total == corner_table(s, phi)[v]
 

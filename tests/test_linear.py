@@ -1,5 +1,6 @@
 import functools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,21 @@ from hypothesis import given, settings, strategies as st
 from mbfreal import linear, realizability
 from mbfreal.boolean_core import OrderedTuple, enumerate_ordered_pairs
 from mbfreal.interaction import PISIGMA, SIGMA, sum_structure
-from mbfreal.linear import Feasible, Infeasible, refutes, solve
+from mbfreal.linear import Feasible, Infeasible, solve
+
+
+def refutes(rows, multipliers) -> bool:
+    """Gordan's check, exact: one non-negative rational multiplier per row,
+    not all zero, whose combination of the rows is the zero row (0 > 0).
+    The reference that every infeasible result of ``solve`` is held to."""
+    if len(multipliers) != len(rows) or any(m < 0 for m in multipliers) or not any(multipliers):
+        return False
+    scale = lcm(*(m.denominator for m in multipliers))
+    combined = [0] * len(rows[0])
+    for m, r in zip(multipliers, rows):
+        w = m.numerator * (scale // m.denominator)
+        combined = [c + w * a for c, a in zip(combined, r)]
+    return not any(combined)
 
 
 def check(num_vars, rows):
@@ -105,10 +120,12 @@ def test_refutes_checks_a_sum_certificate():
         for verdict in [realizability.check_sigma(tup)]
         if verdict.is_not_realizable
     )
-    width, rows = realizability._monomial_system(tup, sum_structure(range(1, 4), 3))
-    assert refutes(rows, cert.multipliers)
-    assert solve(width, rows) == Infeasible(cert.multipliers)
-    doubled = list(cert.multipliers)
+    width, names, rows = realizability._monomial_system(tup, sum_structure(range(1, 4), 3))
+    out = solve(width, rows)
+    assert refutes(rows, out.multipliers)
+    # the certificate names the separation rows with non-zero multipliers
+    assert cert.rows == tuple((y, *name) for y, name in zip(out.multipliers, names) if y)
+    doubled = list(out.multipliers)
     k = next(i for i, m in enumerate(doubled) if m)
     doubled[k] *= 2
     assert not refutes(rows, doubled)

@@ -14,6 +14,7 @@ from mbfreal.boolean_core import (
     MbfFunction,
     OrderedTuple,
     canonical_form,
+    collapse_tuple,
     enumerate_chains,
     enumerate_mbf_positive,
     enumerate_ordered_pairs,
@@ -32,7 +33,6 @@ from mbfreal.interaction import (
     SIGMAPISIGMA,
     PhiAssignment,
     collapse_shape,
-    corner_monomials,
     corner_table,
     enumerate_structures,
     evaluate,
@@ -355,14 +355,16 @@ def test_product_pair_not_sum_realizable():
     verdict = check_sigma(pair_tuple(PAIR_NEEDS_PRODUCT))
     assert verdict.is_not_realizable
     cert = verdict.certificate
-    assert isinstance(cert, FarkasCertificate)  # one for the full-sum system
-    width, rows = realizability._monomial_system(
+    assert isinstance(cert, FarkasCertificate)  # named rows of the full-sum system
+    width, names, rows = realizability._monomial_system(
         pair_tuple(PAIR_NEEDS_PRODUCT), sum_structure({1, 2, 3}, 3)
     )
-    assert width == 6  # l1, l2, l3, u1, u2, u3
-    # two unit-corner separation rows equal u_i - l_i fact rows and are kept once
-    assert len(rows) == len(set(rows)) == 13
-    assert linear.refutes(rows, cert.multipliers)
+    assert width == 6  # l1, l2, l3, d1, d2, d3
+    # six distinct separation rows, then one unit row per column
+    assert len(names) == len(set(rows[:6])) == 6 and len(rows) == 12
+    assert rows[6:] == [tuple(int(k == c) for k in range(6)) for c in range(6)]
+    assert [row[1:] for row in cert.rows] == [(0, 3, 6), (1, 4, 1)]
+    assert all(row[1:] in names for row in cert.rows)
     assert json.dumps(certificate_to_data(cert)) == PAIR_NEEDS_PRODUCT_SUM_CERTIFICATE_JSON
 
 
@@ -383,21 +385,23 @@ def test_farkas_certificate_bound_to_its_tuple_and_structure():
     mixed = pair_tuple(PAIR_NEEDS_MIXED)
     monomial = monomial_certificate(mixed, parse_structure("(z1+z2)*z3"))
     assert replay_certificate(mixed, "(z1+z2)*z3", monomial)
-    # read back from JSON, a certificate is its multipliers as Fractions
+    # read back from JSON, a certificate is its named rows, y as a Fraction
     for claim, text, built in ((tup, None, cert), (mixed, "(z1+z2)*z3", monomial)):
         data = certificate_to_data(built)
-        assert set(data) == {"type", "multipliers"}
+        assert set(data) == {"type", "rows"}
         restored = certificate_from_data(data)
-        assert all(type(m) is Fraction for m in restored.multipliers)
+        assert all(type(y) is Fraction for y, *_ in restored.rows)
         assert restored == built
         assert replay_certificate(claim, text, restored)
     assert not replay_certificate(mixed, "(z1+z3)*z2", monomial)
-    assert not replay_certificate(mixed, None, monomial)
+    # named rows are not tied to one system: in the full sum these two add
+    # up to (d2 - d3) + (d3 - d2) = 0, so they refute the sum class too
+    assert replay_certificate(mixed, None, monomial)
     assert not replay_certificate(tup, "(z1+z2)*z3", monomial)
 
 
 def _sum_lp_feasible(tup, members):
-    width, rows = realizability._monomial_system(tup, sum_structure(members, tup.n))
+    width, _, rows = realizability._monomial_system(tup, sum_structure(members, tup.n))
     return isinstance(linear.solve(width, rows), linear.Feasible)
 
 
@@ -592,60 +596,49 @@ def test_farkas_kills_product_for_mixed_pair():
 
 
 def _reference_monomial_system(tup, s):
-    """The monomial system built in one pass from the tuple and the
-    structure, as before the structure rows were kept per process, each
-    row kept at its first copy: the reference for ``_monomial_system``."""
-    universe = {}
-    expansions = []
+    """The degree-0 system built by direct expansion: each corner value is
+    the product of its blocks' sums, each block sum the polynomial
+    sum(l_i) + sum(d_i over the block's set bits), multiplied out as dicts
+    from monomial to coefficient.  Columns in order of first appearance over
+    the corners, then one separation row V(b) - V(a) per (j, a, b) kept at
+    its first copy, then one unit row per column: the reference for
+    ``_monomial_system``."""
+    values = []
     for v in range(1 << tup.n):
-        monos = corner_monomials(s, v)
-        for m in monos:
-            universe.setdefault(m, len(universe))
-        expansions.append(monos)
-    width = len(universe)
-    rows = []
+        total = {}
+        for blocks in s.groups:
+            product = {frozenset(): 1}
+            for b in blocks:
+                block = {frozenset({(i, 0)}): 1 for i in sorted(b)}
+                block.update({frozenset({(i, 1)}): 1 for i in sorted(b) if v >> (i - 1) & 1})
+                product = {
+                    m | x: c * y for m, c in product.items() for x, y in block.items()
+                }
+            for m, c in product.items():
+                total[m] = total.get(m, 0) + c
+        values.append(total)
+    columns = {}
+    for total in values:
+        for m in total:
+            columns.setdefault(m, len(columns))
+    width = len(columns)
 
-    def corner_diff(w_corner, v_corner):
+    def vector(v):
         coeffs = [0] * width
-        for m in expansions[w_corner]:
-            coeffs[universe[m]] += 1
-        for m in expansions[v_corner]:
-            coeffs[universe[m]] -= 1
+        for m, c in values[v].items():
+            coeffs[columns[m]] = c
         return coeffs
 
-    for f in tup:
-        for v in maximal_false_corners(f):
-            for w in minimal_true_corners(f):
-                rows.append(tuple(corner_diff(w, v)))
-    for m, pos in universe.items():
-        coeffs = [0] * width
-        coeffs[pos] = 1
-        rows.append(tuple(coeffs))
-    shapes = {frozenset(i for i, _ in m) for m in universe}
-    fact_rows = set()
-    for shape in shapes:
-        shape = tuple(sorted(shape))
-        for r in range(1, len(shape) + 1):
-            for diff_vars in itertools.combinations(shape, r):
-                others = [i for i in shape if i not in diff_vars]
-                for bits in itertools.product((0, 1), repeat=len(others)):
-                    base = tuple(zip(others, bits))
-                    coeffs = [0] * width
-                    ok = True
-                    for choice in itertools.product((0, 1), repeat=r):
-                        mono = frozenset(base + tuple(zip(diff_vars, choice)))
-                        if mono not in universe:
-                            ok = False
-                            break
-                        coeffs[universe[mono]] += (-1) ** (r - sum(choice))
-                    if ok:
-                        fact_rows.add(tuple(coeffs))
-    rows.extend(sorted(fact_rows))
-    kept = []
-    for r in rows:
-        if r not in kept:
-            kept.append(r)
-    return width, kept
+    names, rows = [], []
+    for j, f in enumerate(tup):
+        for a in maximal_false_corners(f):
+            for b in minimal_true_corners(f):
+                row = tuple(x - y for x, y in zip(vector(b), vector(a)))
+                if row not in rows:
+                    names.append((j, a, b))
+                    rows.append(row)
+    rows += [tuple(int(k == c) for k in range(width)) for c in range(width)]
+    return width, names, rows
 
 
 def _assert_system_matches_reference(tup, s):
@@ -653,7 +646,7 @@ def _assert_system_matches_reference(tup, s):
     got = realizability._monomial_system(tup, s)
     assert got == expected, (tup, s.text())
     # rows equal as numbers could hide a Fraction; the rows stay int
-    assert _integer_rows(got[1])
+    assert _integer_rows(got[2])
 
 
 def test_monomial_system_matches_one_pass_reference():
@@ -681,9 +674,10 @@ def test_monomial_system_returns_fresh_lists():
     tup = pair_tuple(PAIR_NEEDS_MIXED)
     s = parse_structure("(z1+z2)*z3")
     expected = _reference_monomial_system(tup, s)
-    width, rows = realizability._monomial_system(tup, s)
+    width, names, rows = realizability._monomial_system(tup, s)
     rows.append((1,) * width)
     del rows[0]
+    names.append((0, 0, 0))
     assert realizability._monomial_system(tup, s) == expected
     # another tuple on the same structure gets its own separation rows
     other = pair_tuple(PAIR_NEEDS_PRODUCT)
@@ -691,10 +685,66 @@ def test_monomial_system_returns_fresh_lists():
     assert realizability._monomial_system(tup, s) == expected
 
 
+# the (canonical n=3 pair orbit, structure) pairs that monomial_certificate
+# refutes, per distinct n=3 sum, pisigma and sigmapisigma structure
+DEGREE_0_REFUTED_N3 = {
+    "z1": 52, "z2": 55, "z1+z2": 43, "z3": 55, "z1+z3": 52, "z2+z3": 55, "z1+z2+z3": 4,
+    "(z1+z2)*z3": 3, "(z1+z3)*z2": 2, "z1*(z2+z3)": 0, "z1*z2*z3": 0,
+    "z1*z2+z3": 2, "z1*z3+z2": 3, "z1+z2*z3": 4,
+}
+
+
+def test_degree_0_decision_power_at_three_inputs():
+    pairs = map(OrderedTuple, enumerate_ordered_pairs(3))
+    canonical = list(dict.fromkeys(canonical_form(tup)[0] for tup in pairs))
+    structures = {
+        s.text(): s for c in (SIGMA, PISIGMA, SIGMAPISIGMA) for s in enumerate_structures(3, c)
+    }
+    assert len(canonical) == 58 and len(structures) == 14
+    refuted = dict.fromkeys(structures, 0)
+    for text, s in structures.items():
+        for tup in canonical:
+            cert = monomial_certificate(tup, s)
+            if cert is not None:
+                assert replay_certificate(tup, text, cert)
+                refuted[text] += 1
+    assert refuted == DEGREE_0_REFUTED_N3
+    assert sum(refuted.values()) == 330
+
+
+def test_relabeling_builds_no_monomial_system(monkeypatch):
+    calls = []
+    build = realizability._monomial_system
+
+    def counted(tup, s):
+        calls.append((tup, s))
+        return build(tup, s)
+
+    monkeypatch.setattr(realizability, "_monomial_system", counted)
+    # a sum certificate, an exhaustion with a Farkas entry, and a collapse
+    # with a Farkas inside, each relabeled from the canonical member
+    cases = [
+        (OrderedTuple(PAIR_NEEDS_PRODUCT), SIGMA),
+        (_hex_pair("mbf:3:a0", "mbf:3:ec"), PISIGMA),
+        (OrderedTuple(PAIR_UNREACHABLE_4), SIGMAPISIGMA),
+    ]
+    for tup, class_tag in cases:
+        canon, perm = canonical_form(tup)
+        assert canon != tup
+        decided = {}
+        canonical = check_class(canon, class_tag, decided=decided)
+        assert canonical.is_not_realizable
+        calls.clear()
+        cert = relabel_certificate(canon, None, canonical.certificate, inverse_permutation(perm))
+        verdict = check_class(tup, class_tag, decided=decided)
+        assert verdict.certificate == cert and replay_certificate(tup, None, cert)
+        assert calls == [], (tup, class_tag)
+
+
 def test_lp_systems_have_integer_rows():
     for tup in _four_input_sample()[:2]:
         for s in _product_structures(4):
-            assert _integer_rows(realizability._monomial_system(tup, s)[1])
+            assert _integer_rows(realizability._monomial_system(tup, s)[2])
 
 
 def test_farkas_none_when_witness_exists():
@@ -989,6 +1039,14 @@ def _set(key, value):
     return change
 
 
+def _set_row(k, value):
+    """The first Farkas row with its field k (0 for y, then j, a, b) set."""
+    def change(exhaustion, farkas):
+        farkas["rows"][0][k] = value
+        return farkas
+    return change
+
+
 def _collapse(**fields):
     def change(exhaustion, farkas):
         data = {"type": "collapse", "direction": 1, "side": FLOOR, "structure": "z1+z2",
@@ -1011,12 +1069,20 @@ def _drop(key):
     (_set_first_entry("direction", 1.0), "direction"),
     (_set_first_entry("direction", True), "direction"),
     (_set_first_entry("g_false_corner", None), "g_false_corner"),
-    (_set("multipliers", "1" * 13), "multipliers"),
-    (_set("multipliers", [True] + ["0"] * 12), "multipliers"),
-    (_set("multipliers", [False] * 13), "multipliers"),
-    (_set("multipliers", [1.0] + ["0"] * 12), "multipliers"),
-    (_set("multipliers", ["1/0"] + ["0"] * 12), "multipliers"),
-    (_set("multipliers", [["1"]] + ["0"] * 12), "multipliers"),
+    (_set("rows", "1" * 13), "rows"),
+    (_set_row(0, True), "rows"),
+    (_set_row(0, False), "rows"),
+    (_set_row(0, 1.0), "rows"),
+    (_set_row(0, "1/0"), "rows"),
+    (_set("rows", [["1", 0, 3]]), "rows"),
+    (_set("rows", [["1", 0, 3, 6, 0]]), "rows"),
+    (_set("rows", ["1"]), "rows"),
+    (_set_row(1, True), "rows"),
+    (_set_row(1, 0.0), "rows"),
+    (_set_row(2, False), "rows"),
+    (_set_row(2, 3.0), "rows"),
+    (_set_row(3, True), "rows"),
+    (_set_row(3, 6.0), "rows"),
     (_set("type", 1), "type"),
     (_set("type", None), "type"),
     (_collapse(side=0), "side"),
@@ -1029,8 +1095,8 @@ def _drop(key):
     (lambda exhaustion, farkas: {**exhaustion, "entries": ["abc"]}, "entry"),
     (lambda exhaustion, farkas: {**exhaustion, "entries": [{"structure": 1, "certificate": farkas}]},
      "structure"),
-    (lambda exhaustion, farkas: {"multipliers": farkas["multipliers"]}, "type"),
-    (lambda exhaustion, farkas: {"type": "farkas"}, "multipliers"),
+    (lambda exhaustion, farkas: {"rows": farkas["rows"]}, "type"),
+    (lambda exhaustion, farkas: {"type": "farkas"}, "rows"),
     (lambda exhaustion, farkas: {"type": "exhaustion"}, "entries"),
     (_drop("certificate"), "certificate"),
     (_drop("structure"), "structure"),
@@ -1057,17 +1123,29 @@ def test_every_n3_certificate_round_trips_through_json():
         assert certificate_to_data(certificate_from_data(data)) == data
 
 
-def _farkas_mutations(cert):
-    """Copies of a Farkas certificate, each with its multipliers changed in
-    one place: one dropped, one appended, all zeroed, a non-zero one negated,
-    or 1 added to one."""
-    weights = cert.multipliers
-    changed = [weights[:i] + weights[i + 1:] for i in range(len(weights))]
-    changed.append(weights + (Fraction(1),))
-    changed.append((Fraction(0),) * len(weights))
-    changed += [weights[:i] + (-w,) + weights[i + 1:] for i, w in enumerate(weights) if w]
-    changed += [weights[:i] + (w + 1,) + weights[i + 1:] for i, w in enumerate(weights)]
-    return [FarkasCertificate(m) for m in changed]
+def _farkas_mutations(tup, cert):
+    """Copies of a Farkas certificate of ``tup``, each with its rows changed
+    in one place: a row's b moved onto a false corner of f_j or its a onto a
+    true one; its j set to another member that differs at a or b, or out of
+    range; its y doubled, set to 0 or negated; a row dropped; no rows; every
+    y set to 0 or negated."""
+    size = 1 << tup.n
+    rows = cert.rows
+    changed = [(), tuple((Fraction(0), *name) for _, *name in rows)]
+    changed.append(tuple((-y, *name) for y, *name in rows))
+    for k, (y, j, a, b) in enumerate(rows):
+        truth = tup[j].truth
+        others = [(y, j, a, c) for c in range(size) if not truth >> c & 1]
+        others += [(y, j, c, b) for c in range(size) if truth >> c & 1]
+        others += [
+            (y, i, a, b) for i in range(len(tup))
+            if (tup[i].truth >> a & 1, tup[i].truth >> b & 1) != (0, 1)
+        ]
+        others += [(y, len(tup), a, b), (y, -1, a, b)]
+        others += [(2 * y, j, a, b), (Fraction(0), j, a, b), (-y, j, a, b)]
+        changed += [rows[:k] + (row,) + rows[k + 1:] for row in others]
+        changed.append(rows[:k] + rows[k + 1:])
+    return [FarkasCertificate(r) for r in changed]
 
 
 def test_monomial_and_collapse_certificates_reject_every_mutation():
@@ -1078,8 +1156,26 @@ def test_monomial_and_collapse_certificates_reject_every_mutation():
         if isinstance(c, FarkasCertificate)
     )
     assert replay_certificate(mixed, text, monomial)
-    for bad in _farkas_mutations(monomial):
+    for bad in _farkas_mutations(mixed, monomial):
         assert not replay_certificate(mixed, text, bad), bad
+    # e0/ee's sum certificate is (d3 - d1) + (d1 - d3): with every y set to
+    # 0 or negated it still adds up to 0, so only the y > 0 check rejects it
+    product = pair_tuple(PAIR_NEEDS_PRODUCT)
+    for bad in _farkas_mutations(product, check_sigma(product).certificate):
+        assert not replay_certificate(product, None, bad), bad
+    # the sum certificate of the same pair adds up to -d2*d3 under this
+    # structure, so it refutes it too, but it leaves a positive coefficient
+    # under the structures these rows cannot refute
+    sum_certificate = check_sigma(mixed).certificate
+    assert replay_certificate(mixed, None, sum_certificate)
+    assert replay_certificate(mixed, text, sum_certificate)
+    for other_text in ("(z1+z3)*z2", "z1*(z2+z3)", "z1*z2*z3", "z1*z2+z3"):
+        assert not replay_certificate(mixed, other_text, sum_certificate)
+        assert not replay_certificate(mixed, other_text, monomial)
+    # against another tuple (80/f8) its rows name corners of other values
+    other = _hex_pair("mbf:3:80", "mbf:3:f8")
+    assert not replay_certificate(other, text, monomial)
+    assert not replay_certificate(other, None, sum_certificate)
     # collapse pruning runs at four inputs only: the collapse certificate
     # comes from the n=4 pair whose floor in direction 4 is PAIR_NEEDS_MIXED
     unreachable = pair_tuple(PAIR_UNREACHABLE_4)
@@ -1094,7 +1190,9 @@ def test_monomial_and_collapse_certificates_reject_every_mutation():
         replace(collapse, structure_text=t)
         for t in ("(z1+z3)*z2", "z1*z2*z3", "z1+z2+z3", "(z1+z2)*(z3+z4)")
     ]
-    changed += [replace(collapse, inner=bad) for bad in _farkas_mutations(collapse.inner)]
+    inner_tup = collapse_tuple(unreachable, collapse.direction, collapse.side)
+    inner_mutations = _farkas_mutations(inner_tup, collapse.inner)
+    changed += [replace(collapse, inner=bad) for bad in inner_mutations]
     for bad in changed:
         assert not replay_certificate(unreachable, parent, bad), bad
 
@@ -1471,14 +1569,10 @@ def test_orbit_cache_at_four_inputs():
     assert verdict.is_realizable and verdict.witness.structure.text() == "(z1+z4)*(z2+z3)"
 
 
-def _move_a_multiplier(cert, canonical):
-    """One non-zero multiplier moved onto the next row."""
-    m = list(cert.multipliers)
-    i = next(i for i, x in enumerate(m) if x)
-    j = (i + 1) % len(m)
-    m[j] += m[i]
-    m[i] = 0
-    return replace(cert, multipliers=tuple(m))
+def _unrelabel_a_row(cert, canonical):
+    """The first row with the canonical certificate's corners, as if they had
+    not been relabeled."""
+    return replace(cert, rows=canonical[None].rows[:1] + cert.rows[1:])
 
 
 def _unrelabel_an_entry(text, kind, field):
@@ -1498,7 +1592,7 @@ def _unrelabel_an_entry(text, kind, field):
 @pytest.mark.parametrize(
     "pair, class_tag, canonical_pair, break_",
     [
-        (PAIR_NEEDS_PRODUCT, SIGMA, "a8 fc", _move_a_multiplier),
+        (PAIR_NEEDS_PRODUCT, SIGMA, "a8 fc", _unrelabel_a_row),
         (
             (MbfFunction(3, 0xA0), MbfFunction(3, 0xEC)),
             PISIGMA,
@@ -1523,11 +1617,13 @@ def test_broken_relabeled_certificates_do_not_replay(pair, class_tag, canonical_
     cert = check_class(tup, class_tag).certificate
     assert cert == relabel_certificate(canon, None, canonical, back)
     assert replay_certificate(tup, None, cert)
-    # each canonical entry, keyed by the text of its structure on this member
+    # each canonical entry, keyed by the text of its structure on this
+    # member, and the whole canonical certificate under None
     entries = getattr(canonical, "entries", ())
     by_member_text = {
         relabel_structure(parse_structure(text, tup.n), back).text(): sub for text, sub in entries
     }
+    by_member_text[None] = canonical
     broken = break_(cert, by_member_text)
     assert broken != cert
     assert not replay_certificate(tup, None, broken)
