@@ -61,9 +61,10 @@ from .realizability import (
 CENSUS_CLASSES = list(CLASS_TAGS) + [KCLASS]
 CSV_HEADER = "pair_index,f_hex,g_hex,class,verdict,witness_path,certificate_path"
 # the certificate file format, kept in config.json: a Farkas certificate holds
-# named separation rows (y, j, a, b); a config.json with another tag or none
-# belongs to files in an older form, so that directory is another configuration
-CERTIFICATE_FORMAT = "farkas-rows"
+# named separation rows (y, m, j, a, b), m an (l, d) monomial; a config.json
+# with another tag or none belongs to files in an older form, so that
+# directory is another configuration
+CERTIFICATE_FORMAT = "monomial-rows"
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ works (sum the functions); the algebraic classes are decided or searched:
   on the monomial system of the full sum z1+...+zn, which for a sum is the
   exact separation LP, with a Farkas certificate on the infeasible side;
 * products of sums and sums of products of sums: three-valued verdicts from
-  (i) facet-comparability certificates for directions appearing as a bare
+  (i) the facet-comparability test for directions appearing as a bare
   factor or standalone summand, (ii) degree-0 Farkas certificates, and
   (iii) a rational grid search for witnesses.  Unknown is an honest output;
   no completeness is claimed.  Each product class starts from the next
@@ -21,19 +21,21 @@ Witnesses are checked in exact integers: corner values come from
 with a threshold p/q as ``value * q`` against ``p * scale``.  Thresholds stay
 ``Fraction``s, derived from the integer gaps.
 
-Farkas certificates share one kernel.  Each high is written u_i = l_i + d_i
-with d_i > 0, so in (l, d) coordinates every corner value V(v) is a
-polynomial with non-negative coefficients and every (l, d) monomial is
-positive at a realizing point.  If f_j(a) = 0 and f_j(b) = 1, V(b) - V(a)
-is positive there too, so positive multiples of such separation rows whose
-sum has no positive coefficient refute the structure.  A certificate names
-those rows as (y, j, a, b); replay and relabeling read only the names.
+Refutations share one kernel.  Each high is written u_i = l_i + d_i with
+d_i > 0, so in (l, d) coordinates every corner value V(v) is a polynomial
+with non-negative coefficients and every (l, d) monomial m is positive at a
+realizing point.  If f_j(a) = 0 and f_j(b) = 1, m * (V(b) - V(a)) is
+positive there too, so positive multiples of such separation rows whose sum
+has no positive coefficient refute the structure.  A certificate names those
+rows as (y, m, j, a, b); replay and relabeling read only the names.  The
+Farkas tests use m = 1, the facet-comparability test m = 1, l_ell or d_ell.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -114,27 +116,16 @@ class KWitness:
 
 
 @dataclass(frozen=True)
-class DirectionCertificate:
-    """Four corners proving the facet collapses are incomparable in one
-    direction, which no expression with that variable as a bare factor or
-    standalone summand can realize."""
-
-    direction: int
-    f_true_corner: int
-    g_false_corner: int
-    g_true_corner: int
-    f_false_corner: int
-
-
-@dataclass(frozen=True)
 class FarkasCertificate:
-    """A degree-0 refutation (see the module docstring): named separation
-    rows ``(y, j, a, b)``, each y > 0 times V(b) - V(a) for a false corner a
-    and a true corner b of tuple member j, whose sum has no positive (l, d)
-    coefficient.  ``replay_certificate`` checks the sum against the claim's
+    """A refutation (see the module docstring): named separation rows
+    ``(y, m, j, a, b)``, each y > 0 times the (l, d) monomial m times
+    V(b) - V(a) for a false corner a and a true corner b of tuple member j,
+    whose sum has no positive coefficient.  m is sorted ``(i, kind)``
+    symbols, kind 0 for l_i and 1 for d_i (a power repeats its symbol), and
+    ``()`` for 1.  ``replay_certificate`` checks the sum against the claim's
     structure."""
 
-    rows: "tuple[tuple[Fraction, int, int, int], ...]"
+    rows: "tuple[tuple[Fraction, tuple, int, int, int], ...]"
 
 
 @dataclass(frozen=True)
@@ -302,10 +293,12 @@ def _gap_witness(tup: OrderedTuple, s: InteractionStructure, phi: PhiAssignment)
 # ---------------------------------------------------------------- direction test
 
 def direction_certificate(f: MbfFunction, g: MbfFunction, ell: int):
-    """Incomparability of the f-ceiling and g-floor collapses in direction ell.
+    """Incomparability of the f-ceiling and g-floor collapses in direction
+    ell, as two floor corners (p, q) with g(p) = 0 < g(q) and
+    f(p + e_ell) = 1 > f(q + e_ell); None when the collapses are comparable.
 
     Such incomparability rules out every realizing expression in which z_ell
-    is a bare factor or a standalone summand.
+    is a bare factor or a standalone summand (``necessary_condition``).
     """
     a = restrict_and_collapse(f, ell, CEILING).truth
     b = restrict_and_collapse(g, ell, FLOOR).truth
@@ -315,54 +308,33 @@ def direction_certificate(f: MbfFunction, g: MbfFunction, ell: int):
         return None
     wa = (extra_a & -extra_a).bit_length() - 1
     wb = (extra_b & -extra_b).bit_length() - 1
-    return DirectionCertificate(
-        direction=ell,
-        f_true_corner=corner_insert_bit(wa, ell, 1),
-        g_false_corner=corner_insert_bit(wa, ell, 0),
-        g_true_corner=corner_insert_bit(wb, ell, 0),
-        f_false_corner=corner_insert_bit(wb, ell, 1),
-    )
+    return corner_insert_bit(wa, ell, 0), corner_insert_bit(wb, ell, 0)
 
 
 def necessary_condition(f: MbfFunction, g: MbfFunction, s: InteractionStructure):
-    """First direction certificate among directions z_ell that the structure
-    exposes as a factor or standalone summand; None when all are comparable."""
+    """Kernel rows over the pair (j = 0 for f, 1 for g) for the first
+    direction z_ell that the structure exposes as a standalone summand or a
+    bare factor and whose collapses are incomparable; None when there is
+    none.  With e = e_ell and the floor corners (p, q), f's row
+    V(p+e) - V(q+e) plus g's row V(q) - V(p) is 0 for a summand, and l_ell
+    times f's row plus (l_ell + d_ell) times g's row is 0 for a factor.
+    """
     if not implies(f, g):
         raise ValueError("f must imply g")
     for ell in range(1, f.n + 1):
-        if has_factor(s, ell) or has_simple_term(s, ell):
-            cert = direction_certificate(f, g, ell)
-            if cert is not None:
-                return cert
+        factor = has_factor(s, ell)
+        if factor or has_simple_term(s, ell):
+            corners = direction_certificate(f, g, ell)
+            if corners is not None:
+                p, q = corners
+                e = 1 << (ell - 1)
+                if factor:
+                    l, d = ((ell, 0),), ((ell, 1),)
+                    rows = ((1, l, 0, q | e, p | e), (1, l, 1, p, q), (1, d, 1, p, q))
+                else:
+                    rows = ((1, (), 0, q | e, p | e), (1, (), 1, p, q))
+                return FarkasCertificate(rows)
     return None
-
-
-def verify_direction_certificate(
-    f: MbfFunction,
-    g: MbfFunction,
-    s: "InteractionStructure | None",
-    cert: DirectionCertificate,
-) -> bool:
-    """Check the four corners; with a structure, also that it exposes the
-    direction as a bare factor or standalone summand.  A direction outside
-    1..n or a corner outside the cube fails."""
-    ell = cert.direction
-    corners = (cert.f_true_corner, cert.g_false_corner, cert.g_true_corner, cert.f_false_corner)
-    if not 1 <= ell <= f.n or not all(c in range(1 << f.n) for c in corners):
-        return False
-    if s is not None and not (has_factor(s, ell) or has_simple_term(s, ell)):
-        return False
-    bit = 1 << (ell - 1)
-    return (
-        cert.f_true_corner == cert.g_false_corner | bit
-        and not cert.g_false_corner & bit
-        and cert.f_false_corner == cert.g_true_corner | bit
-        and not cert.g_true_corner & bit
-        and f.truth >> cert.f_true_corner & 1 == 1
-        and g.truth >> cert.g_false_corner & 1 == 0
-        and g.truth >> cert.g_true_corner & 1 == 1
-        and f.truth >> cert.f_false_corner & 1 == 0
-    )
 
 
 # ---------------------------------------------------------------- Farkas test
@@ -424,7 +396,7 @@ def _separation_lp(tup: OrderedTuple, s: InteractionStructure):
     out = linear.solve(width, rows)
     if isinstance(out, linear.Feasible):
         return out.point
-    return FarkasCertificate(tuple((y, *name) for y, name in zip(out.multipliers, names) if y))
+    return FarkasCertificate(tuple((y, (), *name) for y, name in zip(out.multipliers, names) if y))
 
 
 def monomial_certificate(tup: OrderedTuple, s: InteractionStructure):
@@ -561,11 +533,12 @@ def search_witness(tup: OrderedTuple, s: InteractionStructure):
 # ---------------------------------------------------------------- class check
 
 def _direction_blocked(tup: OrderedTuple, s: InteractionStructure):
-    """First direction certificate over the tuple's pairs, or None."""
-    for f, g in itertools.combinations(tup, 2):
-        cert = necessary_condition(f, g, s)
+    """``necessary_condition`` of the tuple's first pair that has one, its
+    rows' j mapped onto the tuple, or None."""
+    for pair in itertools.combinations(range(len(tup)), 2):
+        cert = necessary_condition(tup[pair[0]], tup[pair[1]], s)
         if cert is not None:
-            return cert
+            return FarkasCertificate(tuple((y, m, pair[j], a, b) for y, m, j, a, b in cert.rows))
     return None
 
 
@@ -584,7 +557,7 @@ def _collapsed_blocked(collapsed: OrderedTuple, shape: InteractionStructure):
 def _structure_blocked(tup: OrderedTuple, s: InteractionStructure):
     """First impossibility certificate for this structure, or None.
 
-    Direction certificates on the tuple's pairs come first.  At four inputs,
+    The direction test on the tuple's pairs comes first.  At four inputs,
     each direction's collapse shape is then tested on the floor and the
     ceiling facet, in that order, through ``_collapsed_blocked``.  The
     structure's own monomial Farkas test comes last.
@@ -685,10 +658,10 @@ def _decide(tup: OrderedTuple, class_tag: str, decided: dict) -> Verdict:
     sum of products of sums), read from ``decided`` or decided and added
     there.  A realizable one gives its witness, with the structure rebuilt
     for this class.  Otherwise only the structures the smaller class lacks
-    are tried, in this class's order: direction certificates, then (at four
+    are tried, in this class's order: the direction test, then (at four
     inputs) facet-collapse pruning, then the monomial Farkas test, then
-    ``search_witness``.  The full-sum structure is not searched: a direction
-    certificate or the sum certificate rules it out.  A ``not_realizable``
+    ``search_witness``.  The full-sum structure is not searched: its
+    direction rows or the sum certificate rule it out.  A ``not_realizable``
     smaller class lends its per-structure certificates to the exhaustion
     certificate; an ``unknown`` one lends its open structures and leaves
     this class realizable or ``unknown``.
@@ -760,9 +733,9 @@ def relabel_certificate(
     replays against the relabeled claim whenever ``cert`` replays against
     its own.  One certificate kind per branch, as in ``_replays``:
 
-    * direction: the direction and the four corners (``corner_images``);
-    * Farkas: each row's two corners (``corner_images``); the multipliers
-      and function indices stay, and no system is built;
+    * Farkas: each row's two corners (``corner_images``) and the variables
+      of its monomial; the multipliers and function indices stay, and no
+      system is built;
     * collapse: the direction and the shape, and the inner certificate
       under the relabeling the collapse leaves on the other n - 1 variables;
     * exhaustion: every entry, put back in the class's enumeration order.
@@ -776,16 +749,10 @@ def _relabeled(n: int, s, cert, perm):
     ``s`` (None for the full sum)."""
     if isinstance(cert, FarkasCertificate):
         image = corner_images(perm)
-        return FarkasCertificate(tuple((y, j, image[a], image[b]) for y, j, a, b in cert.rows))
-    if isinstance(cert, DirectionCertificate):
-        image = corner_images(perm)
-        return DirectionCertificate(
-            perm[cert.direction - 1],
-            image[cert.f_true_corner],
-            image[cert.g_false_corner],
-            image[cert.g_true_corner],
-            image[cert.f_false_corner],
-        )
+        return FarkasCertificate(tuple(
+            (y, tuple(sorted((perm[i - 1], kind) for i, kind in m)), j, image[a], image[b])
+            for y, m, j, a, b in cert.rows
+        ))
     if isinstance(cert, CollapseCertificate):
         ell = cert.direction
         moved = perm[ell - 1]
@@ -1001,18 +968,15 @@ def induced_function(w: Witness) -> MbfFunction:
 
 def certificate_to_data(cert) -> dict:
     """JSON-ready dict, rationals as strings.  A Farkas certificate is its
-    named rows, each ``[y, j, a, b]`` with y a rational's string."""
-    if isinstance(cert, DirectionCertificate):
-        return {
-            "type": "direction",
-            "direction": cert.direction,
-            "f_true_corner": cert.f_true_corner,
-            "g_false_corner": cert.g_false_corner,
-            "g_true_corner": cert.g_true_corner,
-            "f_false_corner": cert.f_false_corner,
-        }
+    named rows, each ``[y, j, a, b]`` with y a rational's string, and
+    ``[y, j, a, b, m]`` when its monomial is not 1, m the symbols ``l{i}``
+    and ``d{i}`` joined by ``*``."""
     if isinstance(cert, FarkasCertificate):
-        return {"type": "farkas", "rows": [[str(y), j, a, b] for y, j, a, b in cert.rows]}
+        rows = [
+            [str(y), j, a, b] + (["*".join(f"{'ld'[kind]}{i}" for i, kind in m)] if m else [])
+            for y, m, j, a, b in cert.rows
+        ]
+        return {"type": "farkas", "rows": rows}
     if isinstance(cert, CollapseCertificate):
         return {
             "type": "collapse",
@@ -1036,24 +1000,17 @@ def certificate_from_data(data: dict):
     """The certificate ``certificate_to_data`` wrote as ``data``.
 
     Data that does not have that shape raises ``ValueError`` naming the
-    field: a missing key, a direction or corner that is not an integer (a
-    bool or a float included), a type, side or structure that is not a
-    string, rows or entries that are not a list, a row that is not a list of
-    four, a multiplier that is not an integer or a rational's string, a
-    function index or corner in a row that is not an integer, or an entry or
-    inner certificate that is not an object.
+    field: a missing key, a direction that is not an integer (a bool or a
+    float included), a type, side or structure that is not a string, rows
+    or entries that are not a list, a row that is not a list of four or
+    five, a multiplier that is not an integer or a rational's string, a
+    function index or corner in a row that is not an integer, a monomial
+    that is not ``l{i}``/``d{i}`` symbols (i >= 1) joined by ``*``, or an
+    entry or inner certificate that is not an object.
     """
     if not isinstance(data, dict):
         raise ValueError(f"certificate {data!r} is not an object")
     kind = _field(data, "type", str)
-    if kind == "direction":
-        return DirectionCertificate(
-            *(
-                _field(data, key, int)
-                for key in ("direction", "f_true_corner", "g_false_corner",
-                            "g_true_corner", "f_false_corner")
-            )
-        )
     if kind == "farkas":
         return FarkasCertificate(tuple(_row(r) for r in _field(data, "rows", list)))
     if kind == "collapse":
@@ -1086,14 +1043,24 @@ def _field(data: dict, key: str, kind: type):
     return value
 
 
-def _row(value) -> "tuple[Fraction, int, int, int]":
-    """A named Farkas row as written: ``[y, j, a, b]``, y an ``int`` or a
-    rational's string and j, a, b integers (no bool)."""
-    if isinstance(value, list) and len(value) == 4:
-        y, *names = value
-        if all(type(x) is int for x in names) and (isinstance(y, str) or type(y) is int):
+_MONOMIAL = re.compile(r"[ld][1-9][0-9]*(\*[ld][1-9][0-9]*)*")
+
+
+def _row(value) -> "tuple[Fraction, tuple, int, int, int]":
+    """A named Farkas row as written: ``[y, j, a, b]`` or ``[y, j, a, b, m]``,
+    y an ``int`` or a rational's string, j, a, b integers (no bool) and m
+    the monomial's symbols ``l{i}``/``d{i}`` (i >= 1) joined by ``*``."""
+    if isinstance(value, list) and len(value) in (4, 5):
+        y, j, a, b, *text = value
+        if (
+            all(type(x) is int for x in (j, a, b))
+            and (isinstance(y, str) or type(y) is int)
+            and all(isinstance(word, str) and _MONOMIAL.fullmatch(word) for word in text)
+        ):
+            symbols = [s for word in text for s in word.split("*")]
+            m = tuple(sorted((int(s[1:]), "ld".index(s[0])) for s in symbols))
             try:
-                return (Fraction(y), *names)
+                return (Fraction(y), m, j, a, b)
             except (ValueError, ZeroDivisionError):
                 pass
     raise ValueError(f"certificate field 'rows' has a bad row {value!r}")
@@ -1104,13 +1071,16 @@ def replay_certificate(tup: OrderedTuple, structure_text: "str | None", cert) ->
 
     Nothing stored is trusted that can be rebuilt from the tuple and the
     structure.  A Farkas certificate needs at least one row, and in every
-    row ``(y, j, a, b)`` y > 0, f_j(a) = 0 and f_j(b) = 1; the sum of
-    y * (V(b) - V(a)) over the (l, d) corner vectors of the structure, or of
-    the full sum z1+...+zn when there is no structure (the sum decision's
-    claim), must have no positive coefficient.  No system is built.  An
-    exhaustion must name every ``pisigma`` or ``sigmapisigma`` structure in
-    enumeration order.  A collapse must name the shape its direction leaves
-    of the parent structure, and its inner certificate replays against the
+    row ``(y, m, j, a, b)`` y > 0, f_j(a) = 0, f_j(b) = 1 and m's variables
+    are among z1..zn; the sum of y * m * (V(b) - V(a)) over the (l, d)
+    corner vectors of the structure, or of the full sum z1+...+zn when there
+    is no structure (the sum decision's claim), must have no positive
+    coefficient.  No system is built, and whether the structure exposes a
+    direction is this arithmetic too.  An exhaustion is a claim about a
+    whole class, so it replays only against a claim with no structure, and
+    must name every ``pisigma`` or ``sigmapisigma`` structure in enumeration
+    order.  A collapse must name the shape its direction leaves of the
+    parent structure, and its inner certificate replays against the
     collapsed tuple and that shape.  Structure text that does not parse
     names no claim, so nothing replays against it.
     """
@@ -1127,9 +1097,6 @@ def _replays(tup: OrderedTuple, s: "InteractionStructure | None", cert) -> bool:
     n = tup.n
     if isinstance(cert, FarkasCertificate):
         return _refutes(tup, sum_structure(range(1, n + 1), n) if s is None else s, cert.rows)
-    if isinstance(cert, DirectionCertificate):
-        pairs = itertools.combinations(tup, 2)
-        return any(verify_direction_certificate(f, g, s, cert) for f, g in pairs)
     if isinstance(cert, CollapseCertificate):
         if s is None or cert.side not in (FLOOR, CEILING):
             return False
@@ -1141,7 +1108,7 @@ def _replays(tup: OrderedTuple, s: "InteractionStructure | None", cert) -> bool:
         return _replays(collapse_tuple(tup, cert.direction, cert.side), shape, cert.inner)
     if isinstance(cert, ExhaustionCertificate):
         named = _exhausted(n, cert.entries)
-        return named is not None and all(
+        return s is None and named is not None and all(
             _replays(tup, named[text], sub) for text, sub in cert.entries
         )
     return False
@@ -1149,22 +1116,32 @@ def _replays(tup: OrderedTuple, s: "InteractionStructure | None", cert) -> bool:
 
 def _refutes(tup: OrderedTuple, s: InteractionStructure, rows) -> bool:
     """The Farkas branch of ``_replays``: the named rows, each checked
-    against the tuple, add up in ``s``'s columns to no positive entry.  The
-    multipliers are scaled once by the LCM of their denominators, so the
-    corner vectors are combined in ``int``s."""
+    against the tuple, add up to no positive (l, d) coefficient.  Rows with
+    the same monomial m are summed in ``s``'s columns, then each column's
+    monomial is multiplied by m.  The multipliers are scaled once by the LCM
+    of their denominators, so the corner vectors are combined in ``int``s."""
     if not rows:
         return False
-    corners = _structure_system(s)[1]
-    total = [0] * len(corners[0])
+    universe, corners = _structure_system(s)
     scale = math.lcm(*(y.denominator for y, *_ in rows))
-    for y, j, a, b in rows:
+    by_monomial: "dict[tuple, list[int]]" = {}
+    for y, m, j, a, b in rows:
         if not (y > 0 and 0 <= j < len(tup) and 0 <= a < len(corners) and 0 <= b < len(corners)):
             return False
         if tup[j].truth >> a & 1 or not tup[j].truth >> b & 1:
             return False
         w = y.numerator * (scale // y.denominator)
-        total = [t + w * (x - z) for t, x, z in zip(total, corners[b], corners[a])]
-    return all(t <= 0 for t in total)
+        total = by_monomial.get(m) or [0] * len(universe)
+        by_monomial[m] = [t + w * (x - z) for t, x, z in zip(total, corners[b], corners[a])]
+    if not all(1 <= i <= tup.n and kind in (0, 1) for m in by_monomial for i, kind in m):
+        return False
+    product: "dict[tuple, int]" = {}
+    for m, total in by_monomial.items():
+        for column, t in zip(universe, total):
+            if t:
+                key = tuple(sorted((*m, *column)))
+                product[key] = product.get(key, 0) + t
+    return all(t <= 0 for t in product.values())
 
 
 @lru_cache(maxsize=None)

@@ -149,6 +149,35 @@ PAIR_NEEDS_MIXED_MONOMIAL_CERTIFICATE_JSON = (
     '{"type": "farkas", "rows": [["1", 0, 5, 3], ["1", 1, 2, 4]]}'
 )
 
+# Every (canonical n=3 pair, product-of-sums or sum-of-products structure)
+# that the facet-comparability test blocks, keyed by (f, g, structure) with
+# f and g as hex masks, as (direction, p, q): the floor corners of
+# ``direction_certificate``, g(p) = 0 < g(q) and f(p + e) = 1 > f(q + e).
+# Ten structures expose the direction as a bare factor, ten as a standalone
+# summand.
+DIRECTION_BLOCKED_N3 = {
+    ("88", "f8", "z1+z2+z3"): (1, 2, 4),
+    ("88", "f8", "(z1+z3)*z2"): (2, 1, 4),
+    ("88", "f8", "z1*(z2+z3)"): (1, 2, 4),
+    ("88", "f8", "z1*z2*z3"): (1, 2, 4),
+    ("88", "f8", "z1*z3+z2"): (2, 1, 4),
+    ("88", "f8", "z1+z2*z3"): (1, 2, 4),
+    ("88", "fa", "z1+z2+z3"): (1, 2, 4),
+    ("88", "fa", "z1*(z2+z3)"): (1, 2, 4),
+    ("88", "fa", "z1*z2*z3"): (1, 2, 4),
+    ("88", "fa", "z1+z2*z3"): (1, 2, 4),
+    ("a8", "ec", "z1+z2+z3"): (3, 1, 2),
+    ("a8", "ec", "(z1+z2)*z3"): (3, 1, 2),
+    ("a8", "ec", "z1*z2*z3"): (3, 1, 2),
+    ("a8", "ec", "z1*z2+z3"): (3, 1, 2),
+    ("a8", "fc", "z1+z2+z3"): (2, 1, 4),
+    ("a8", "fc", "(z1+z2)*z3"): (3, 1, 2),
+    ("a8", "fc", "(z1+z3)*z2"): (2, 1, 4),
+    ("a8", "fc", "z1*z2*z3"): (2, 1, 4),
+    ("a8", "fc", "z1*z2+z3"): (3, 1, 2),
+    ("a8", "fc", "z1*z3+z2"): (2, 1, 4),
+}
+
 # The pairs of the products-n4 benchmark workload, as (f, g) hex masks on
 # four inputs.
 PRODUCTS_N4_PAIRS = (

@@ -36,8 +36,6 @@ from mbfreal.ksystem import build_stg, phi_k
 from mbfreal.paramgraph import build_factor, build_parameter_graph
 from mbfreal.realizability import (
     CollapseCertificate,
-    DirectionCertificate,
-    FarkasCertificate,
     Witness,
     check_class,
     check_sigma,
@@ -46,6 +44,8 @@ from mbfreal.realizability import (
     direction_certificate,
     lift_eta,
     lower_eta,
+    monomial_certificate,
+    necessary_condition,
     realize_k,
     replay_certificate,
     verify_k_witness,
@@ -184,14 +184,14 @@ def test_criterion_05_mixed_only_pair():
         assert verdict.is_not_realizable
         entries = verdict.certificate.as_dict()
         assert len(entries) == 5
-        directions = {
-            text for text, c in entries.items() if isinstance(c, DirectionCertificate)
-        }
-        farkas = {
-            text for text, c in entries.items() if isinstance(c, FarkasCertificate)
-        }
-        assert len(directions) == 4
-        assert farkas == {"(z1+z2)*z3"}
+        # four structures expose a direction whose collapses are
+        # incomparable; the fifth falls to the monomial Farkas test
+        f, g = PAIR_NEEDS_MIXED
+        s = parse_structure("(z1+z2)*z3")
+        assert entries.pop(s.text()) == monomial_certificate(tup, s)
+        assert len(entries) == 4
+        for text, c in entries.items():
+            assert c == necessary_condition(f, g, parse_structure(text)), text
         assert replay_certificate(tup, None, verdict.certificate)
 
         verdict2 = check_class(tup, SIGMAPISIGMA)

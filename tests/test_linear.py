@@ -123,8 +123,9 @@ def test_refutes_checks_a_sum_certificate():
     width, names, rows = realizability._monomial_system(tup, sum_structure(range(1, 4), 3))
     out = solve(width, rows)
     assert refutes(rows, out.multipliers)
-    # the certificate names the separation rows with non-zero multipliers
-    assert cert.rows == tuple((y, *name) for y, name in zip(out.multipliers, names) if y)
+    # the certificate names the separation rows with non-zero multipliers,
+    # each with the monomial 1
+    assert cert.rows == tuple((y, (), *name) for y, name in zip(out.multipliers, names) if y)
     doubled = list(out.multipliers)
     k = next(i for i, m in enumerate(doubled) if m)
     doubled[k] *= 2

@@ -45,7 +45,6 @@ from mbfreal.interaction import (
 from mbfreal import realizability
 from mbfreal.realizability import (
     CollapseCertificate,
-    DirectionCertificate,
     ExhaustionCertificate,
     FarkasCertificate,
     KWitness,
@@ -70,7 +69,6 @@ from mbfreal.realizability import (
     replay_certificate,
     search_witness,
     separating_to_witness,
-    verify_direction_certificate,
     verify_k_witness,
     verify_witness,
     witness_from_text,
@@ -79,6 +77,7 @@ from mbfreal.realizability import (
 )
 
 from goldens import (
+    DIRECTION_BLOCKED_N3,
     FOUR_INPUT_SEARCH_WITNESSES,
     PAIR_NEEDS_MIXED,
     PAIR_NEEDS_MIXED_MONOMIAL_CERTIFICATE_JSON,
@@ -363,8 +362,8 @@ def test_product_pair_not_sum_realizable():
     # six distinct separation rows, then one unit row per column
     assert len(names) == len(set(rows[:6])) == 6 and len(rows) == 12
     assert rows[6:] == [tuple(int(k == c) for k in range(6)) for c in range(6)]
-    assert [row[1:] for row in cert.rows] == [(0, 3, 6), (1, 4, 1)]
-    assert all(row[1:] in names for row in cert.rows)
+    assert [row[1:] for row in cert.rows] == [((), 0, 3, 6), ((), 1, 4, 1)]
+    assert all(row[2:] in names for row in cert.rows)
     assert json.dumps(certificate_to_data(cert)) == PAIR_NEEDS_PRODUCT_SUM_CERTIFICATE_JSON
 
 
@@ -501,47 +500,79 @@ def test_first_nonseparable_row_rejected():
 # ---------------------------------------------------------------- directions
 
 def test_direction_certificate_on_sum():
+    # z1 is a standalone summand: with the floor corners p = 4, q = 2 and
+    # e = 1, f's row V(5) - V(3) and g's row V(2) - V(4) are d3 - d2 and
+    # d2 - d3, two degree-0 rows that add up to 0
     f, g = PAIR_NEEDS_PRODUCT
-    s = sum_structure({1, 2, 3}, 3)
-    cert = necessary_condition(f, g, s)
-    assert cert is not None and cert.direction == 1
-    assert verify_direction_certificate(f, g, s, cert)
+    assert direction_certificate(f, g, 1) == (4, 2)
+    cert = necessary_condition(f, g, sum_structure({1, 2, 3}, 3))
+    assert cert == FarkasCertificate(((1, (), 0, 3, 5), (1, (), 1, 4, 2)))
+    assert replay_certificate(pair_tuple(PAIR_NEEDS_PRODUCT), None, cert)
+    assert replay_certificate(pair_tuple(PAIR_NEEDS_PRODUCT), "z1+z2*z3", cert)
 
 
 def test_direction_certificate_factor_structure():
+    # z1 is a bare factor, V = z1 * R: l1 times f's row plus (l1 + d1)
+    # times g's row is 0
     f, g = PAIR_NEEDS_MIXED
-    s = parse_structure("z1*(z2+z3)")
-    cert = necessary_condition(f, g, s)
-    assert cert is not None and cert.direction == 1
-    assert verify_direction_certificate(f, g, s, cert)
+    tup = pair_tuple(PAIR_NEEDS_MIXED)
+    l1, d1 = ((1, 0),), ((1, 1),)
+    cert = necessary_condition(f, g, parse_structure("z1*(z2+z3)"))
+    assert cert == FarkasCertificate(((1, l1, 0, 5, 3), (1, l1, 1, 2, 4), (1, d1, 1, 2, 4)))
+    assert replay_certificate(tup, "z1*(z2+z3)", cert)
+    assert replay_certificate(tup, "z1*z2*z3", cert)
+    # where z1 is no bare factor the rows leave a positive coefficient
+    for text in ("(z1+z2)*z3", "z1*z2+z3", "z1+z2+z3"):
+        assert not replay_certificate(tup, text, cert), text
+    assert not replay_certificate(tup, None, cert)
+
+
+def _monomial_mutations(cert, n):
+    """Copies of a certificate with one row's monomial changed: 1 raised to
+    each l_i or d_i of z1..zn; a one-variable m dropped to 1, its variable
+    moved to another of z1..zn, or l and d swapped; and copies with a row
+    that has a d monomial dropped."""
+    rows = cert.rows
+    changed = []
+    for k, (y, m, j, a, b) in enumerate(rows):
+        if not m:
+            others = [((i, kind),) for i in range(1, n + 1) for kind in (0, 1)]
+        else:
+            others = [(), tuple((i, 1 - kind) for i, kind in m)]
+            others += [tuple((i, kind) for _, kind in m) for i in range(1, n + 1) if i != m[0][0]]
+        changed += [rows[:k] + ((y, other, j, a, b),) + rows[k + 1:] for other in others]
+        if any(kind for _, kind in m):
+            changed.append(rows[:k] + rows[k + 1:])
+    return [FarkasCertificate(r) for r in changed]
 
 
 def test_direction_certificate_rejects_every_changed_field():
-    f, g = PAIR_NEEDS_PRODUCT
-    tup = pair_tuple(PAIR_NEEDS_PRODUCT)
-    s = sum_structure({1, 2, 3}, 3)
-    cert = necessary_condition(f, g, s)
-    assert verify_direction_certificate(f, g, s, cert)
-    assert replay_certificate(tup, None, cert)
-    fields = ("f_true_corner", "g_false_corner", "g_true_corner", "f_false_corner")
-    changed = [
-        replace(cert, **{name: value})
-        for name in fields
-        for value in range(8)
-        if value != getattr(cert, name)
-    ]
-    changed += [replace(cert, direction=d) for d in (2, 3, 0, -1, 4)]
-    # corners outside the cube that keep the bit relations of direction 1
-    outside = DirectionCertificate(1, -3, -4, -4, -3)
-    changed.append(outside)
-    for bad in changed:
-        assert not verify_direction_certificate(f, g, s, bad), bad
-        assert not verify_direction_certificate(f, g, None, bad), bad
-        assert not replay_certificate(tup, None, bad), bad
-    wrapped = ExhaustionCertificate(
-        tuple((t.text(), outside) for t in enumerate_structures(3, PISIGMA))
-    )
-    assert not replay_certificate(tup, None, wrapped)
+    # the summand rows of e0/ee under the full sum and the factor rows of
+    # 88/f8 under z1*(z2+z3): every change of a row's corner, member,
+    # multiplier or monomial, or a dropped row, leaves a positive coefficient
+    product = pair_tuple(PAIR_NEEDS_PRODUCT)
+    summand = necessary_condition(*PAIR_NEEDS_PRODUCT, sum_structure({1, 2, 3}, 3))
+    mixed = pair_tuple(PAIR_NEEDS_MIXED)
+    factor = necessary_condition(*PAIR_NEEDS_MIXED, parse_structure("z1*(z2+z3)"))
+    for tup, text, cert in ((product, "z1+z2+z3", summand), (mixed, "z1*(z2+z3)", factor)):
+        assert replay_certificate(tup, text, cert)
+        changed = _farkas_mutations(tup, cert) + _monomial_mutations(cert, 3)
+        assert changed
+        for bad in changed:
+            assert not replay_certificate(tup, text, bad), bad
+    # the factor rows with m dropped to 1, z2 in place of z1, l and d
+    # swapped, or the d1 row dropped
+    l1, d1, l2 = ((1, 0),), ((1, 1),), ((2, 0),)
+    assert all(FarkasCertificate(rows) in _monomial_mutations(factor, 3) for rows in (
+        ((1, (), 0, 5, 3),) + factor.rows[1:],
+        ((1, l2, 0, 5, 3),) + factor.rows[1:],
+        ((1, d1, 0, 5, 3),) + factor.rows[1:],
+        ((1, l1, 0, 5, 3), (1, l1, 1, 2, 4)),
+    ))
+    # a monomial of a variable outside z1..z3 names no symbol of the claim
+    for outside in (((0, 0),), ((4, 1),)):
+        bad = FarkasCertificate(tuple((y, outside, j, a, b) for y, _, j, a, b in summand.rows))
+        assert not replay_certificate(product, None, bad)
 
 
 def test_no_direction_certificate_when_comparable():
@@ -974,10 +1005,45 @@ def test_mixed_pair_not_prodsum_realizable():
     assert verdict.is_not_realizable
     entries = verdict.certificate.as_dict()
     assert len(entries) == 5
-    direction_kills = [k for k, c in entries.items() if isinstance(c, DirectionCertificate)]
-    farkas_kills = [k for k, c in entries.items() if isinstance(c, FarkasCertificate)]
+    f, g = PAIR_NEEDS_MIXED
+    direction_kills = [
+        k for k, c in entries.items() if c == necessary_condition(f, g, parse_structure(k))
+    ]
     assert len(direction_kills) == 4
-    assert farkas_kills == ["(z1+z2)*z3"]
+    assert [k for k in entries if k not in direction_kills] == ["(z1+z2)*z3"]
+    assert isinstance(entries["(z1+z2)*z3"], FarkasCertificate)
+
+
+def test_n3_direction_blocked_structures():
+    # every (canonical n=3 pair, product structure) the facet-comparability
+    # test blocks, with its direction and floor corners p, q
+    structures = {
+        s.text(): s for c in (PISIGMA, SIGMAPISIGMA) for s in enumerate_structures(3, c)
+    }
+    found = {}
+    for pair in enumerate_ordered_pairs(3):
+        tup = OrderedTuple(pair)
+        if canonical_form(tup)[0] is not tup:
+            continue
+        for text, s in structures.items():
+            cert = realizability._direction_blocked(tup, s)
+            if cert is not None:
+                found[(*(f.to_hex().rsplit(":", 1)[1] for f in tup), text)] = tup, s, cert
+    assert found.keys() == DIRECTION_BLOCKED_N3.keys()
+    factors = 0
+    for key, (tup, s, cert) in found.items():
+        ell, p, q = DIRECTION_BLOCKED_N3[key]
+        e = 1 << (ell - 1)
+        if realizability.has_factor(s, ell):
+            factors += 1
+            l, d = ((ell, 0),), ((ell, 1),)
+            rows = ((1, l, 0, q | e, p | e), (1, l, 1, p, q), (1, d, 1, p, q))
+        else:
+            assert realizability.has_simple_term(s, ell)
+            rows = ((1, (), 0, q | e, p | e), (1, (), 1, p, q))
+        assert cert == FarkasCertificate(rows), key
+        assert replay_certificate(tup, key[2], cert), key
+    assert (len(found), factors) == (20, 10)
 
 
 def test_exhaustion_certificate_bound_to_every_structure():
@@ -1012,24 +1078,46 @@ def test_exhaustion_certificate_bound_to_every_structure():
     assert not replay_certificate(trivial, None, ExhaustionCertificate(()))
 
 
+def test_exhaustion_replays_only_against_a_claim_without_structure():
+    # two forged certificates for pairs that sums of products realize, each
+    # nesting the pisigma exhaustion of 88/f8 where a structure's
+    # certificate belongs: once as every entry of its sigmapisigma
+    # exhaustion, once as the inner certificate of a floor collapse in
+    # direction 4 of 8888/f8f8, whose floor is 88/f8
+    mixed = _hex_pair("mbf:3:88", "mbf:3:f8")
+    inner = check_class(mixed, PISIGMA).certificate
+    assert replay_certificate(mixed, None, inner)
+    wide = _hex_pair("mbf:4:8888", "mbf:4:f8f8")
+    assert collapse_tuple(wide, 4, FLOOR) == mixed
+    forged = {
+        mixed: ExhaustionCertificate(
+            tuple((s.text(), inner) for s in enumerate_structures(3, SIGMAPISIGMA))
+        ),
+        wide: ExhaustionCertificate(tuple(
+            (s.text(), CollapseCertificate(4, FLOOR, collapse_shape(s, 4).text(), inner))
+            for s in enumerate_structures(4, SIGMAPISIGMA)
+        )),
+    }
+    for tup, cert in forged.items():
+        assert check_class(tup, SIGMAPISIGMA).is_realizable
+        assert not replay_certificate(tup, None, cert)
+        restored = certificate_from_data(json.loads(json.dumps(certificate_to_data(cert))))
+        assert restored == cert and not replay_certificate(tup, None, restored)
+    # nor does an exhaustion replay against one structure of its class
+    assert not replay_certificate(mixed, "z1+z2+z3", inner)
+
+
 def _hex_pair(f_hex, g_hex):
     return OrderedTuple((MbfFunction.from_hex(f_hex), MbfFunction.from_hex(g_hex)))
 
 
 def _certificate_json():
-    """JSON data of the mixed pair 88/f8's pisigma exhaustion (a direction
-    certificate first, a Farkas one second) and of a8/fc's sigma Farkas
-    certificate."""
+    """JSON data of the mixed pair 88/f8's pisigma exhaustion (degree-0
+    direction rows first, a Farkas certificate second, then monomial
+    direction rows) and of a8/fc's sigma Farkas certificate."""
     exhaustion = check_class(_hex_pair("mbf:3:88", "mbf:3:f8"), PISIGMA).certificate
     farkas = check_class(_hex_pair("mbf:3:a8", "mbf:3:fc"), SIGMA).certificate
     return json.loads(json.dumps(certificate_to_data(exhaustion))), certificate_to_data(farkas)
-
-
-def _set_first_entry(key, value):
-    def change(exhaustion, farkas):
-        exhaustion["entries"][0]["certificate"][key] = value
-        return exhaustion
-    return change
 
 
 def _set(key, value):
@@ -1064,11 +1152,10 @@ def _drop(key):
 
 
 @pytest.mark.parametrize("change, field", [
-    (_set_first_entry("f_true_corner", 3.0), "f_true_corner"),
-    (_set_first_entry("direction", "1"), "direction"),
-    (_set_first_entry("direction", 1.0), "direction"),
-    (_set_first_entry("direction", True), "direction"),
-    (_set_first_entry("g_false_corner", None), "g_false_corner"),
+    (_collapse(direction="1"), "direction"),
+    (_collapse(direction=1.0), "direction"),
+    (_collapse(direction=True), "direction"),
+    (_collapse(direction=None), "direction"),
     (_set("rows", "1" * 13), "rows"),
     (_set_row(0, True), "rows"),
     (_set_row(0, False), "rows"),
@@ -1087,7 +1174,6 @@ def _drop(key):
     (_set("type", None), "type"),
     (_collapse(side=0), "side"),
     (_collapse(structure=["z1", "z2"]), "structure"),
-    (_collapse(direction=1.0), "direction"),
     (_collapse(inner="farkas"), "inner"),
     (_collapse(inner=[]), "inner"),
     (lambda exhaustion, farkas: {**exhaustion, "entries": "abc"}, "entries"),
@@ -1101,6 +1187,14 @@ def _drop(key):
     (_drop("certificate"), "certificate"),
     (_drop("structure"), "structure"),
     (lambda exhaustion, farkas: [farkas], "not an object"),
+    # a row carries a monomial only as a fifth element of l{i}/d{i} symbols
+    (_set("rows", [["1", 0, 3, 6, "l1", 0]]), "rows"),
+    (_set("rows", [["1", 0, 3, 6, "x2"]]), "rows"),
+    (_set("rows", [["1", 0, 3, 6, "l0"]]), "rows"),
+    (_set("rows", [["1", 0, 3, 6, "l2*"]]), "rows"),
+    (_set("rows", [["1", 0, 3, 6, "l2**d3"]]), "rows"),
+    (_set("rows", [["1", 0, 3, 6, ""]]), "rows"),
+    (_set("rows", [["1", 0, 3, 6, ["l1"]]]), "rows"),
 ])
 def test_certificate_from_data_rejects_malformed_data(change, field):
     exhaustion, farkas = _certificate_json()
@@ -1133,16 +1227,16 @@ def _farkas_mutations(tup, cert):
     rows = cert.rows
     changed = [(), tuple((Fraction(0), *name) for _, *name in rows)]
     changed.append(tuple((-y, *name) for y, *name in rows))
-    for k, (y, j, a, b) in enumerate(rows):
+    for k, (y, m, j, a, b) in enumerate(rows):
         truth = tup[j].truth
-        others = [(y, j, a, c) for c in range(size) if not truth >> c & 1]
-        others += [(y, j, c, b) for c in range(size) if truth >> c & 1]
+        others = [(y, m, j, a, c) for c in range(size) if not truth >> c & 1]
+        others += [(y, m, j, c, b) for c in range(size) if truth >> c & 1]
         others += [
-            (y, i, a, b) for i in range(len(tup))
+            (y, m, i, a, b) for i in range(len(tup))
             if (tup[i].truth >> a & 1, tup[i].truth >> b & 1) != (0, 1)
         ]
-        others += [(y, len(tup), a, b), (y, -1, a, b)]
-        others += [(2 * y, j, a, b), (Fraction(0), j, a, b), (-y, j, a, b)]
+        others += [(y, m, len(tup), a, b), (y, m, -1, a, b)]
+        others += [(2 * y, m, j, a, b), (Fraction(0), m, j, a, b), (-y, m, j, a, b)]
         changed += [rows[:k] + (row,) + rows[k + 1:] for row in others]
         changed.append(rows[:k] + rows[k + 1:])
     return [FarkasCertificate(r) for r in changed]
@@ -1207,8 +1301,6 @@ def test_replay_rejects_structure_text_that_does_not_parse():
     assert replay_certificate(tup, "z1+z2+z3", direction)
     for text in bad_texts:
         assert not replay_certificate(tup, text, farkas)
-    # an empty structure text means "no structure" to a direction certificate
-    for text in bad_texts[:-1]:
         assert not replay_certificate(tup, text, direction)
     unreachable = pair_tuple(PAIR_UNREACHABLE_4)
     parent, collapse = next(
@@ -1589,6 +1681,22 @@ def _unrelabel_an_entry(text, kind, field):
     return broken
 
 
+def _unrelabel_monomials(text):
+    """A breaker: the rows of the entry for structure ``text`` keep their
+    corners but take the monomials of the canonical member's entry for the
+    same structure, as if those had not been relabeled."""
+
+    def broken(cert, canonical):
+        entries = dict(cert.entries)
+        pairs = zip(entries[text].rows, canonical[text].rows)
+        entries[text] = FarkasCertificate(
+            tuple((y, m, j, a, b) for (y, _, j, a, b), (_, m, *_) in pairs)
+        )
+        return ExhaustionCertificate(tuple(entries.items()))
+
+    return broken
+
+
 @pytest.mark.parametrize(
     "pair, class_tag, canonical_pair, break_",
     [
@@ -1597,7 +1705,7 @@ def _unrelabel_an_entry(text, kind, field):
             (MbfFunction(3, 0xA0), MbfFunction(3, 0xEC)),
             PISIGMA,
             "88 f8",
-            _unrelabel_an_entry("(z1+z2)*z3", DirectionCertificate, "direction"),
+            _unrelabel_monomials("(z1+z2)*z3"),
         ),
         (
             PAIR_UNREACHABLE_4,
