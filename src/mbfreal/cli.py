@@ -61,10 +61,11 @@ from .realizability import (
 CENSUS_CLASSES = list(CLASS_TAGS) + [KCLASS]
 CSV_HEADER = "pair_index,f_hex,g_hex,class,verdict,witness_path,certificate_path"
 # the certificate file format, kept in config.json: a Farkas certificate holds
-# named separation rows (y, m, j, a, b), m an (l, d) monomial; a config.json
-# with another tag or none belongs to files in an older form, so that
-# directory is another configuration
-CERTIFICATE_FORMAT = "monomial-rows"
+# named separation rows (y, m, j, a, b), m an (l, d) monomial, and a facet's
+# refutation is such rows lifted onto the structure; a config.json with
+# another tag or none belongs to files in an older form, so that directory
+# is another configuration
+CERTIFICATE_FORMAT = "lifted-rows"
 
 
 @dataclass(frozen=True)

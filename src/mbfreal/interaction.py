@@ -527,29 +527,48 @@ def has_simple_term(s: InteractionStructure, ell: int) -> bool:
 
 # ---------------------------------------------------------------- collapse
 
-def _renumber(groups, ell: int) -> Groups:
-    def shift(i: int) -> int:
-        return i if i < ell else i - 1
+SUMMAND, FACTOR, SHARED = "summand", "factor", "shared"
 
-    return tuple(
-        tuple(frozenset(shift(i) for i in b) for b in blocks) for blocks in groups
-    )
+
+def _check_direction(n: int, ell: int) -> None:
+    if not 1 <= ell <= n:
+        raise ValueError(f"direction {ell} out of range 1..{n}")
+
+
+def collapse_role(s: InteractionStructure, ell: int):
+    """What takes z_ell's value c when z_ell is removed on a facet:
+    ``(SUMMAND, None)`` when z_ell is a summand of its own (c is added to
+    every corner value), ``(FACTOR, sibling)`` when it is a bare factor (the
+    other block with the smallest minimum is scaled by c), ``(SHARED,
+    survivor)`` when it shares its block (the smallest other variable there
+    is shifted by c), and ``(None, None)`` outside the support.  A direction
+    outside 1..n raises ``ValueError``."""
+    _check_direction(s.n, ell)
+    for blocks in s.groups:
+        home = next((b for b in blocks if ell in b), None)
+        if home is None:
+            continue
+        if home != {ell}:
+            return SHARED, min(home - {ell})
+        if len(blocks) == 1:
+            return SUMMAND, None
+        return FACTOR, min((b for b in blocks if b != home), key=min)
+    return None, None
 
 
 def collapse_shape(s: InteractionStructure, ell: int) -> InteractionStructure:
-    """The structure after removing z_ell; independent of the facet side."""
-    new_groups = []
-    for blocks in s.groups:
-        kept_blocks = []
-        for b in blocks:
-            nb = b - {ell}
-            if nb:
-                kept_blocks.append(nb)
-        if kept_blocks:
-            new_groups.append(tuple(kept_blocks))
-    if not new_groups:
+    """The structure after removing z_ell, the later variables renumbered
+    down one; independent of the facet side.  A direction outside 1..n
+    raises ``ValueError``."""
+    _check_direction(s.n, ell)
+    groups = [
+        [frozenset(i - (i > ell) for i in b - {ell}) for b in blocks if b != {ell}]
+        for blocks in s.groups
+    ]
+    groups = [blocks for blocks in groups if blocks]
+    if not groups:
         raise StructureError("collapse would leave an empty expression")
-    return structure(_renumber(new_groups, ell), s.n - 1)
+    return structure(groups, s.n - 1)
 
 
 def collapse_structure(
@@ -561,11 +580,10 @@ def collapse_structure(
     """Remove z_ell on one facet, rewriting the value assignment to compensate.
 
     On every corner of the chosen facet the original value equals the
-    collapsed value plus the returned additive offset.  The offset is non-zero
-    only when z_ell formed a summand of its own (that constant moves into the
-    caller's thresholds); when z_ell was a bare factor a sibling block absorbs
-    it multiplicatively, and when it shared a block a surviving variable
-    absorbs it additively.
+    collapsed value plus the returned additive offset.  ``collapse_role``
+    says what takes z_ell's value: the offset (which the caller moves into
+    its thresholds), the sibling block's lows and highs times it, or the
+    survivor's low and high plus it.
     """
     if s.n <= 1:
         raise StructureError("cannot collapse a single-variable expression")
@@ -573,30 +591,20 @@ def collapse_structure(
         raise ValueError(f"side must be {FLOOR!r} or {CEILING!r}")
     if phi.n != s.n:
         raise ValueError("assignment arity mismatch")
-    c = phi.value(ell, 1 if side == CEILING else 0)
+    role, target = collapse_role(s, ell)
     out = collapse_shape(s, ell)
-
+    c = phi.value(ell, 1 if side == CEILING else 0)
     low = list(phi.low)
     high = list(phi.high)
     offset = Fraction(0)
-    for blocks in s.groups:
-        home = next((b for b in blocks if ell in b), None)
-        if home is None:
-            continue
-        if len(blocks) == 1 and home == {ell}:
-            # z_ell is a summand of its own: drop the group, shift thresholds
-            offset = c
-        elif home == {ell}:
-            # bare factor inside a product: scale the sibling block with the
-            # smallest minimum element
-            sibling = min((b for b in blocks if b != home), key=min)
-            for i in sibling:
-                low[i - 1] *= c
-                high[i - 1] *= c
-        else:
-            # z_ell shares its block: the smallest surviving variable absorbs it
-            survivor = min(home - {ell})
-            low[survivor - 1] += c
-            high[survivor - 1] += c
+    if role == SUMMAND:
+        offset = c
+    elif role == FACTOR:
+        for i in target:
+            low[i - 1] *= c
+            high[i - 1] *= c
+    elif role == SHARED:
+        low[target - 1] += c
+        high[target - 1] += c
     del low[ell - 1], high[ell - 1]
     return out, PhiAssignment(tuple(low), tuple(high)), offset

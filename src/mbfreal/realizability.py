@@ -10,8 +10,9 @@ works (sum the functions); the algebraic classes are decided or searched:
   exact separation LP, with a Farkas certificate on the infeasible side;
 * products of sums and sums of products of sums: three-valued verdicts from
   (i) the facet-comparability test for directions appearing as a bare
-  factor or standalone summand, (ii) degree-0 Farkas certificates, and
-  (iii) a rational grid search for witnesses.  Unknown is an honest output;
+  factor or standalone summand, (ii) at four inputs, a facet's refutation
+  lifted onto the structure, (iii) degree-0 Farkas certificates, and
+  (iv) a rational grid search for witnesses.  Unknown is an honest output;
   no completeness is claimed.  Each product class starts from the next
   smaller class's verdict and tests only the structures that class lacks,
   so sum < product of sums < sum of products of sums holds by construction.
@@ -28,7 +29,9 @@ realizing point.  If f_j(a) = 0 and f_j(b) = 1, m * (V(b) - V(a)) is
 positive there too, so positive multiples of such separation rows whose sum
 has no positive coefficient refute the structure.  A certificate names those
 rows as (y, m, j, a, b); replay and relabeling read only the names.  The
-Farkas tests use m = 1, the facet-comparability test m = 1, l_ell or d_ell.
+Farkas tests use m = 1, the facet-comparability test m = 1, l_ell or d_ell,
+and a facet's refutation lifted onto the structure (``_lifted``) the
+monomials its rows' m become under the facet's substitution.
 """
 
 from __future__ import annotations
@@ -58,13 +61,16 @@ from .boolean_core import (
     restrict_and_collapse,
 )
 from .interaction import (
+    FACTOR,
     KCLASS,
     PISIGMA,
+    SHARED,
     SIGMA,
     SIGMAPISIGMA,
     InteractionStructure,
     PhiAssignment,
     StructureError,
+    collapse_role,
     collapse_shape,
     collapse_structure,
     corner_monomials,
@@ -126,17 +132,6 @@ class FarkasCertificate:
     structure."""
 
     rows: "tuple[tuple[Fraction, tuple, int, int, int], ...]"
-
-
-@dataclass(frozen=True)
-class CollapseCertificate:
-    """Impossibility inherited from a facet: the collapsed structure cannot
-    realize the collapsed tuple on the given side."""
-
-    direction: int
-    side: str
-    structure_text: str
-    inner: object
 
 
 @dataclass(frozen=True)
@@ -555,11 +550,13 @@ def _collapsed_blocked(collapsed: OrderedTuple, shape: InteractionStructure):
 
 
 def _structure_blocked(tup: OrderedTuple, s: InteractionStructure):
-    """First impossibility certificate for this structure, or None.
+    """First impossibility certificate for this structure, or None; always
+    a ``FarkasCertificate``.
 
     The direction test on the tuple's pairs comes first.  At four inputs,
     each direction's collapse shape is then tested on the floor and the
-    ceiling facet, in that order, through ``_collapsed_blocked``.  The
+    ceiling facet, in that order, through ``_collapsed_blocked``, and the
+    first refutation found is lifted onto the structure (``_lifted``).  The
     structure's own monomial Farkas test comes last.
     """
     cert = _direction_blocked(tup, s)
@@ -571,8 +568,43 @@ def _structure_blocked(tup: OrderedTuple, s: InteractionStructure):
             for side in (FLOOR, CEILING):
                 inner = _collapsed_blocked(collapse_tuple(tup, ell, side), shape)
                 if inner is not None:
-                    return CollapseCertificate(ell, side, shape.text(), inner)
+                    return FarkasCertificate(_lifted(s, ell, side, inner.rows))
     return monomial_certificate(tup, s)
+
+
+def _lifted(s: InteractionStructure, ell: int, side: str, rows):
+    """Rows refuting the collapse shape of ``s`` on the facet z_ell = c
+    (c = l_ell on the floor, l_ell + d_ell on the ceiling), lifted onto ``s``.
+
+    There each corner vector of ``s`` is the shape's under one substitution
+    sigma that keeps coefficients non-negative (``collapse_role``): the
+    shape's z_i is z_(i+1) from i = ell on, a bare factor's sibling block
+    has l_i and d_i times c, a shared block's survivor has l_s + c, and a
+    summand's c cancels in V(b) - V(a).  So a row (y, m, j, a, b) becomes
+    one row (y * k, m', j, a, b) per monomial k * m' of sigma(m), with bit
+    ell of a and b set to the side, and the sum stays non-positive.
+    """
+    role, target = collapse_role(s, ell)
+    bit = int(side == CEILING)
+    c = ((ell, 0), (ell, 1))[:bit + 1]
+
+    def image(i, kind):
+        i += i >= ell
+        if role == FACTOR and i in target:
+            return [((i, kind), e) for e in c]
+        if role == SHARED and (i, kind) == (target, 0):
+            return [((i, 0),)] + [(e,) for e in c]
+        return [((i, kind),)]
+
+    lifted = []
+    for y, m, j, a, b in rows:
+        terms: "dict[tuple, int]" = {}
+        for choice in itertools.product(*(image(*symbol) for symbol in m)):
+            mono = tuple(sorted(itertools.chain(*choice)))
+            terms[mono] = terms.get(mono, 0) + 1
+        a, b = corner_insert_bit(a, ell, bit), corner_insert_bit(b, ell, bit)
+        lifted += [(y * k, mono, j, a, b) for mono, k in terms.items()]
+    return tuple(lifted)
 
 
 def check_class(
@@ -659,12 +691,12 @@ def _decide(tup: OrderedTuple, class_tag: str, decided: dict) -> Verdict:
     there.  A realizable one gives its witness, with the structure rebuilt
     for this class.  Otherwise only the structures the smaller class lacks
     are tried, in this class's order: the direction test, then (at four
-    inputs) facet-collapse pruning, then the monomial Farkas test, then
-    ``search_witness``.  The full-sum structure is not searched: its
-    direction rows or the sum certificate rule it out.  A ``not_realizable``
-    smaller class lends its per-structure certificates to the exhaustion
-    certificate; an ``unknown`` one lends its open structures and leaves
-    this class realizable or ``unknown``.
+    inputs) each facet's refutation lifted onto the structure, then the
+    monomial Farkas test, then ``search_witness``.  The full-sum structure
+    is not searched: its direction rows or the sum certificate rule it out.
+    A ``not_realizable`` smaller class lends its per-structure certificates
+    to the exhaustion certificate; an ``unknown`` one lends its open
+    structures and leaves this class realizable or ``unknown``.
     """
     if class_tag == SIGMA:
         return check_sigma(tup)
@@ -727,7 +759,8 @@ def relabel_certificate(
     """The certificate for the claim relabeled by ``perm``: the tuple
     (``relabel_tuple``) and the structure (``relabel_structure``).  ``tup``
     and ``structure_text`` name the claim ``cert`` makes, as in
-    ``replay_certificate``.
+    ``replay_certificate``; a certificate names everything relabeling
+    moves, so of the claim only the arity is read.
 
     Relabeling maps everything a certificate names one to one, so the result
     replays against the relabeled claim whenever ``cert`` replays against
@@ -735,40 +768,22 @@ def relabel_certificate(
 
     * Farkas: each row's two corners (``corner_images``) and the variables
       of its monomial; the multipliers and function indices stay, and no
-      system is built;
-    * collapse: the direction and the shape, and the inner certificate
-      under the relabeling the collapse leaves on the other n - 1 variables;
+      system is built, a facet's refutation lifted onto its structure
+      included;
     * exhaustion: every entry, put back in the class's enumeration order.
     """
-    s = None if structure_text is None else parse_structure(structure_text, tup.n)
-    return _relabeled(tup.n, s, cert, perm)
-
-
-def _relabeled(n: int, s, cert, perm):
-    """``relabel_certificate`` at arity ``n`` with the claim's structure
-    ``s`` (None for the full sum)."""
     if isinstance(cert, FarkasCertificate):
         image = corner_images(perm)
         return FarkasCertificate(tuple(
             (y, tuple(sorted((perm[i - 1], kind) for i, kind in m)), j, image[a], image[b])
             for y, m, j, a, b in cert.rows
         ))
-    if isinstance(cert, CollapseCertificate):
-        ell = cert.direction
-        moved = perm[ell - 1]
-        # z_i (i != ell) is z_(i - (i > ell)) after the collapse, and so is
-        # its image on the relabeled side
-        induced = tuple(j - (j > moved) for i, j in enumerate(perm, start=1) if i != ell)
-        shape = collapse_shape(s, ell)
-        inner = _relabeled(n - 1, shape, cert.inner, induced)
-        text = relabel_structure(shape, induced).text()
-        return CollapseCertificate(moved, cert.side, text, inner)
     if isinstance(cert, ExhaustionCertificate):
-        named = _exhausted(n, cert.entries)
+        named = _exhausted(tup.n, cert.entries)
         if named is None:
             raise ValueError("the exhaustion does not name a class's structures in order")
         entries = {
-            relabel_structure(named[text], perm).text(): _relabeled(n, named[text], sub, perm)
+            relabel_structure(named[text], perm).text(): relabel_certificate(tup, text, sub, perm)
             for text, sub in cert.entries
         }
         return ExhaustionCertificate(tuple((text, entries[text]) for text in named))
@@ -832,6 +847,7 @@ def lower_eta(h: MbfFunction, w: Witness, direction: int):
     if not verify_witness(tup, w):
         raise WitnessError("witness does not verify the function")
     s = w.structure
+    new_s = collapse_shape(s, direction)
     theta = w.thresholds[0]
     lo_d = w.phi.low[direction - 1]
     hi_d = w.phi.high[direction - 1]
@@ -839,7 +855,6 @@ def lower_eta(h: MbfFunction, w: Witness, direction: int):
     term = has_simple_term(s, direction)
     if not factor and not term:
         raise ValueError("direction is neither a factor nor a standalone summand")
-    new_s = collapse_shape(s, direction)
     low = tuple(v for i, v in enumerate(w.phi.low, start=1) if i != direction)
     high = tuple(v for i, v in enumerate(w.phi.high, start=1) if i != direction)
     phi = PhiAssignment(low, high)
@@ -977,14 +992,6 @@ def certificate_to_data(cert) -> dict:
             for y, m, j, a, b in cert.rows
         ]
         return {"type": "farkas", "rows": rows}
-    if isinstance(cert, CollapseCertificate):
-        return {
-            "type": "collapse",
-            "direction": cert.direction,
-            "side": cert.side,
-            "structure": cert.structure_text,
-            "inner": certificate_to_data(cert.inner),
-        }
     if isinstance(cert, ExhaustionCertificate):
         return {
             "type": "exhaustion",
@@ -1000,26 +1007,19 @@ def certificate_from_data(data: dict):
     """The certificate ``certificate_to_data`` wrote as ``data``.
 
     Data that does not have that shape raises ``ValueError`` naming the
-    field: a missing key, a direction that is not an integer (a bool or a
-    float included), a type, side or structure that is not a string, rows
-    or entries that are not a list, a row that is not a list of four or
-    five, a multiplier that is not an integer or a rational's string, a
-    function index or corner in a row that is not an integer, a monomial
-    that is not ``l{i}``/``d{i}`` symbols (i >= 1) joined by ``*``, or an
-    entry or inner certificate that is not an object.
+    field: a missing key, a type or structure that is not a string, rows or
+    entries that are not a list, a row that is not a list of four or five,
+    a multiplier that is not an integer or a rational's string, a function
+    index or corner in a row that is not an integer, a monomial that is not
+    ``l{i}``/``d{i}`` symbols (i >= 1) joined by ``*``, an entry or its
+    certificate that is not an object, or a type other than ``"farkas"``
+    and ``"exhaustion"`` (the retired ``"collapse"`` included).
     """
     if not isinstance(data, dict):
         raise ValueError(f"certificate {data!r} is not an object")
     kind = _field(data, "type", str)
     if kind == "farkas":
         return FarkasCertificate(tuple(_row(r) for r in _field(data, "rows", list)))
-    if kind == "collapse":
-        return CollapseCertificate(
-            _field(data, "direction", int),
-            _field(data, "side", str),
-            _field(data, "structure", str),
-            certificate_from_data(_field(data, "inner", dict)),
-        )
     if kind == "exhaustion":
         entries = []
         for e in _field(data, "entries", list):
@@ -1033,12 +1033,12 @@ def certificate_from_data(data: dict):
 
 
 def _field(data: dict, key: str, kind: type):
-    """``data[key]``, which must be a ``kind`` (an ``int`` that is not a
-    bool); anything else raises ``ValueError`` naming the field."""
+    """``data[key]``, which must be a ``kind``; anything else raises
+    ``ValueError`` naming the field."""
     if key not in data:
         raise ValueError(f"certificate has no field {key!r}")
     value = data[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, kind):
         raise ValueError(f"certificate field {key!r} is not a {kind.__name__}: {value!r}")
     return value
 
@@ -1079,10 +1079,9 @@ def replay_certificate(tup: OrderedTuple, structure_text: "str | None", cert) ->
     direction is this arithmetic too.  An exhaustion is a claim about a
     whole class, so it replays only against a claim with no structure, and
     must name every ``pisigma`` or ``sigmapisigma`` structure in enumeration
-    order.  A collapse must name the shape its direction leaves of the
-    parent structure, and its inner certificate replays against the
-    collapsed tuple and that shape.  Structure text that does not parse
-    names no claim, so nothing replays against it.
+    order.  A facet's refutation is replayed as the rows it was lifted to,
+    like any other.  Structure text that does not parse names no claim, so
+    nothing replays against it.
     """
     try:
         s = None if structure_text is None else parse_structure(structure_text, tup.n)
@@ -1093,19 +1092,10 @@ def replay_certificate(tup: OrderedTuple, structure_text: "str | None", cert) ->
 
 def _replays(tup: OrderedTuple, s: "InteractionStructure | None", cert) -> bool:
     """``replay_certificate`` with the claim's structure ``s`` (None for the
-    sum decision); inner claims reuse the structures already built."""
+    sum decision); exhaustion entries reuse the structures already built."""
     n = tup.n
     if isinstance(cert, FarkasCertificate):
         return _refutes(tup, sum_structure(range(1, n + 1), n) if s is None else s, cert.rows)
-    if isinstance(cert, CollapseCertificate):
-        if s is None or cert.side not in (FLOOR, CEILING):
-            return False
-        if n < 2 or not 1 <= cert.direction <= n:
-            return False
-        shape = collapse_shape(s, cert.direction)
-        if cert.structure_text != shape.text():
-            return False
-        return _replays(collapse_tuple(tup, cert.direction, cert.side), shape, cert.inner)
     if isinstance(cert, ExhaustionCertificate):
         named = _exhausted(n, cert.entries)
         return s is None and named is not None and all(

@@ -35,7 +35,6 @@ from mbfreal.interaction import (
 from mbfreal.ksystem import build_stg, phi_k
 from mbfreal.paramgraph import build_factor, build_parameter_graph
 from mbfreal.realizability import (
-    CollapseCertificate,
     Witness,
     check_class,
     check_sigma,
@@ -210,7 +209,17 @@ def test_criterion_06_four_input_pair():
         assert verdict.is_not_realizable
         entries = verdict.certificate.as_dict()
         assert len(entries) == len(enumerate_structures(4, SIGMAPISIGMA)) == 40
-        assert any(isinstance(c, CollapseCertificate) for c in entries.values())
+        # some structures fall to a facet's refutation lifted onto them:
+        # rows whose corners all lie on one facet z_ell = 0 or z_ell = 1
+        on_a_facet = [
+            text for text, c in entries.items()
+            if any(
+                len({v >> i & 1 for *_, a, b in c.rows for v in (a, b)}) == 1
+                for i in range(4)
+            )
+        ]
+        assert on_a_facet
+        assert all(replay_certificate(tup, text, entries[text]) for text in on_a_facet)
         assert replay_certificate(tup, None, verdict.certificate)
         kw = realize_k(tup)
         assert verify_k_witness(tup, kw)

@@ -389,6 +389,19 @@ def test_census_config_of_the_direction_certificate_format_exits_3(tmp_path, cap
     assert sorted(p.name for p in out_dir.iterdir()) == ["config.json"]
 
 
+def test_census_config_of_the_collapse_certificate_format_exits_3(tmp_path, capsys):
+    # a directory from before facet refutations were lifted onto their
+    # structure as rows holds "collapse" certificates; it is not resumed
+    out_dir = tmp_path / "census"
+    out_dir.mkdir()
+    config = {"n": 3, "classes": ["k"], "certificates": "monomial-rows"}
+    (out_dir / "config.json").write_text(json.dumps(config) + "\n")
+    code, _, err = run(capsys, "census", "--n", "3", "--classes", "k", "--out", str(out_dir))
+    assert code == 3
+    assert "configuration" in err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["config.json"]
+
+
 @pytest.mark.parametrize("text", ["", '{"n": 3, "classes": ["k"]'])
 def test_census_config_that_does_not_parse_exits_3(tmp_path, capsys, text):
     # config.json as a run cut off mid-write would have left it

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from mbfreal.boolean_core import (
     MbfFunction,
     OrderedTuple,
     canonical_form,
-    collapse_tuple,
+    corner_insert_bit,
     enumerate_chains,
     enumerate_mbf_positive,
     enumerate_ordered_pairs,
@@ -28,11 +29,17 @@ from mbfreal.boolean_core import (
     restrict_and_collapse,
 )
 from mbfreal.interaction import (
+    FACTOR,
     PISIGMA,
+    SHARED,
     SIGMA,
     SIGMAPISIGMA,
+    SUMMAND,
     PhiAssignment,
+    collapse_role,
     collapse_shape,
+    collapse_structure,
+    corner_monomials,
     corner_table,
     enumerate_structures,
     evaluate,
@@ -44,7 +51,6 @@ from mbfreal.interaction import (
 )
 from mbfreal import realizability
 from mbfreal.realizability import (
-    CollapseCertificate,
     ExhaustionCertificate,
     FarkasCertificate,
     KWitness,
@@ -1061,16 +1067,14 @@ def test_exhaustion_certificate_bound_to_every_structure():
         (("(z1+z3)*(z2+z4)", sub0),) + entries[1:],
         entries + entries[-1:],
     ]
-    # a collapse must name the shape its direction leaves of its structure
-    k, (text, collapse) = next(
-        (k, e) for k, e in enumerate(entries) if isinstance(e[1], CollapseCertificate)
-    )
-    shape = collapse_shape(parse_structure(text, 4), collapse.direction).text()
-    assert collapse.structure_text == shape
-    for other in ("(z1+z3)*z2", "z1*z2*z3", "z1+z2+z3"):
-        assert other != shape
-        bad = replace(collapse, structure_text=other)
-        changed.append(entries[:k] + ((text, bad),) + entries[k + 1:])
+    # a facet's refutation lifted onto its structure refutes that structure,
+    # but not every other one: in their places the exhaustion fails
+    _, lifted = _lifted_entry(tup, cert)
+    others = [
+        k for k, (text, _) in enumerate(entries) if not replay_certificate(tup, text, lifted)
+    ]
+    assert others
+    changed += [entries[:k] + ((entries[k][0], lifted),) + entries[k + 1:] for k in others]
     for bad in changed:
         assert not replay_certificate(tup, None, ExhaustionCertificate(bad))
     # an empty exhaustion proves nothing
@@ -1079,36 +1083,49 @@ def test_exhaustion_certificate_bound_to_every_structure():
 
 
 def test_exhaustion_replays_only_against_a_claim_without_structure():
-    # two forged certificates for pairs that sums of products realize, each
+    # a forged certificate for a pair that sums of products realize,
     # nesting the pisigma exhaustion of 88/f8 where a structure's
-    # certificate belongs: once as every entry of its sigmapisigma
-    # exhaustion, once as the inner certificate of a floor collapse in
-    # direction 4 of 8888/f8f8, whose floor is 88/f8
+    # certificate belongs: as every entry of its sigmapisigma exhaustion
     mixed = _hex_pair("mbf:3:88", "mbf:3:f8")
     inner = check_class(mixed, PISIGMA).certificate
     assert replay_certificate(mixed, None, inner)
-    wide = _hex_pair("mbf:4:8888", "mbf:4:f8f8")
-    assert collapse_tuple(wide, 4, FLOOR) == mixed
-    forged = {
-        mixed: ExhaustionCertificate(
-            tuple((s.text(), inner) for s in enumerate_structures(3, SIGMAPISIGMA))
-        ),
-        wide: ExhaustionCertificate(tuple(
-            (s.text(), CollapseCertificate(4, FLOOR, collapse_shape(s, 4).text(), inner))
-            for s in enumerate_structures(4, SIGMAPISIGMA)
-        )),
-    }
-    for tup, cert in forged.items():
-        assert check_class(tup, SIGMAPISIGMA).is_realizable
-        assert not replay_certificate(tup, None, cert)
-        restored = certificate_from_data(json.loads(json.dumps(certificate_to_data(cert))))
-        assert restored == cert and not replay_certificate(tup, None, restored)
+    cert = ExhaustionCertificate(
+        tuple((s.text(), inner) for s in enumerate_structures(3, SIGMAPISIGMA))
+    )
+    assert check_class(mixed, SIGMAPISIGMA).is_realizable
+    assert not replay_certificate(mixed, None, cert)
+    restored = certificate_from_data(json.loads(json.dumps(certificate_to_data(cert))))
+    assert restored == cert and not replay_certificate(mixed, None, restored)
     # nor does an exhaustion replay against one structure of its class
     assert not replay_certificate(mixed, "z1+z2+z3", inner)
 
 
 def _hex_pair(f_hex, g_hex):
     return OrderedTuple((MbfFunction.from_hex(f_hex), MbfFunction.from_hex(g_hex)))
+
+
+def _facet(rows, n):
+    """The (direction, bit) of the first facet that holds every corner the
+    rows name, or None."""
+    corners = {v for *_, a, b in rows for v in (a, b)}
+    return next(
+        ((ell, bit) for ell in range(1, n + 1) for bit in (0, 1)
+         if all(v >> (ell - 1) & 1 == bit for v in corners)),
+        None,
+    )
+
+
+def _lifted_entry(tup, cert):
+    """The first entry of an exhaustion of ``tup`` that the collapse layer
+    decided: neither the tuple's direction rows nor the structure's own
+    monomial certificate, but a facet's refutation lifted onto the
+    structure, so every corner of its rows lies on that facet."""
+    for text, sub in cert.entries:
+        s = parse_structure(text, tup.n)
+        if realizability._direction_blocked(tup, s) is None and sub != monomial_certificate(tup, s):
+            assert _facet(sub.rows, tup.n) is not None, text
+            return text, sub
+    raise AssertionError("no entry was decided on a facet")
 
 
 def _certificate_json():
@@ -1135,12 +1152,11 @@ def _set_row(k, value):
     return change
 
 
-def _collapse(**fields):
+def _entry(**fields):
+    """The first exhaustion entry with its fields updated."""
     def change(exhaustion, farkas):
-        data = {"type": "collapse", "direction": 1, "side": FLOOR, "structure": "z1+z2",
-                "inner": farkas}
-        data.update(fields)
-        return data
+        exhaustion["entries"][0].update(fields)
+        return exhaustion
     return change
 
 
@@ -1151,11 +1167,14 @@ def _drop(key):
     return change
 
 
+def _retired_collapse(exhaustion, farkas):
+    """The facet-collapse certificate of older files: that kind is gone, and
+    the collapse layer writes rows."""
+    return {"type": "collapse", "direction": 1, "side": FLOOR, "structure": "z1+z2",
+            "inner": farkas}
+
+
 @pytest.mark.parametrize("change, field", [
-    (_collapse(direction="1"), "direction"),
-    (_collapse(direction=1.0), "direction"),
-    (_collapse(direction=True), "direction"),
-    (_collapse(direction=None), "direction"),
     (_set("rows", "1" * 13), "rows"),
     (_set_row(0, True), "rows"),
     (_set_row(0, False), "rows"),
@@ -1172,10 +1191,10 @@ def _drop(key):
     (_set_row(3, 6.0), "rows"),
     (_set("type", 1), "type"),
     (_set("type", None), "type"),
-    (_collapse(side=0), "side"),
-    (_collapse(structure=["z1", "z2"]), "structure"),
-    (_collapse(inner="farkas"), "inner"),
-    (_collapse(inner=[]), "inner"),
+    (_entry(structure=["z1", "z2"]), "structure"),
+    (_entry(certificate="farkas"), "is not a dict"),
+    (_entry(certificate=[]), "is not a dict"),
+    (_retired_collapse, "type"),
     (lambda exhaustion, farkas: {**exhaustion, "entries": "abc"}, "entries"),
     (lambda exhaustion, farkas: {**exhaustion, "entries": {}}, "entries"),
     (lambda exhaustion, farkas: {**exhaustion, "entries": ["abc"]}, "entry"),
@@ -1270,24 +1289,12 @@ def test_monomial_and_collapse_certificates_reject_every_mutation():
     other = _hex_pair("mbf:3:80", "mbf:3:f8")
     assert not replay_certificate(other, text, monomial)
     assert not replay_certificate(other, None, sum_certificate)
-    # collapse pruning runs at four inputs only: the collapse certificate
-    # comes from the n=4 pair whose floor in direction 4 is PAIR_NEEDS_MIXED
+    # collapse pruning runs at four inputs only: a facet's refutation of the
+    # n=4 pair, lifted onto its structure, is rows like any other
     unreachable = pair_tuple(PAIR_UNREACHABLE_4)
-    parent, collapse = next(
-        (t, c) for t, c in check_class(unreachable, SIGMAPISIGMA).certificate.entries
-        if isinstance(c, CollapseCertificate) and isinstance(c.inner, FarkasCertificate)
-    )
-    assert replay_certificate(unreachable, parent, collapse)
-    changed = [replace(collapse, direction=d) for d in range(6) if d != collapse.direction]
-    changed.append(replace(collapse, side=CEILING if collapse.side == FLOOR else FLOOR))
-    changed += [
-        replace(collapse, structure_text=t)
-        for t in ("(z1+z3)*z2", "z1*z2*z3", "z1+z2+z3", "(z1+z2)*(z3+z4)")
-    ]
-    inner_tup = collapse_tuple(unreachable, collapse.direction, collapse.side)
-    inner_mutations = _farkas_mutations(inner_tup, collapse.inner)
-    changed += [replace(collapse, inner=bad) for bad in inner_mutations]
-    for bad in changed:
+    parent, lifted = _lifted_entry(unreachable, check_class(unreachable, SIGMAPISIGMA).certificate)
+    assert replay_certificate(unreachable, parent, lifted)
+    for bad in _farkas_mutations(unreachable, lifted):
         assert not replay_certificate(unreachable, parent, bad), bad
 
 
@@ -1303,14 +1310,10 @@ def test_replay_rejects_structure_text_that_does_not_parse():
         assert not replay_certificate(tup, text, farkas)
         assert not replay_certificate(tup, text, direction)
     unreachable = pair_tuple(PAIR_UNREACHABLE_4)
-    parent, collapse = next(
-        (text, c)
-        for text, c in check_class(unreachable, SIGMAPISIGMA).certificate.entries
-        if isinstance(c, CollapseCertificate)
-    )
-    assert replay_certificate(unreachable, parent, collapse)
+    parent, lifted = _lifted_entry(unreachable, check_class(unreachable, SIGMAPISIGMA).certificate)
+    assert replay_certificate(unreachable, parent, lifted)
     for text in bad_texts:
-        assert not replay_certificate(unreachable, text, collapse)
+        assert not replay_certificate(unreachable, text, lifted)
 
 
 def test_replay_rejects_structure_text_with_repeated_variable():
@@ -1459,6 +1462,113 @@ def test_collapse_all_directions_of_reference_witnesses():
             for side in (FLOOR, CEILING):
                 collapsed, w2 = collapse_witness(tup, w, ell, side)
                 assert verify_witness(collapsed, w2)
+
+
+@pytest.mark.parametrize("direction", [-1, 0, 4])
+def test_collapse_rejects_a_direction_out_of_range(direction):
+    text, highs, thresholds = PAIR_NEEDS_MIXED_WITNESS
+    w = witness_from_parts(text, highs, thresholds)
+    tup = pair_tuple(PAIR_NEEDS_MIXED)
+    h = eta(MbfFunction.const(2, 0), MbfFunction.const(2, 1))
+    projection = check_sigma(OrderedTuple((h,))).witness
+    calls = [
+        lambda: collapse_role(w.structure, direction),
+        lambda: collapse_shape(w.structure, direction),
+        lambda: collapse_structure(w.structure, direction, FLOOR, w.phi),
+        lambda: collapse_witness(tup, w, direction, CEILING),
+        lambda: lower_eta(h, projection, direction),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"direction {direction} out of range 1..3"):
+            call()
+
+
+def _polynomial(s, v):
+    """The value of ``s`` at corner v as {(l, d) monomial: coefficient}."""
+    return Counter(tuple(sorted(m)) for m in corner_monomials(s, v))
+
+
+def _times(p, q):
+    out = Counter()
+    for m, x in p.items():
+        for k, y in q.items():
+            out[tuple(sorted(m + k))] += x * y
+    return out
+
+
+def _minus(p, q):
+    out = Counter(p)
+    out.subtract(q)
+    return Counter({m: x for m, x in out.items() if x})
+
+
+def _substituted(p, s, ell, side):
+    """sigma of a polynomial in the symbols of the collapse shape of ``s``
+    in direction ell: the variables from z_ell on move up one, a bare
+    factor's sibling block has l_i and d_i times c, and a shared block's
+    survivor has l_s + c, with c = l_ell on the floor and l_ell + d_ell on
+    the ceiling."""
+    role, target = collapse_role(s, ell)
+    c = Counter({((ell, 0),): 1})
+    if side == CEILING:
+        c[((ell, 1),)] = 1
+    out = Counter()
+    for m, k in p.items():
+        term = Counter({(): k})
+        for i, kind in m:
+            i += i >= ell
+            symbol = Counter({((i, kind),): 1})
+            if role == FACTOR and i in target:
+                symbol = _times(symbol, c)
+            elif role == SHARED and (i, kind) == (target, 0):
+                symbol += c
+            term = _times(term, symbol)
+        out.update(term)
+    return out
+
+
+def test_facet_corner_vectors_are_the_shape_under_one_substitution():
+    # every n <= 4 product of sums, sum of products of sums and full sum, in
+    # every direction, on both facets: sigma of the shape's corner vector
+    # differs from the full one by one polynomial, c for a standalone
+    # summand and 0 otherwise; and rows lifted by ``_lifted`` add up to
+    # sigma of the shape's rows, m = l_i and m = d_i for each variable,
+    # which takes each role's substitution (the bare factor's of degree 2,
+    # which no n=4 census certificate uses) through the lift
+    corners = 0
+    roles = Counter()
+    degrees = set()
+    for n in (2, 3, 4):
+        structures = [sum_structure(range(1, n + 1), n)]
+        structures += enumerate_structures(n, PISIGMA) + enumerate_structures(n, SIGMAPISIGMA)
+        top = (1 << (n - 1)) - 1
+        for s in structures:
+            for ell in range(1, n + 1):
+                shape = collapse_shape(s, ell)
+                role, _ = collapse_role(s, ell)
+                roles[role] += 1
+                for side, bit in ((FLOOR, 0), (CEILING, 1)):
+                    c = Counter({((ell, kind),): 1 for kind in range(bit + 1)})
+                    expected = c if role == SUMMAND else Counter()
+                    for v in range(top + 1):
+                        full = _polynomial(s, corner_insert_bit(v, ell, bit))
+                        image = _substituted(_polynomial(shape, v), s, ell, side)
+                        assert _minus(full, image) == expected, (s.text(), ell, side, v)
+                        corners += 1
+                    gap = _minus(_polynomial(shape, top), _polynomial(shape, 0))
+                    a, b = corner_insert_bit(0, ell, bit), corner_insert_bit(top, ell, bit)
+                    full_gap = _minus(_polynomial(s, b), _polynomial(s, a))
+                    for symbol in itertools.product(range(1, n), (0, 1)):
+                        rows = realizability._lifted(s, ell, side, ((1, (symbol,), 0, 0, top),))
+                        assert {row[2:] for row in rows} == {(0, a, b)}
+                        total = Counter()
+                        for y, m, *_ in rows:
+                            total.update(_times({m: y}, full_gap))
+                            degrees.add(len(m))
+                        assert total == _substituted(_times({(symbol,): 1}, gap), s, ell, side)
+    assert corners == 3960
+    assert set(roles) == {SUMMAND, FACTOR, SHARED}
+    assert degrees == {1, 2}
 
 
 # ---------------------------------------------------------------- separating form
@@ -1667,15 +1777,15 @@ def _unrelabel_a_row(cert, canonical):
     return replace(cert, rows=canonical[None].rows[:1] + cert.rows[1:])
 
 
-def _unrelabel_an_entry(text, kind, field):
-    """A breaker: the entry for structure ``text``, of this kind, takes the
-    ``field`` of the canonical member's entry for the same structure, as if
-    that field had not been relabeled."""
+def _unrelabel_a_lifted_row(text):
+    """A breaker: the entry for structure ``text``, a facet's refutation
+    lifted onto it, takes the first row of the canonical member's entry for
+    the same structure, as if that row had not been relabeled."""
 
     def broken(cert, canonical):
         entries = dict(cert.entries)
-        assert isinstance(entries[text], kind) and isinstance(canonical[text], kind)
-        entries[text] = replace(entries[text], **{field: getattr(canonical[text], field)})
+        assert _facet(canonical[text].rows, 4) is not None
+        entries[text] = _unrelabel_a_row(entries[text], {None: canonical[text]})
         return ExhaustionCertificate(tuple(entries.items()))
 
     return broken
@@ -1711,10 +1821,10 @@ def _unrelabel_monomials(text):
             PAIR_UNREACHABLE_4,
             SIGMAPISIGMA,
             "a888 fcf8",
-            _unrelabel_an_entry("(z1+z3)*(z2+z4)", CollapseCertificate, "inner"),
+            _unrelabel_a_lifted_row("(z1+z3)*(z2+z4)"),
         ),
     ],
-    ids=["farkas-e0/ee", "direction-a0/ec", "collapse-c888/faf8"],
+    ids=["farkas-e0/ee", "direction-a0/ec", "lifted-c888/faf8"],
 )
 def test_broken_relabeled_certificates_do_not_replay(pair, class_tag, canonical_pair, break_):
     tup = OrderedTuple(pair)
@@ -1768,11 +1878,13 @@ def test_guards_fire_before_canonicalization():
 def _reference_blocked(tup, s):
     """The per-structure loop ``_structure_blocked`` ran before collapse
     facts were kept: every collapsed tuple and every collapse test is
-    rebuilt for each structure, with collapse pruning at four inputs."""
+    rebuilt for each structure, with collapse pruning at four inputs.
+    Returns the certificate and, when a facet's refutation was lifted, the
+    facet's (direction, side)."""
     for f, g in itertools.combinations(tup, 2):
         cert = necessary_condition(f, g, s)
         if cert is not None:
-            return cert
+            return cert, None
     if tup.n == 4:
         for ell in range(1, tup.n + 1):
             shape = collapse_shape(s, ell)
@@ -1780,14 +1892,11 @@ def _reference_blocked(tup, s):
                 collapsed = OrderedTuple(
                     tuple(restrict_and_collapse(f, ell, side) for f in tup)
                 )
-                for f, g in itertools.combinations(collapsed, 2):
-                    inner = necessary_condition(f, g, shape)
-                    if inner is not None:
-                        return CollapseCertificate(ell, side, shape.text(), inner)
-                inner = monomial_certificate(collapsed, shape)
+                inner, _ = _reference_blocked(collapsed, shape)
                 if inner is not None:
-                    return CollapseCertificate(ell, side, shape.text(), inner)
-    return monomial_certificate(tup, s)
+                    lifted = realizability._lifted(s, ell, side, inner.rows)
+                    return FarkasCertificate(lifted), (ell, side)
+    return monomial_certificate(tup, s), None
 
 
 def _four_input_sample():
@@ -1803,9 +1912,15 @@ def test_collapse_table_matches_per_structure_reference():
     for tup in _four_input_sample():
         for class_tag in (PISIGMA, SIGMAPISIGMA):
             for s in enumerate_structures(4, class_tag):
-                expected = _reference_blocked(tup, s)
+                expected, facet = _reference_blocked(tup, s)
                 assert realizability._structure_blocked(tup, s) == expected, (tup, s.text())
-                blocked += isinstance(expected, CollapseCertificate)
+                if facet is not None:
+                    ell, side = facet
+                    bit = int(side == CEILING)
+                    corners = [v for *_, a, b in expected.rows for v in (a, b)]
+                    assert all(v >> (ell - 1) & 1 == bit for v in corners)
+                    assert replay_certificate(tup, s.text(), expected)
+                    blocked += 1
     assert blocked > 0
 
 
