@@ -29,7 +29,6 @@ from .ksystem import (
     NetworkError,
     build_stg,
     k_from_json,
-    k_to_mbfs,
     network_from_json,
     phi_k,
     stg_to_dot,
@@ -48,7 +47,6 @@ from .realizability import (
     REALIZABLE,
     UNKNOWN,
     KWitness,
-    Witness,
     WitnessError,
     certificate_to_data,
     check_class,

@@ -576,14 +576,14 @@ def collapse_structure(
     ell: int,
     side: str,
     phi: PhiAssignment,
-) -> "tuple[InteractionStructure, PhiAssignment, Fraction]":
+) -> "tuple[InteractionStructure, PhiAssignment]":
     """Remove z_ell on one facet, rewriting the value assignment to compensate.
 
-    On every corner of the chosen facet the original value equals the
-    collapsed value plus the returned additive offset.  ``collapse_role``
-    says what takes z_ell's value: the offset (which the caller moves into
-    its thresholds), the sibling block's lows and highs times it, or the
-    survivor's low and high plus it.
+    ``collapse_role`` says what takes z_ell's value c: the sibling block's
+    lows and highs are multiplied by it, or the survivor's low and high are
+    shifted by it.  On every corner of the chosen facet the original value
+    is the collapsed value, plus c when z_ell is a summand of its own, so
+    every function the original separates keeps a gap on the facet.
     """
     if s.n <= 1:
         raise StructureError("cannot collapse a single-variable expression")
@@ -596,10 +596,7 @@ def collapse_structure(
     c = phi.value(ell, 1 if side == CEILING else 0)
     low = list(phi.low)
     high = list(phi.high)
-    offset = Fraction(0)
-    if role == SUMMAND:
-        offset = c
-    elif role == FACTOR:
+    if role == FACTOR:
         for i in target:
             low[i - 1] *= c
             high[i - 1] *= c
@@ -607,4 +604,4 @@ def collapse_structure(
         low[target - 1] += c
         high[target - 1] += c
     del low[ell - 1], high[ell - 1]
-    return out, PhiAssignment(tuple(low), tuple(high)), offset
+    return out, PhiAssignment(tuple(low), tuple(high))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .boolean_core import ACTIVATING, MbfFunction, OrderedTuple, enumerate_chains
 from .interaction import CLASS_TAGS, KCLASS
-from .realizability import Verdict, check_class
+from .realizability import check_class
 
 MAX_FACTOR_INPUTS = 4
 MAX_FACTOR_OUTPUTS = 3

@@ -407,6 +407,31 @@ def test_criterion_09_structural_properties():
                 assert pair_verdict.is_realizable == single_verdict.is_realizable
 
 
+def test_transforms_take_their_thresholds_from_the_gaps():
+    # lifting, lowering and collapsing every witness of the pool gives the
+    # thresholds derived from the output's own corner table
+    def derived(tup, w):
+        return derive_thresholds(tup, *scaled_corner_table(w.structure, w.phi))
+
+    cases = 0
+    for (f, g), w in witness_pool(random.Random(31), minimum=1000):
+        tup = OrderedTuple((f, g))
+        for tag in lift_classes(w):
+            out = lift_eta((f, g), w, tag)
+            assert out.thresholds == derived(OrderedTuple((eta(f, g),)), out)
+            pair, back = lower_eta(eta(f, g), out, f.n + 1)
+            assert back.thresholds == derived(OrderedTuple(pair), back)
+            cases += 2
+        if f.n < 2:
+            continue
+        for ell in range(1, f.n + 1):
+            for side in (FLOOR, CEILING):
+                collapsed, out = collapse_witness(tup, w, ell, side)
+                assert out.thresholds == derived(collapsed, out)
+                cases += 1
+    assert cases >= 3000
+
+
 def test_criterion_10_census_audit():
     with criterion(10, "full census audit across all classes"):
         pairs = enumerate_ordered_pairs(3)

@@ -10,9 +10,11 @@ from mbfreal.interaction import (
     PISIGMA,
     SIGMA,
     SIGMAPISIGMA,
+    SUMMAND,
     InteractionStructure,
     PhiAssignment,
     StructureError,
+    collapse_role,
     collapse_shape,
     collapse_structure,
     corner_monomials,
@@ -286,46 +288,56 @@ def phi_for(n):
     )
 
 
+def facet_differences(s, phi, ell, side):
+    """``collapse_structure``'s structure and assignment, and the values the
+    original minus the collapsed value takes on the facet's corners."""
+    out, phi2 = collapse_structure(s, ell, side, phi)
+    bit = 1 if side == CEILING else 0
+    low = (1 << (ell - 1)) - 1
+    values = corner_table(s, phi)
+    collapsed = corner_table(out, phi2)
+    diffs = {
+        values[(w & low) | ((w & ~low) << 1) | bit << (ell - 1)] - collapsed[w]
+        for w in range(1 << (s.n - 1))
+    }
+    return out, phi2, diffs
+
+
 def test_collapse_drop_summand():
     s = S("z1*z2+z3")
     phi = PhiAssignment((1, 1, 1), (3, 2, 4))
-    out, phi2, offset = collapse_structure(s, 3, FLOOR, phi)
+    out, phi2, diffs = facet_differences(s, phi, 3, FLOOR)
     assert out.text() == "z1*z2"
-    assert offset == 1
+    assert diffs == {1}  # z3's floor value
     assert phi2.low == (1, 1) and phi2.high == (3, 2)
 
 
 def test_collapse_scale_sibling():
     s = S("(z1+z2)*z3")
     phi = PhiAssignment((1, 1, 1), (4, 4, 2))
-    out, phi2, offset = collapse_structure(s, 3, CEILING, phi)
+    out, phi2, diffs = facet_differences(s, phi, 3, CEILING)
     assert out.text() == "z1+z2"
-    assert offset == 0
     assert phi2.low == (2, 2) and phi2.high == (8, 8)
-    # replay on every ceiling corner
-    for w in range(4):
-        v = w | 4
-        assert corner_table(s, phi)[v] == corner_table(out, phi2)[w]
+    # equal on every ceiling corner
+    assert diffs == {0}
 
 
 def test_collapse_survivor_absorbs():
     s = sum_structure({1, 2, 3}, 3)
     phi = PhiAssignment((1, 1, 1), (2, 3, 4))
-    out, phi2, offset = collapse_structure(s, 2, FLOOR, phi)
+    out, phi2, diffs = facet_differences(s, phi, 2, FLOOR)
     assert out.text() == "z1+z2"
-    assert offset == 0
     assert phi2.low == (2, 1) and phi2.high == (3, 4)
-    for w in range(4):
-        v = (w & 1) | (w & 2) << 1  # y2 = 0
-        assert corner_table(s, phi)[v] == corner_table(out, phi2)[w]
+    # equal on every corner with y2 = 0
+    assert diffs == {0}
 
 
 def test_collapse_direction_outside_support():
     s = S("z1", 2)
     phi = PhiAssignment((1, 1), (2, 2))
-    out, phi2, offset = collapse_structure(s, 2, FLOOR, phi)
+    out, phi2, diffs = facet_differences(s, phi, 2, FLOOR)
     assert out.text() == "z1"
-    assert offset == 0
+    assert diffs == {0}
 
 
 def test_collapse_last_variable_errors():
@@ -345,17 +357,13 @@ def test_collapse_replay_exhaustive():
             for ell in range(1, n + 1):
                 for side, bit in ((FLOOR, 0), (CEILING, 1)):
                     try:
-                        out, phi2, offset = collapse_structure(s, ell, side, phi)
+                        out, phi2, diffs = facet_differences(s, phi, ell, side)
                     except StructureError:
                         assert s.support == {ell}
                         continue
                     assert collapse_shape(s, ell).normal_form() == out.normal_form()
-                    low = (1 << (ell - 1)) - 1
-                    values = corner_table(s, phi)
-                    collapsed = corner_table(out, phi2)
-                    for w in range(1 << (n - 1)):
-                        v = (w & low) | ((w & ~low) << 1) | bit << (ell - 1)
-                        assert values[v] == collapsed[w] + offset
+                    summand = collapse_role(s, ell)[0] == SUMMAND
+                    assert diffs == {phi.value(ell, bit) if summand else 0}
 
 
 # ---------------------------------------------------------------- monomials

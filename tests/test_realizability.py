@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -772,7 +773,7 @@ def test_relabeling_builds_no_monomial_system(monkeypatch):
         canonical = check_class(canon, class_tag, decided=decided)
         assert canonical.is_not_realizable
         calls.clear()
-        cert = relabel_certificate(canon, None, canonical.certificate, inverse_permutation(perm))
+        cert = relabel_certificate(canonical.certificate, inverse_permutation(perm))
         verdict = check_class(tup, class_tag, decided=decided)
         assert verdict.certificate == cert and replay_certificate(tup, None, cert)
         assert calls == [], (tup, class_tag)
@@ -1380,6 +1381,23 @@ def test_lift_product_witness_ratio():
     assert verify_witness(OrderedTuple((eta(f, g),)), lifted)
 
 
+@pytest.mark.parametrize(
+    "witness, pair, class_tag",
+    [
+        (PAIR_NEEDS_PRODUCT_WITNESS, PAIR_NEEDS_PRODUCT, SIGMA),
+        (PAIR_NEEDS_MIXED_WITNESS, PAIR_NEEDS_MIXED, PISIGMA),
+    ],
+    ids=["product-as-sigma", "two-groups-as-pisigma"],
+)
+def test_lift_rejects_a_class_the_witness_does_not_fit(witness, pair, class_tag):
+    text, highs, thresholds = witness
+    w = witness_from_parts(text, highs, thresholds)
+    assert verify_witness(OrderedTuple(pair), w)
+    with pytest.raises(ValueError, match=re.escape(text)) as info:
+        lift_eta(pair, w, class_tag)
+    assert type(info.value) is ValueError
+
+
 def test_lift_trivial_pair():
     z, o = MbfFunction.const(2, 0), MbfFunction.const(2, 1)
     verdict = check_sigma(OrderedTuple((z, o)))
@@ -1686,7 +1704,7 @@ def _assert_matches_uncached(tup, class_tag):
         # the canonical member's certificate, relabeled onto this member
         canonical = realizability._decide(canon, class_tag, {})
         back = inverse_permutation(perm)
-        assert verdict.certificate == relabel_certificate(canon, None, canonical.certificate, back)
+        assert verdict.certificate == relabel_certificate(canonical.certificate, back)
     elif not verdict.is_realizable:
         # the same open structures, in the class's enumeration order
         assert verdict.diagnostics == direct.diagnostics
@@ -1833,7 +1851,7 @@ def test_broken_relabeled_certificates_do_not_replay(pair, class_tag, canonical_
     back = inverse_permutation(perm)
     canonical = check_class(canon, class_tag).certificate
     cert = check_class(tup, class_tag).certificate
-    assert cert == relabel_certificate(canon, None, canonical, back)
+    assert cert == relabel_certificate(canonical, back)
     assert replay_certificate(tup, None, cert)
     # each canonical entry, keyed by the text of its structure on this
     # member, and the whole canonical certificate under None
