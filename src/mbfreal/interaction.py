@@ -5,8 +5,10 @@ variables, products of sums whose blocks partition all variables, and sums of
 products of sums.  A structure stores the nested set partition only; numeric
 evaluation plugs in per-variable low/high values.
 
-Text format: ``"(z1+z2)*z3"``, ``"z1*z2+z3"``, ``"z1+z3"``.  The parser and
-printer round-trip; a parsed pure sum canonicalizes to the sum class.
+Text format: ``"(z1+z2)*z3"``, ``"z1*z2+z3"``, ``"z1+z3"``.  Every structure
+is stored in one canonical form, so the parser and printer round-trip and
+equal polynomials are equal structures: a sum is the same object in every
+class whose enumeration lists it.
 
 Corner values are computed in exact integers.  Each structure is compiled
 once per process into one plan (``_corner_plan``): per corner, which sums of
@@ -43,39 +45,19 @@ class StructureError(ValueError):
     """A nested partition that no supported class admits."""
 
 
-def _sort_groups(groups) -> Groups:
-    canon = []
+def _canonical(groups) -> Groups:
+    """The groups in their one stored form: a group of one block split into
+    one singleton group per variable (the polynomial is unchanged), blocks
+    sorted by minimum element and groups by the minimum over their blocks."""
+    out = []
     for group in groups:
         blocks = tuple(sorted((frozenset(b) for b in group), key=min))
-        canon.append(blocks)
-    canon.sort(key=lambda blocks: min(min(b) for b in blocks))
-    return tuple(canon)
-
-
-def _flatten(groups) -> Groups:
-    """Split single-block groups into singleton groups; the polynomial is unchanged."""
-    out = []
-    for blocks in groups:
         if len(blocks) == 1 and len(blocks[0]) > 1:
             out.extend((frozenset({i}),) for i in sorted(blocks[0]))
         else:
             out.append(blocks)
-    return _sort_groups(out)
-
-
-def _infer_class(groups: Groups, n: int) -> str:
-    flat = _flatten(groups)
-    if all(len(blocks) == 1 and len(blocks[0]) == 1 for blocks in flat):
-        return SIGMA
-    support = set().union(*(b for blocks in groups for b in blocks))
-    if support != set(range(1, n + 1)):
-        raise StructureError(
-            f"structure uses {sorted(support)} but products and mixed forms "
-            f"must use all {n} variables"
-        )
-    if len(flat) == 1:
-        return PISIGMA
-    return SIGMAPISIGMA
+    out.sort(key=lambda blocks: min(min(b) for b in blocks))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -83,13 +65,16 @@ class InteractionStructure:
     """A nested set partition encoding one sum/product expression.
 
     ``groups`` is a tuple of summands; each summand is a tuple of blocks whose
-    sums are multiplied.  Blocks are sorted by minimum element and groups by
-    the minimum over their blocks; the factory functions enforce this.
+    sums are multiplied.  Every structure is stored in one canonical form
+    (``_canonical``, built by ``structure``), so two structures are equal
+    exactly when their polynomials are: a block that is a whole summand is
+    split into one singleton group per variable, so a sum is one group per
+    variable, never one block.  The classes are sets of structures
+    (``enumerate_structures``); a structure carries none of its own.
     """
 
     n: int
     groups: Groups
-    class_tag: str
 
     @property
     def support(self) -> frozenset:
@@ -98,35 +83,30 @@ class InteractionStructure:
     def degree(self) -> int:
         return max(len(blocks) for blocks in self.groups)
 
-    def normal_form(self) -> Groups:
-        """Canonical flattened shape; equal iff the polynomials are equal."""
-        return _flatten(self.groups)
-
     def text(self) -> str:
         parts = []
         for blocks in self.groups:
-            if len(blocks) == 1:
-                parts.append("+".join(f"z{i}" for i in sorted(blocks[0])))
-            else:
-                factors = []
-                for b in blocks:
-                    inner = "+".join(f"z{i}" for i in sorted(b))
-                    factors.append(f"({inner})" if len(b) > 1 else inner)
-                parts.append("*".join(factors))
+            factors = []
+            for b in blocks:
+                inner = "+".join(f"z{i}" for i in sorted(b))
+                factors.append(f"({inner})" if len(b) > 1 else inner)
+            parts.append("*".join(factors))
         return "+".join(parts)
 
     def __str__(self) -> str:
         return self.text()
 
 
-def structure(groups, n: int, class_tag: "str | None" = None) -> InteractionStructure:
-    """Build a structure from nested iterables, validating per class.
+def structure(groups, n: int) -> InteractionStructure:
+    """Build a structure from nested iterables in its canonical form.
 
-    With ``class_tag=None`` the tightest class containing the shape is chosen.
+    The blocks must be non-empty, pairwise disjoint and within 1..n, and an
+    expression of degree above 1 must use all n variables; a sum may use
+    any of them.
     """
     if n < 1:
         raise StructureError("need at least one variable")
-    canon = _sort_groups(groups)
+    canon = _canonical(groups)
     if not canon or any(not blocks or any(not b for b in blocks) for blocks in canon):
         raise StructureError("empty group or block")
     seen: set = set()
@@ -137,30 +117,16 @@ def structure(groups, n: int, class_tag: "str | None" = None) -> InteractionStru
             if b & seen:
                 raise StructureError("blocks are not pairwise disjoint")
             seen |= b
-    inferred = _infer_class(canon, n)
-    if class_tag is None:
-        class_tag = inferred
-    if class_tag == SIGMA:
-        if len(canon) != 1 or len(canon[0]) != 1:
-            if inferred != SIGMA:
-                raise StructureError("sum class needs a single block")
-            # a parsed flat sum; store it as the single-block shape
-            canon = ((frozenset(seen),),)
-    elif class_tag == PISIGMA:
-        if len(canon) != 1:
-            raise StructureError("product-of-sums class needs a single group")
-        if seen != set(range(1, n + 1)):
-            raise StructureError("product-of-sums blocks must partition all variables")
-    elif class_tag == SIGMAPISIGMA:
-        if seen != set(range(1, n + 1)):
-            raise StructureError("groups must partition all variables")
-    else:
-        raise StructureError(f"unknown class tag {class_tag!r}")
-    return InteractionStructure(n, canon, class_tag)
+    if len(seen) < n and max(len(blocks) for blocks in canon) > 1:
+        raise StructureError(
+            f"structure uses {sorted(seen)} but products and mixed forms "
+            f"must use all {n} variables"
+        )
+    return InteractionStructure(n, canon)
 
 
 def sum_structure(variables, n: int) -> InteractionStructure:
-    return structure([[frozenset(variables)]], n, SIGMA)
+    return structure([[frozenset(variables)]], n)
 
 
 _TOKEN = re.compile(r"z(\d+)|[+*()]|\s+")
@@ -222,13 +188,8 @@ def parse_structure(text: str, n: "int | None" = None) -> InteractionStructure:
             raise StructureError(f"unexpected token {tok!r} in {text!r}")
     groups.append(current)
 
-    support = set().union(*(b for g in groups for b in g))
     if n is None:
-        n = max(support)
-    if all(len(g) == 1 and len(g[0]) == 1 for g in groups):
-        if len(groups) != len(support):
-            raise StructureError(f"variable repeated in the sum {text!r}")
-        return sum_structure(support, n)
+        n = max(max(b) for g in groups for b in g)
     return structure(groups, n)
 
 
@@ -252,8 +213,8 @@ def _structures(n: int, class_tag: str) -> "tuple[InteractionStructure, ...]":
         return tuple(out)
     if class_tag == PISIGMA:
         for part in set_partitions(items):
-            out.append(structure([part], n, PISIGMA))
-        out.sort(key=lambda s: (len(s.groups[0]), s.text()))
+            out.append(structure([part], n))
+        out.sort(key=lambda s: (s.degree(), s.text()))
         return tuple(out)
     if class_tag == SIGMAPISIGMA:
         for outer in set_partitions(items):
@@ -270,7 +231,7 @@ def _structures(n: int, class_tag: str) -> "tuple[InteractionStructure, ...]":
                         ]
                     )
             for combo in itertools.product(*choices):
-                out.append(structure(list(combo), n, SIGMAPISIGMA))
+                out.append(structure(list(combo), n))
         out.sort(key=lambda s: (len(s.groups), s.text()))
         return tuple(out)
     raise StructureError(f"unknown class tag {class_tag!r}")
@@ -494,7 +455,7 @@ def relabel_structure(s: InteractionStructure, perm: "tuple[int, ...]") -> Inter
     if sorted(perm) != list(range(1, s.n + 1)):
         raise StructureError(f"{perm} is not a permutation of 1..{s.n}")
     groups = [[frozenset(perm[i - 1] for i in b) for b in blocks] for blocks in s.groups]
-    return structure(groups, s.n, s.class_tag)
+    return structure(groups, s.n)
 
 
 def relabel_assignment(phi: PhiAssignment, perm: "tuple[int, ...]") -> PhiAssignment:
@@ -514,15 +475,14 @@ def relabel_assignment(phi: PhiAssignment, perm: "tuple[int, ...]") -> PhiAssign
 
 def has_factor(s: InteractionStructure, ell: int) -> bool:
     """Whether the whole expression is a product with the bare factor z_ell."""
-    flat = s.normal_form()
-    if len(flat) != 1 or len(flat[0]) < 2:
+    if len(s.groups) != 1 or len(s.groups[0]) < 2:
         return False
-    return frozenset({ell}) in flat[0]
+    return frozenset({ell}) in s.groups[0]
 
 
 def has_simple_term(s: InteractionStructure, ell: int) -> bool:
     """Whether z_ell appears as a standalone additive summand."""
-    return (frozenset({ell}),) in s.normal_form()
+    return (frozenset({ell}),) in s.groups
 
 
 # ---------------------------------------------------------------- collapse
@@ -537,12 +497,13 @@ def _check_direction(n: int, ell: int) -> None:
 
 def collapse_role(s: InteractionStructure, ell: int):
     """What takes z_ell's value c when z_ell is removed on a facet:
-    ``(SUMMAND, None)`` when z_ell is a summand of its own (c is added to
-    every corner value), ``(FACTOR, sibling)`` when it is a bare factor (the
-    other block with the smallest minimum is scaled by c), ``(SHARED,
-    survivor)`` when it shares its block (the smallest other variable there
-    is shifted by c), and ``(None, None)`` outside the support.  A direction
-    outside 1..n raises ``ValueError``."""
+    ``(SUMMAND, None)`` when z_ell is a summand of its own, as every
+    variable of a sum is (c is added to every corner value), ``(FACTOR,
+    sibling)`` when it is a bare factor (the other block with the smallest
+    minimum is scaled by c), ``(SHARED, survivor)`` when it shares a block
+    of a product (the smallest other variable there is shifted by c), and
+    ``(None, None)`` outside the support.  A direction outside 1..n raises
+    ``ValueError``."""
     _check_direction(s.n, ell)
     for blocks in s.groups:
         home = next((b for b in blocks if ell in b), None)

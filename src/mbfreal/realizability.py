@@ -256,10 +256,11 @@ def check_sigma(tup: OrderedTuple) -> Verdict:
     thresholds.
 
     Fixing the support loses nothing: a sum over a subset of the variables
-    separates the tuple exactly when the full sum does, because each missing
-    variable can be added with low 1, a spread below every separation
-    margin, and every threshold raised by 1.  The verdict carries the
-    derived witness, or the LP's Farkas certificate.
+    separates the tuple exactly when the full sum does, because each of the
+    k missing variables can be added with low 1 and a spread below the
+    smallest separation margin over k, every threshold raised by k
+    (``_full_sum``).  The verdict carries the derived witness, or the LP's
+    Farkas certificate.
     """
     n = tup.n
     if n > 5:
@@ -279,8 +280,9 @@ def _gap_witness(tup: OrderedTuple, s: InteractionStructure, phi: PhiAssignment)
     thresholds derived from the corner table and checked on it.  This is
     the one threshold rule of every ``Witness`` built here but
     ``separating_to_witness``'s: for a feasible point of the sum system, a
-    point ``_screened_points`` admits, and the assignments ``lift_eta``,
-    ``lower_eta`` and ``collapse_witness`` build from a witness.  There,
+    point ``_screened_points`` admits, and the assignments ``lift_eta``
+    (``_full_sum`` included), ``lower_eta`` and ``collapse_witness`` build
+    from a witness.  There,
     ``derive_thresholds`` cannot fail: two distinct functions of an
     implication chain have disjoint gaps, the smaller one's higher.  Raises
     ``AssertionError`` if it does anyway."""
@@ -694,26 +696,24 @@ def _decide(tup: OrderedTuple, class_tag: str, decided: dict) -> Verdict:
     The sum class is decided exactly (``check_sigma``).  A product class
     starts from the next smaller class's verdict (sum < product of sums <
     sum of products of sums), read from ``decided`` or decided and added
-    there.  A realizable one gives its witness, with the structure rebuilt
-    for this class.  Otherwise only the structures the smaller class lacks
-    are tried, in this class's order: the direction test, then (at four
-    inputs) each facet's refutation lifted onto the structure, then the
-    monomial Farkas test, then ``search_witness``.  The full-sum structure
-    is not searched: its direction rows or the sum certificate rule it out.
-    A ``not_realizable`` smaller class lends its per-structure certificates
-    to the exhaustion certificate; an ``unknown`` one lends its open
-    structures and leaves this class realizable or ``unknown``.
+    there.  A realizable one is this class's verdict as it is: its
+    witness's structure is in this class's enumeration too, because a
+    structure is its polynomial and the classes are nested sets of them.
+    Otherwise only the structures the smaller class lacks are tried, in
+    this class's order: the direction test, then (at four inputs) each
+    facet's refutation lifted onto the structure, then the monomial Farkas
+    test, then ``search_witness``.  The full-sum structure is not searched:
+    its direction rows or the sum certificate rule it out.  A
+    ``not_realizable`` smaller class lends its per-structure certificates to
+    the exhaustion certificate; an ``unknown`` one lends its open structures
+    and leaves this class realizable or ``unknown``.
     """
     if class_tag == SIGMA:
         return check_sigma(tup)
     n = tup.n
     smaller = _decided(tup, SIGMA if class_tag == PISIGMA else PISIGMA, decided)
     if smaller.is_realizable:
-        # the shape in this class's enumerated form: a product of sums keeps
-        # the sum's one block, a sum of products splits it into summands
-        w = smaller.witness
-        groups = w.structure.groups if class_tag == PISIGMA else w.structure.normal_form()
-        return Verdict.realizable(Witness(structure(groups, n, class_tag), w.phi, w.thresholds))
+        return smaller
     if class_tag == PISIGMA:
         s = sum_structure(range(1, n + 1), n)
         cert = _direction_blocked(tup, s)
@@ -798,38 +798,67 @@ def lift_eta(
 ) -> Witness:
     """Turn a witness for (f, g) into one for the paired (n+1)-input function.
 
-    The new variable z_(n+1) has low 1.  In a product of sums it is a new
-    factor with high theta_f / theta_g, which scales g's values onto f's
+    A sum that leaves out variables is first extended to all n
+    (``_full_sum``).  The new variable z_(n+1) has low 1.  In a product of
+    sums it is a new factor, times the sum's one block or the product's
+    blocks, with high theta_f / theta_g, which scales g's values onto f's
     threshold; in the sum classes it is a new standalone summand with high
     1 + theta_f - theta_g, which shifts them there.  Either way the image
-    has a gap, and ``_gap_witness`` derives its threshold.  A ``sigma`` lift
-    of a witness that is not a sum, or a ``pisigma`` lift of one with more
-    than one group, raises ``ValueError`` naming the structure.
+    has a gap, and ``_gap_witness`` derives its threshold, so the lifted
+    structure is in the class's enumeration at n + 1.  A ``sigma`` lift of
+    a witness that is not a sum, or a ``pisigma`` lift of one with more
+    than one product, raises ``ValueError`` naming the structure.
     """
     f, g = pair
-    if not verify_witness(OrderedTuple((f, g)), w):
+    tup = OrderedTuple((f, g))
+    if not verify_witness(tup, w):
         raise WitnessError("witness does not verify the pair")
-    theta_f, theta_g = w.thresholds
     n = f.n
+    w = _full_sum(tup, w)
     s = w.structure
+    theta_f, theta_g = w.thresholds
     new = frozenset({n + 1})
     if class_tag == PISIGMA:
-        if len(s.groups) > 1:
-            raise ValueError(f"a pisigma lift needs one group, not {s.text()}")
-        new_s = structure([s.groups[0] + (new,)], n + 1, PISIGMA)
-        high = theta_f / theta_g
-    elif class_tag == SIGMA:
-        if s.degree() > 1:
-            raise ValueError(f"a sigma lift needs a sum, not {s.text()}")
-        new_s = sum_structure(s.support | new, n + 1)
-        high = 1 + theta_f - theta_g
-    elif class_tag == SIGMAPISIGMA:
-        new_s = structure(s.groups + ((new,),), n + 1, SIGMAPISIGMA)
-        high = 1 + theta_f - theta_g
+        if len(s.groups) > 1 and s.degree() > 1:
+            raise ValueError(f"a pisigma lift needs one product, not {s.text()}")
+        blocks = s.groups[0] if s.degree() > 1 else (s.support,)
+        groups, high = [blocks + (new,)], theta_f / theta_g
+    elif class_tag == SIGMA and s.degree() > 1:
+        raise ValueError(f"a sigma lift needs a sum, not {s.text()}")
+    elif class_tag in (SIGMA, SIGMAPISIGMA):
+        groups, high = s.groups + ((new,),), 1 + theta_f - theta_g
     else:
         raise ValueError(f"unsupported class tag {class_tag!r}")
     phi = PhiAssignment(w.phi.low + (Fraction(1),), w.phi.high + (high,))
-    return _gap_witness(OrderedTuple((eta(f, g),)), new_s, phi)
+    return _gap_witness(OrderedTuple((eta(f, g),)), structure(groups, n + 1), phi)
+
+
+def _full_sum(tup: OrderedTuple, w: Witness) -> Witness:
+    """A sum witness over all n variables from one over some of them; any
+    other witness, whose support is already full, as it is.
+
+    Each missing variable gets low 1 and a spread below the smallest
+    separation margin over the number of missing variables, the argument of
+    ``check_sigma``: no function depends on a variable the sum leaves out,
+    every corner value rises by that many lows plus less than the margin,
+    and so every gap survives.  ``_gap_witness`` re-derives the thresholds.
+    """
+    n = w.phi.n
+    missing = [i for i in range(1, n + 1) if i not in w.structure.support]
+    if not missing:
+        return w
+    values, scale = scaled_corner_table(w.structure, w.phi)
+    margin = min(
+        (values[b] - values[a] for f in tup
+         for a in maximal_false_corners(f) for b in minimal_true_corners(f)),
+        default=scale,
+    )
+    spread = Fraction(margin, scale * (len(missing) + 1))
+    low, high = list(w.phi.low), list(w.phi.high)
+    for i in missing:
+        low[i - 1], high[i - 1] = Fraction(1), 1 + spread
+    phi = PhiAssignment(tuple(low), tuple(high))
+    return _gap_witness(tup, sum_structure(range(1, n + 1), n), phi)
 
 
 def lower_eta(h: MbfFunction, w: Witness, direction: int):
@@ -873,10 +902,10 @@ def collapse_witness(tup: OrderedTuple, w: Witness, ell: int, side: str):
 
 def witness_to_separating(w: Witness):
     """Weights and offset of the separating hyperplane behind a sum witness
-    for a single function: a_i = high_i - low_i, offset against the sum of
-    lows.  When the function is constantly 1 the clamped offset would change
-    it, so -1/2 is used instead."""
-    if w.structure.class_tag != SIGMA:
+    (any structure of degree 1) for a single function: a_i = high_i - low_i,
+    offset against the sum of lows.  When the function is constantly 1 the
+    clamped offset would change it, so -1/2 is used instead."""
+    if w.structure.degree() != 1:
         raise ValueError("separating form needs a sum witness")
     if len(w.thresholds) != 1:
         raise ValueError("separating form is for single functions")

@@ -308,12 +308,9 @@ def witness_pool(rng, minimum=1000):
 
 
 def lift_classes(w):
-    tags = [SIGMAPISIGMA]
-    if w.structure.class_tag == SIGMA:
-        tags.append(SIGMA)
-    if len(w.structure.groups) == 1:
-        tags.append(PISIGMA)
-    return tags
+    """The classes whose enumeration holds the witness's structure."""
+    s = w.structure
+    return [tag for tag in (SIGMAPISIGMA, SIGMA, PISIGMA) if s in enumerate_structures(s.n, tag)]
 
 
 def test_criterion_09_structural_properties():

@@ -1,6 +1,4 @@
 import json
-from fractions import Fraction
-from pathlib import Path
 
 import pytest
 

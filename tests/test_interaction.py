@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from mbfreal.interaction import (
     CEILING,
+    CLASS_TAGS,
     FLOOR,
     PISIGMA,
     SIGMA,
     SIGMAPISIGMA,
     SUMMAND,
-    InteractionStructure,
     PhiAssignment,
     StructureError,
     collapse_role,
@@ -198,17 +198,27 @@ def test_enumeration_is_deterministic_and_duplicate_free():
         for n in (2, 3, 4):
             structs = enumerate_structures(n, tag)
             assert structs == enumerate_structures(n, tag)
-            keys = [s.normal_form() for s in structs]
-            assert len(set(keys)) == len(keys)
+            assert len(set(structs)) == len(structs)
 
 
 def test_class_nesting():
     for n in (2, 3, 4):
-        pisigma_keys = {s.normal_form() for s in enumerate_structures(n, PISIGMA)}
-        mixed_keys = {s.normal_form() for s in enumerate_structures(n, SIGMAPISIGMA)}
-        full_sum = sum_structure(range(1, n + 1), n)
-        assert full_sum.normal_form() in pisigma_keys
-        assert pisigma_keys <= mixed_keys
+        pisigma = set(enumerate_structures(n, PISIGMA))
+        mixed = set(enumerate_structures(n, SIGMAPISIGMA))
+        assert sum_structure(range(1, n + 1), n) in pisigma
+        assert pisigma <= mixed
+
+
+def test_equal_polynomials_are_equal_structures():
+    # one stored form per polynomial: every enumerated structure is its own
+    # parsed text, and every relabeling of it is in the same enumeration
+    for tag in CLASS_TAGS:
+        for n in (1, 2, 3, 4):
+            structs = set(enumerate_structures(n, tag))
+            for s in structs:
+                assert parse_structure(s.text(), n) == s
+                for perm in permutations(n):
+                    assert relabel_structure(s, perm) in structs
 
 
 # ---------------------------------------------------------------- text format
@@ -218,13 +228,14 @@ def test_parse_print_roundtrip():
         for n in (1, 2, 3, 4):
             for s in enumerate_structures(n, tag):
                 back = parse_structure(s.text(), n)
-                assert back.normal_form() == s.normal_form()
+                assert back == s
                 assert back.text() == s.text()
 
 
 def test_parse_subset_sum():
     s = S("z1+z3", 3)
-    assert s.class_tag == SIGMA
+    assert s == sum_structure({1, 3}, 3)
+    assert s in enumerate_structures(3, SIGMA)
     assert s.support == {1, 3}
 
 
@@ -323,10 +334,10 @@ def test_collapse_scale_sibling():
 
 
 def test_collapse_survivor_absorbs():
-    s = sum_structure({1, 2, 3}, 3)
+    s = S("(z1+z2)*z3")
     phi = PhiAssignment((1, 1, 1), (2, 3, 4))
     out, phi2, diffs = facet_differences(s, phi, 2, FLOOR)
-    assert out.text() == "z1+z2"
+    assert out.text() == "z1*z2"
     assert phi2.low == (2, 1) and phi2.high == (3, 4)
     # equal on every corner with y2 = 0
     assert diffs == {0}
@@ -361,7 +372,7 @@ def test_collapse_replay_exhaustive():
                     except StructureError:
                         assert s.support == {ell}
                         continue
-                    assert collapse_shape(s, ell).normal_form() == out.normal_form()
+                    assert collapse_shape(s, ell) == out
                     summand = collapse_role(s, ell)[0] == SUMMAND
                     assert diffs == {phi.value(ell, bit) if summand else 0}
 
@@ -413,7 +424,7 @@ def test_relabel_structure_renames_variables():
     assert relabel_structure(S("z1*z2+z3"), (2, 3, 1)).text() == "z1+z2*z3"
     s = sum_structure({1, 3}, 3)
     out = relabel_structure(s, (2, 1, 3))
-    assert out.class_tag == SIGMA and out.support == frozenset({2, 3})
+    assert out == sum_structure({2, 3}, 3) and out in enumerate_structures(3, SIGMA)
     with pytest.raises(StructureError):
         relabel_structure(S("z1*z2"), (1, 3))
 
@@ -424,12 +435,13 @@ def test_relabeled_expression_keeps_every_corner_value():
         (Fraction(3), Fraction(7, 2), Fraction(5), Fraction(4)),
     )
     for class_tag in (SIGMA, PISIGMA, SIGMAPISIGMA):
-        for s in enumerate_structures(4, class_tag)[::5]:
+        structs = enumerate_structures(4, class_tag)
+        for s in structs[::5]:
             values = corner_table(s, phi)
             for perm in permutations(4)[::5]:
                 rs = relabel_structure(s, perm)
                 rphi = relabel_assignment(phi, perm)
-                assert rs.class_tag == s.class_tag
+                assert rs in structs
                 relabeled = corner_table(rs, rphi)
                 assert all(relabeled[_image(v, perm)] == values[v] for v in range(16))
                 inv = inverse_permutation(perm)

@@ -13,7 +13,7 @@ from mbfreal.boolean_core import (
     implies,
     is_monotone_positive,
 )
-from mbfreal.interaction import PISIGMA, SIGMA, SIGMAPISIGMA
+from mbfreal.interaction import SIGMA
 from mbfreal.paramgraph import (
     FactorGraph,
     annotate_factor,

@@ -55,7 +55,6 @@ from mbfreal.realizability import (
     ExhaustionCertificate,
     FarkasCertificate,
     KWitness,
-    Verdict,
     Witness,
     WitnessError,
     certificate_from_data,
@@ -1405,6 +1404,22 @@ def test_lift_trivial_pair():
     assert verify_witness(OrderedTuple((eta(z, o),)), lifted)
 
 
+@pytest.mark.parametrize("class_tag", [SIGMA, PISIGMA, SIGMAPISIGMA])
+def test_lift_extends_a_sum_that_leaves_out_a_variable(class_tag):
+    # z1+z3 separates z1 and z3 from z1 or z3 and leaves z2 out; the lift
+    # first extends the sum to all three variables, so the lifted structure
+    # is in the class's enumeration at four inputs
+    f, g = MbfFunction.from_hex("mbf:3:a0"), MbfFunction.from_hex("mbf:3:fa")
+    phi = PhiAssignment((1, 1, 1), (2, 2, 2))
+    w = Witness(sum_structure({1, 3}, 3), phi, (Fraction(7, 2), Fraction(5, 2)))
+    assert verify_witness(OrderedTuple((f, g)), w)
+    lifted = lift_eta((f, g), w, class_tag)
+    assert verify_witness(OrderedTuple((eta(f, g),)), lifted)
+    assert lifted.structure in enumerate_structures(4, class_tag)
+    assert lifted.structure.support == frozenset({1, 2, 3, 4})
+    assert lower_eta(eta(f, g), lifted, 4)[0] == (f, g)
+
+
 def test_lower_recovers_pair_n2():
     for f, g in enumerate_ordered_pairs(2):
         tup = OrderedTuple((f, g))
@@ -1630,10 +1645,10 @@ def test_sum_witness_retagged_for_product_classes():
     assert sigma.is_realizable
     assert sigma.witness.structure.text() == "z1+z2"
     for tag in (PISIGMA, SIGMAPISIGMA):
+        # the sum's witness serves every class unchanged
         w = check_class(tup, tag).witness
-        assert w.structure.class_tag == tag
-        assert w.structure.support == frozenset({1, 2})
-        assert (w.phi, w.thresholds) == (sigma.witness.phi, sigma.witness.thresholds)
+        assert w == sigma.witness
+        assert w.structure in enumerate_structures(2, tag)
         assert verify_witness(tup, w)
 
 
@@ -2026,11 +2041,8 @@ def test_sums_of_products_start_from_the_product_of_sums(monkeypatch, f, g):
     verdict = check_class(tup, SIGMAPISIGMA)
     calls = [call for call in calls if call[0].n == 4]
     assert verdict.is_realizable and verify_witness(tup, verdict.witness)
-    assert verdict.witness.structure.class_tag == SIGMAPISIGMA
-    assert verdict.witness.structure.text() == product.witness.structure.text()
-    assert (verdict.witness.phi, verdict.witness.thresholds) == (
-        product.witness.phi, product.witness.thresholds,
-    )
+    assert verdict.witness == product.witness
+    assert verdict.witness.structure in enumerate_structures(4, SIGMAPISIGMA)
     # no four-input monomial test beyond the product of sums' own
     assert calls == product_calls
     assert all(text != "(z1+z2)*z3*z4" for _, text in calls)
