@@ -17,7 +17,9 @@ assignment's lows and highs over their least common denominator and reads
 the plan on the numerators, giving every corner value as an integer over one
 scale; a caller compares a value ``x / scale`` with a threshold ``p / q`` as
 ``x * q`` against ``p * scale``.  ``corner_table`` is the ``Fraction`` view of
-that table, and ``scaled_corner_lines`` reads the same plan on integer grids.
+that table.  ``corner_monomials`` expands a corner value in (l, d)
+coordinates, the columns of the separation rows that the refutations and the
+grid screen of ``realizability`` read.
 """
 
 from __future__ import annotations
@@ -48,14 +50,20 @@ class StructureError(ValueError):
 def _canonical(groups) -> Groups:
     """The groups in their one stored form: a group of one block split into
     one singleton group per variable (the polynomial is unchanged), blocks
-    sorted by minimum element and groups by the minimum over their blocks."""
+    sorted by minimum element and groups by the minimum over their blocks.
+    Raises ``StructureError`` for no group or an empty group or block."""
     out = []
     for group in groups:
-        blocks = tuple(sorted((frozenset(b) for b in group), key=min))
+        blocks = [frozenset(b) for b in group]
+        if not blocks or not all(blocks):
+            raise StructureError("empty group or block")
+        blocks = tuple(sorted(blocks, key=min))
         if len(blocks) == 1 and len(blocks[0]) > 1:
             out.extend((frozenset({i}),) for i in sorted(blocks[0]))
         else:
             out.append(blocks)
+    if not out:
+        raise StructureError("empty group or block")
     out.sort(key=lambda blocks: min(min(b) for b in blocks))
     return tuple(out)
 
@@ -107,8 +115,6 @@ def structure(groups, n: int) -> InteractionStructure:
     if n < 1:
         raise StructureError("need at least one variable")
     canon = _canonical(groups)
-    if not canon or any(not blocks or any(not b for b in blocks) for blocks in canon):
-        raise StructureError("empty group or block")
     seen: set = set()
     for blocks in canon:
         for b in blocks:
@@ -363,61 +369,6 @@ def corner_table(s: InteractionStructure, phi: PhiAssignment) -> "tuple[Fraction
     view of ``scaled_corner_table``."""
     values, scale = scaled_corner_table(s, phi)
     return tuple(Fraction(x, scale) for x in values)
-
-
-def scaled_corner_lines(s: InteractionStructure, scale: int, corners, i: int):
-    """The values at fixed corners as lines in variable i's high.
-
-    Returns a function of two integer lists, each variable's low and high
-    numerator over ``scale``, that gives two lists a and b: the value at
-    ``corners[k]`` times ``scale ** s.degree()`` is ``a[k] + b[k] * h`` when
-    z_i's high numerator is h, whatever ``high[i - 1]`` holds.  A variable
-    sits in one block of one group, so a corner whose bit i is set has one
-    product with a factor ``rest + h``; its other factors times its weight
-    give b, and the product with that block's sum taken at h = 0 adds to a.
-    One pass over the compiled plan gives both.
-    """
-    degree, blocks, terms_at = _corner_plan(s)
-    position = s.n + i - 1
-    home = {k for k, b in enumerate(blocks) if position in b}
-    # per corner: its terms, and the weight index and other factors of the
-    # one product holding z_i's high (None where bit i is clear)
-    lines = []
-    for v in corners:
-        terms = terms_at[v]
-        slope = next(
-            ((m, tuple(k for k in members if k not in home)) for m, members in terms
-             if home.intersection(members)),
-            None,
-        )
-        lines.append((terms, slope))
-
-    def values(low, high) -> "tuple[list[int], list[int]]":
-        nums = low + high
-        nums[position] = 0
-        get = nums.__getitem__
-        sums = [sum(map(get, b)) for b in blocks]
-        weights = [scale ** (degree - m) for m in range(degree + 1)]
-        a, b = [], []
-        for terms, slope in lines:
-            total = 0
-            for m, members in terms:
-                prod = weights[m]
-                for k in members:
-                    prod *= sums[k]
-                total += prod
-            a.append(total)
-            if slope is None:
-                b.append(0)
-            else:
-                m, others = slope
-                prod = weights[m]
-                for k in others:
-                    prod *= sums[k]
-                b.append(prod)
-        return a, b
-
-    return values
 
 
 def corner_monomials(s: InteractionStructure, v: int):

@@ -82,7 +82,6 @@ from .interaction import (
     parse_structure,
     relabel_assignment,
     relabel_structure,
-    scaled_corner_lines,
     scaled_corner_table,
     structure,
     sum_structure,
@@ -477,36 +476,65 @@ def _screened_points(tup: OrderedTuple, s: InteractionStructure):
     """Index tuples into ``_GRID_HIGHS`` over the sorted support, in grid
     order, of the points at which every function has a separating gap.
 
-    Corner values are integers times a positive power of ``_GRID_SCALE`` on
-    the integer grid.  Values grow with the corner bits, so a function has a
-    gap exactly when each maximal false corner is below each minimal true
-    corner.  Each variable sits in one block of one group, so with all highs
-    but the last fixed (one row) a scaled corner value is ``A + B*h`` in the
-    last scaled high h: one pass of ``scaled_corner_lines`` gives A and B,
-    each (false, true) corner pair bounds h by a strict integer inequality,
-    and the row admits the grid highs inside every bound.
+    Values grow with the corner bits, so a function has a gap exactly when
+    each maximal false corner is below each minimal true corner: when every
+    separation row of ``_monomial_system`` is positive.  On the integer grid
+    every l_i is ``_INT_LOW`` and d_i is the scaled high less it, and the
+    monomials of a group of m blocks are weighted by
+    ``_GRID_SCALE ** (degree - m)``, so a row is its value times
+    ``_GRID_SCALE ** degree``.  No monomial holds two symbols of one
+    variable, so with all highs but the last fixed (one grid row) each row
+    is ``a + b*(h - _INT_LOW)`` in the last scaled high h, with b from the
+    monomials that hold d_last: each row bounds h by a strict integer
+    inequality, and the grid row admits the highs inside every bound.
     """
     *prefix, last = sorted(s.support)
-    int_low = [_INT_LOW] * tup.n
-    sides = [(maximal_false_corners(f), minimal_true_corners(f)) for f in tup]
-    corners = sorted({v for below, above in sides for v in below + above})
-    slot = {v: k for k, v in enumerate(corners)}
-    pairs = {(slot[x], slot[y]) for below, above in sides for x in below for y in above}
-    int_high = [max(_INT_HIGHS)] * tup.n
-    scaled_lines = scaled_corner_lines(s, _GRID_SCALE, corners, last)
+    universe, _ = _structure_system(s)
+    _, names, rows = _monomial_system(tup, s)
+    degree = s.degree()
+    # per column: its weight times its l symbols and the positions of its
+    # prefix d symbols; apart, whether it holds d_last
+    columns = []
+    for m in universe:
+        weight = _GRID_SCALE ** (degree - len(m))
+        ds = []
+        for i, kind in m:
+            if kind == 0:
+                weight *= _INT_LOW
+            elif i != last:
+                ds.append(i - 1)
+        columns.append((weight, ds))
+    slope = [(last, 1) in m for m in universe]
+    lines = []
+    for vector in rows[:len(names)]:
+        terms = [(x, k) for k, x in enumerate(vector) if x]
+        lines.append(
+            ([(x, k) for x, k in terms if not slope[k]], [(x, k) for x, k in terms if slope[k]])
+        )
+    d = [0] * tup.n
+    values = [0] * len(columns)
     for row in itertools.product(range(len(_INT_HIGHS)), repeat=len(prefix)):
         for i, k in zip(prefix, row):
-            int_high[i - 1] = _INT_HIGHS[k]
-        a, b = scaled_lines(int_low, int_high)
+            d[i - 1] = _INT_HIGHS[k] - _INT_LOW
+        for k, (weight, ds) in enumerate(columns):
+            for i in ds:
+                weight *= d[i]
+            values[k] = weight
         lo, hi = min(_INT_HIGHS), max(_INT_HIGHS)
-        for x, y in pairs:
-            # a[x] + b[x]*h < a[y] + b[y]*h, that is c*h < d
-            c, d = b[x] - b[y], a[y] - a[x]
+        for at_low, per_step in lines:
+            a = 0
+            for x, k in at_low:
+                a += x * values[k]
+            b = 0
+            for x, k in per_step:
+                b += x * values[k]
+            # a + b*(h - low) > 0, that is c*h < e
+            c, e = -b, a - b * _INT_LOW
             if c > 0:
-                hi = min(hi, (d - 1) // c)
+                hi = min(hi, (e - 1) // c)
             elif c < 0:
-                lo = max(lo, d // c + 1)
-            elif d <= 0:
+                lo = max(lo, e // c + 1)
+            elif e <= 0:
                 hi = lo - 1
             if lo > hi:
                 break

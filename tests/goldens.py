@@ -4,8 +4,10 @@ Corner strings follow the library convention: "y1y2y3" reads left-to-right
 from the low bit, so "110" is corner index 3 and "001" is index 4.
 """
 
+import hashlib
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 from mbfreal.boolean_core import MbfFunction, enumerate_mbf_positive, implies
 
@@ -234,3 +236,21 @@ PISIGMA_OPEN_STRUCTURES = {
         "z1*z2*z3*z4",
     ),
 }
+
+
+def census_digest(root) -> "tuple[int, str]":
+    """The number of files under a census directory and one SHA-256 over
+    them all: per file, in sorted order of relative path, that path, a NUL,
+    the file's bytes and a NUL."""
+    root = Path(root)
+    files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*") if p.is_file())
+    digest = hashlib.sha256()
+    for name, path in files:
+        digest.update(name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return len(files), digest.hexdigest()
+
+
+# ``mbfreal census --n 3`` (all four classes): every result, witness and
+# certificate file, census.csv and config.json, as census_digest reads them.
+# A change that alters any census file changes this.
+CENSUS_N3_DIGEST = (1347, "728d6cd2bed904b15a34fa04e4af471b04f4cb1e84e214acc949399116a722af")

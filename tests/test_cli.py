@@ -14,7 +14,13 @@ from mbfreal.realizability import (
     witness_from_text,
 )
 
-from goldens import PAIR_NEEDS_MIXED, PAIR_NEEDS_PRODUCT, nonseparable_pairs
+from goldens import (
+    CENSUS_N3_DIGEST,
+    PAIR_NEEDS_MIXED,
+    PAIR_NEEDS_PRODUCT,
+    census_digest,
+    nonseparable_pairs,
+)
 from test_ksystem import example_k, example_network
 
 
@@ -337,6 +343,14 @@ def test_census_all_classes_n3(tmp_path, capsys):
                         "--out", str(out_dir))
     assert code == 0
     assert (out_dir / "census.csv").read_text().strip().split("\n") == csv
+
+
+def test_census_n3_files_are_pinned(tmp_path, capsys):
+    # every byte of every file the default n=3 census writes
+    out_dir = tmp_path / "census"
+    code, _, _ = run(capsys, "census", "--n", "3", "--out", str(out_dir))
+    assert code == 0
+    assert census_digest(out_dir) == CENSUS_N3_DIGEST
 
 
 def test_census_config_mismatch(tmp_path, capsys):

@@ -606,6 +606,26 @@ def test_comparability_holds_wherever_witnesses_exist():
                 assert direction_certificate(f, g, ell) is None
 
 
+def test_monomial_certificate_covers_every_summand_direction():
+    # wherever necessary_condition can refute through a standalone summand
+    # z_ell (its collapses incomparable), the degree-0 Farkas test refutes
+    # the structure too: every n=3 pair, every structure of every class
+    from mbfreal.interaction import has_simple_term
+
+    covered = 0
+    for f, g in enumerate_ordered_pairs(3):
+        tup = OrderedTuple((f, g))
+        for class_tag in (SIGMA, PISIGMA, SIGMAPISIGMA):
+            for s in enumerate_structures(3, class_tag):
+                if any(
+                    has_simple_term(s, ell) and direction_certificate(f, g, ell) is not None
+                    for ell in range(1, 4)
+                ):
+                    assert monomial_certificate(tup, s) is not None, (f, g, s.text())
+                    covered += 1
+    assert covered == 144
+
+
 def test_listed_directions_all_fire():
     for f, g, directions in nonseparable_pairs():
         for ell in directions:
